@@ -25,7 +25,6 @@ def main() -> None:
     ap.add_argument("--ks", default="6,10,15,21")
     ap.add_argument("--taus", default="0.0,0.5")
     ap.add_argument("--lambdas", default="0.3,0.45,0.6")
-    ap.add_argument("--threads", type=int, default=8)
     args = ap.parse_args()
 
     embeddings = load_embeddings(args.embeddings)
@@ -42,7 +41,7 @@ def main() -> None:
     for k, tau, lam in itertools.product(ks, taus, lams):
         params = RerankParams(rnn=RnnParams(k=k, k_exp=3, tau=tau, lam=lam),
                               n_context=args.n_context)
-        reranked = rerank_run(run, embeddings, params, threads=args.threads)
+        reranked = rerank_run(run, embeddings, params)
         value = evaluate_metric(args.metric, reranked, qrels)
         results.append((value, k, tau, lam))
         print(f"{k:>4} {tau:>6.2f} {lam:>7.2f} {value:>10.4f}")

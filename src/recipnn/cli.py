@@ -5,7 +5,8 @@ command takes --config FILE (flat key=value lines) and --preset NAME, with
 explicit flags overriding both. Exit codes: 0 ok, 1 configuration error,
 2 data error, 3 internal error. Output files begin with a '#' provenance
 header carrying the tool version and a hash of the effective parameters;
-thread count and file paths never influence output bytes.
+file paths never influence output bytes, and --threads is accepted but
+ignored.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def cmd_rerank(cfg: dict) -> None:
     embeddings = load_embeddings(cfg["embeddings"])
     run = parse_run(cfg["run"])
     reranked = rerank_run(run, embeddings, rerank_params_from(cfg), top_k=cfg.get("top_k"),
-                          strict=cfg["strict"], threads=cfg["threads"])
+                          strict=cfg["strict"])
     write_run(reranked, cfg["output"], tag=cfg["tag"], header=header_line(cfg, __version__))
     print(f"reranked {len(reranked)} queries -> {cfg['output']}")
     if cfg.get("qrels"):
@@ -128,7 +129,7 @@ def cmd_smooth(cfg: dict) -> None:
     result = smooth_dataset(run, qrels, embeddings, smooth_params_from(cfg),
                             n_context=cfg["n_context"], mode=cfg["mode"],
                             epsilon=cfg["epsilon"], rel_threshold=cfg["rel_threshold"],
-                            strict=cfg["strict"], threads=cfg["threads"])
+                            strict=cfg["strict"])
     write_soft_labels(result.label_sets, cfg["output"], header=header_line(cfg, __version__))
     print(f"smoothed {len(result.label_sets)} queries "
           f"({len(result.skipped)} skipped) -> {cfg['output']}")
@@ -148,8 +149,7 @@ def cmd_sweep(cfg: dict) -> None:
     run = parse_run(cfg["run"])
     qrels = parse_qrels(cfg["qrels"])
     rows = sweep_context_size(run, embeddings, qrels, rnn_params_from(cfg), cfg["sizes"],
-                              metric=cfg["metric"], rel_threshold=cfg["rel_threshold"],
-                              threads=cfg["threads"])
+                              metric=cfg["metric"], rel_threshold=cfg["rel_threshold"])
     lines = [f"# {header_line(cfg, __version__)}", f"n,{cfg['metric']}"]
     lines += [f"{n},{value!r}" for n, value in rows]
     with open(cfg["output"], "w", encoding="utf-8") as fh:
@@ -193,12 +193,17 @@ def cmd_selftest(cfg: dict) -> None:
         lam = float(rng.uniform())
         tau = float(rng.uniform())
 
-        fast = rnn_scores(ctx, RnnParams(k=k, k_exp=1, tau=0.0, lam=lam, weight_fn="binary"))
-        slow = mixed_scores_oracle(ctx, k, lam)
-        worst = float(np.max(np.abs(fast - np.array(slow))))
-        if worst > 1e-9:
-            raise RuntimeError(f"selftest: mixed scores diverge from oracle by {worst:.3e} "
-                               f"(trial {trial}, n={n}, k={k})")
+        binary = RnnParams(k=k, k_exp=1, tau=0.0, lam=lam, weight_fn="binary")
+        pair = rng.choice(ctx.size, size=2, replace=False).tolist()
+        # the reranker's query probe, then the smoother's multi-probe route
+        for probes in (0, pair):
+            fast = rnn_scores(ctx, binary, probe=probes)
+            slow = np.mean([mixed_scores_oracle(ctx, k, lam, probe=p)
+                            for p in np.atleast_1d(probes)], axis=0)
+            worst = float(np.max(np.abs(fast - slow)))
+            if worst > 1e-9:
+                raise RuntimeError(f"selftest: mixed scores diverge from oracle by {worst:.3e} "
+                                   f"(trial {trial}, n={n}, k={k}, probes={probes})")
 
         probe = int(rng.integers(0, ctx.size))
         fast_set = extended_reciprocal_set(probe, ctx.sim_matrix, k, tau).members

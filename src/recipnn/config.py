@@ -5,6 +5,8 @@ command-line flags. Keys are kebab-case on disk and in flags ("k-exp",
 "lambda"), snake_case internally ("k_exp", "lam"). Unknown keys are
 rejected. The effective configuration (minus thread count and file paths)
 is hashed into output headers so artifacts record how they were produced.
+The `threads` key is still accepted, for old config files and scripts, but
+has no effect: every command runs its queries one after another.
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ PRESETS: dict[str, dict[str, Any]] = {
     "coder-cocondenser-smooth": {**_CODER_COCO, "b": 1.525, "n_max": 32, "f_n": "stdbased"},
 }
 
-# keys that must not influence output bytes (concurrency) or that name
-# machine-local files; excluded from the provenance hash and header echo
+# keys that must not influence output bytes (the inert thread count) or that
+# name machine-local files; excluded from the provenance hash and header echo
 HASH_EXCLUDED = frozenset(("threads", "embeddings", "run", "qrels", "output", "input"))
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,

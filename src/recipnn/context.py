@@ -108,7 +108,9 @@ def build_context(
     ctx = RankingContext(
         query_id=query_id,
         element_ids=element_ids,
-        geo_scores=sim[0].copy(),
+        # the scores that defined the order: sim[0] of the matrix product can
+        # round differently and break the order's ties between equal vectors
+        geo_scores=np.concatenate(([sim[0, 0]], scores[order])),
         sim_matrix=sim,
     )
     ctx.validate()

@@ -161,6 +161,11 @@ def _load_binary(path: str | Path) -> EmbeddingMatrix:
     off = 4 + _HEADER.size
     ids: list[str] = []
     vec_bytes = 4 * dim
+    # each record needs at least its id length and its vector: check that
+    # before trusting `count` with an allocation
+    if count * (_ID_LEN.size + vec_bytes) > len(blob) - off:
+        raise DataError(f"{path}: header at byte 4 declares {count} records of dim {dim}, "
+                        f"but only {len(blob) - off} bytes follow it at byte {off}")
     rows = np.empty((count, dim), dtype=np.float32)
     for rec in range(count):
         if off + _ID_LEN.size > len(blob):

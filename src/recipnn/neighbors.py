@@ -207,17 +207,18 @@ def _row_maxmin(sim: np.ndarray) -> np.ndarray:
     return (sim - lo) / (hi - lo + _EPS_NORM)
 
 
-def _weight_matrix(sim: np.ndarray, ext: np.ndarray, weight_fn: str) -> np.ndarray:
-    """Connectivity vectors for all probes, as rows of an (m, m) matrix.
+def _weight_matrix(s_hat: np.ndarray, ext: np.ndarray, weight_fn: str) -> np.ndarray:
+    """Connectivity vectors, one row per row of `ext` (a probe's extended set).
 
-    Non-binary weights start as f_w of the normalized distance 1 - s_hat,
-    then each row's member values are affinely remapped onto [1e-6, 1]
-    (a single member, or an all-equal row, maps to 1). Binary weights are
-    exactly 1 on members. Zero everywhere outside the extended set.
+    `s_hat` holds the matching rows of `_row_maxmin(sim)`. Non-binary
+    weights start as f_w of the normalized distance 1 - s_hat, then each
+    row's member values are affinely remapped onto [1e-6, 1] (a single
+    member, or an all-equal row, maps to 1). Binary weights are exactly 1
+    on members. Zero everywhere outside the extended set.
     """
     if weight_fn == "binary":
         return ext.astype(np.float64)
-    d = 1.0 - _row_maxmin(sim)
+    d = 1.0 - s_hat
     if weight_fn == "neg_identity":
         raw = -d
     elif weight_fn == "exp_neg":
@@ -304,7 +305,7 @@ def extended_reciprocal_set(probe: int, sim_matrix, k: int, tau: float) -> Neigh
 def connectivity_vector(probe: int, extended_set: NeighborSet, sim_matrix, weight_fn: str = "neg_identity") -> ConnectivityVector:
     """Dense weight vector over the context, nonzero on `extended_set`.
 
-    Matches `_weight_matrix` row-for-row; see there for the weighting rules.
+    The probe's row of `_weight_matrix`; see there for the weighting rules.
     """
     sim = _as_sim(sim_matrix)
     m = sim.shape[0]
@@ -320,21 +321,8 @@ def connectivity_vector(probe: int, extended_set: NeighborSet, sim_matrix, weigh
 
     members = np.zeros(m, dtype=bool)
     members[list(extended_set.members)] = True
-    if weight_fn == "binary":
-        return ConnectivityVector(probe, members.astype(np.float64))
-    row = sim[probe]
-    shat = (row - row.min()) / (row.max() - row.min() + _EPS_NORM)
-    d = 1.0 - shat
-    raw = -d if weight_fn == "neg_identity" else np.exp(-d)
-    lo = raw[members].min()
-    hi = raw[members].max()
-    span = hi - lo
-    if span > 0:
-        scaled = (raw - lo) / span
-    else:
-        scaled = np.ones_like(raw)
-    w = _EPS_WEIGHT + (1.0 - _EPS_WEIGHT) * scaled
-    return ConnectivityVector(probe, np.where(members, w, 0.0))
+    row = _weight_matrix(_row_maxmin(sim[probe:probe + 1]), members[None], weight_fn)[0]
+    return ConnectivityVector(probe, row)
 
 
 def local_expansion(vectors: Sequence[ConnectivityVector], sim_matrix, k_exp: int) -> list[ConnectivityVector]:
@@ -384,25 +372,30 @@ def mixed_similarity(s_geo_norm: float, d_jaccard: float, lam: float) -> float:
     return lam * s_geo_norm + (1.0 - lam) * (1.0 - d_jaccard)
 
 
-def rnn_scores(context: RankingContext, params: RnnParams, probe: int = 0) -> np.ndarray:
+def rnn_scores(context: RankingContext, params: RnnParams, probe: int | Sequence[int] = 0) -> np.ndarray:
     """Mixed similarity of `probe` against every candidate, fused pipeline.
 
-    Runs reciprocal sets -> tau extension -> weighting -> local expansion ->
-    Jaccard -> mixture for the whole context in one vectorized pass; returns
-    a float64 vector aligned with context.element_ids[1:] (the query row is
-    dropped). Deterministic for fixed inputs.
+    Runs reciprocal sets -> tau extension -> weighting -> local expansion
+    for the whole context in one vectorized pass, then Jaccard -> mixture
+    for the probe; returns a float64 vector aligned with
+    context.element_ids[1:] (the query row is dropped). `probe` may also be
+    a nonempty sequence of indices: the neighbourhood is still built once,
+    and the result is the mean of the probes' mixed-similarity rows, summed
+    in the given order. Deterministic for fixed inputs.
     """
     m = context.size
-    probe = _check_probe(probe, m)
+    probes = [_check_probe(p, m) for p in np.atleast_1d(probe)]
+    if not probes:
+        raise DataError("rnn_scores needs at least one probe index")
     params.validate_for(m)
     if m == 1:
         return np.zeros(0, dtype=np.float64)
     sim = context.sim_matrix
     order, ranks = _rank_order(sim)
     ext = _extended_mask(ranks, params.k, params.tau)
-    weights = _weight_matrix(sim, ext, params.weight_fn)
-    weights = _expand_matrix(weights, order, params.k_exp)
-    d_j = _jaccard_against(weights, probe)
-    s_hat = _row_maxmin(sim)[probe]
-    mixed = params.lam * s_hat + (1.0 - params.lam) * (1.0 - d_j)
-    return mixed[1:]
+    s_hat = _row_maxmin(sim)
+    weights = _expand_matrix(_weight_matrix(s_hat, ext, params.weight_fn), order, params.k_exp)
+    acc = np.zeros(m, dtype=np.float64)
+    for p in probes:
+        acc += params.lam * s_hat[p] + (1.0 - params.lam) * (1.0 - _jaccard_against(weights, p))
+    return (acc / len(probes))[1:]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -118,19 +117,13 @@ def rerank_run(run, embeddings: EmbeddingMatrix, params: RerankParams,
     Per query, the top params.n_context candidates are re-scored (deeper run
     entries are dropped from the output). Queries whose query or candidate
     vectors are missing from the store are warned about and passed through
-    in their original order; strict=True raises instead. Thread count never
-    changes the result — outputs are merged in query-id order.
+    in their original order; strict=True raises instead. Queries run one
+    after another; `threads` is accepted for compatibility and ignored.
     """
     from .ir_eval import RunFile
 
-    qids = run.query_ids
-    if threads > 1 and len(qids) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ranked = list(pool.map(
-                lambda qid: _rerank_one(qid, run[qid], embeddings, params, top_k, strict), qids))
-    else:
-        ranked = [_rerank_one(qid, run[qid], embeddings, params, top_k, strict) for qid in qids]
-    return RunFile({qid: rl for qid, rl in zip(qids, ranked)})
+    return RunFile({qid: _rerank_one(qid, run[qid], embeddings, params, top_k, strict)
+                    for qid in run.query_ids})
 
 
 def sweep_context_size(run, embeddings: EmbeddingMatrix, qrels, params,
@@ -139,7 +132,7 @@ def sweep_context_size(run, embeddings: EmbeddingMatrix, qrels, params,
     """Evaluate the reranked run at each context size; rows of (N, metric value).
 
     Sizes must be ascending. `metric` is a name@k id understood by the
-    evaluation module, e.g. mrr@10 or ndcg@20.
+    evaluation module, e.g. mrr@10 or ndcg@20. `threads` is ignored.
     """
     from .ir_eval import evaluate_metric
 
@@ -153,7 +146,7 @@ def sweep_context_size(run, embeddings: EmbeddingMatrix, qrels, params,
     rnn = params.rnn if isinstance(params, RerankParams) else params
     rows = []
     for n in sizes:
-        reranked = rerank_run(run, embeddings, RerankParams(rnn=rnn, n_context=n), threads=threads)
+        reranked = rerank_run(run, embeddings, RerankParams(rnn=rnn, n_context=n))
         rows.append((n, evaluate_metric(metric, reranked, qrels, rel_threshold=rel_threshold)))
     return rows
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import logging
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -138,19 +137,16 @@ def normalize_scores(scores, f_n: str = "maxmin") -> np.ndarray:
 def mean_gt_similarity(context: RankingContext, gt_ids, params: SmoothParams) -> np.ndarray:
     """Mean mixed similarity of each candidate to the ground-truth documents.
 
-    Each ground-truth doc in turn acts as the probe of the rNN pipeline; the
-    returned vector is aligned with context.element_ids[1:]. All gt_ids must
-    already be present in the context (the dataset pipeline injects them).
+    The ground-truth docs, in id order, are the probes of one rNN pipeline
+    pass over the context; the returned vector is aligned with
+    context.element_ids[1:]. All gt_ids must already be present in the
+    context (the dataset pipeline injects them).
     """
     gt_ids = sorted(set(gt_ids))
     if not gt_ids:
         raise DataError(f"query {context.query_id!r}: empty ground-truth set")
     probes = [context.index_of(g) for g in gt_ids]  # raises for unresolvable ids
-    rnn = params.rnn.clamped(context.size)
-    acc = np.zeros(context.n_candidates, dtype=np.float64)
-    for probe in probes:
-        acc += rnn_scores(context, rnn, probe=probe)
-    return acc / len(probes)
+    return rnn_scores(context, params.rnn.clamped(context.size), probe=probes)
 
 
 def transform_scores(r_gt, gt_flags, params: SmoothParams) -> np.ndarray:
@@ -249,30 +245,22 @@ def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams
     Queries without a resolvable ground truth (or with unresolvable
     embeddings) are warned about and skipped unless strict. mode is one of
     eb | uniform | uniform-matched; epsilon only applies to uniform mode.
-    Output order is by query id and independent of the thread count.
+    Queries run one after another in query-id order; `threads` is accepted for
+    compatibility and ignored.
     """
     if mode not in SMOOTH_MODES:
         raise ConfigError(f"mode must be one of {', '.join(SMOOTH_MODES)}; got {mode!r}")
-    qids = run.query_ids
-
-    def one(qid: str):
+    label_sets, skipped = [], []
+    for qid in run.query_ids:
         try:
-            return _labels_for_query(qid, run[qid].doc_ids, qrels, embeddings, params,
-                                     n_context, mode, epsilon, rel_threshold)
+            label_sets.append(_labels_for_query(qid, run[qid].doc_ids, qrels, embeddings, params,
+                                                n_context, mode, epsilon, rel_threshold))
         except DataError as exc:
             if strict:
                 raise
             logger.warning("skipping query %s: %s", qid, exc)
-            return (qid, str(exc))
-
-    if threads > 1 and len(qids) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, qids))
-    else:
-        results = [one(qid) for qid in qids]
-    label_sets = tuple(r for r in results if isinstance(r, SoftLabelSet))
-    skipped = tuple(r for r in results if not isinstance(r, SoftLabelSet))
-    return SmoothResult(label_sets, skipped)
+            skipped.append((qid, str(exc)))
+    return SmoothResult(tuple(label_sets), tuple(skipped))
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,14 @@ def test_missing_data_file_exit_2(corpus_files, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("data error:")
 
 
+def test_lying_embedding_header_exit_2(tmp_path, capsys):
+    emb = tmp_path / "lying.emb"
+    emb.write_bytes(b"EMB1" + (1).to_bytes(4, "little") + (2**64 - 1).to_bytes(8, "little"))
+    code = main(["convert", "--input", str(emb), "--to", "tsv", "--output", str(tmp_path / "o.tsv")])
+    assert code == 2
+    assert "at byte 16" in capsys.readouterr().err
+
+
 def test_internal_error_exit_3(monkeypatch, capsys):
     def boom(cfg):
         raise RuntimeError("wires crossed")

@@ -47,6 +47,19 @@ def test_build_context_sim_matrix_symmetric(small_context):
     assert s[0, 3] == pytest.approx(0.28)
 
 
+def test_build_context_accepts_duplicate_embeddings():
+    # float32 unit vectors repeated many times over: the mat-vec scores that
+    # order the candidates and the symmetrised mat-mat product round
+    # differently, and the stored geo scores must follow the former
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        pool = unit_vectors(rng, 21, 64).astype(np.float32).astype(np.float64)
+        docs = pool[1 + rng.integers(0, 20, size=60)]
+        ctx = build_context("q", pool[0], [f"d{i:02d}" for i in range(60)], docs)
+        order = [int(d[1:]) for d in ctx.candidate_ids]
+        np.testing.assert_array_equal(ctx.geo_scores[1:], (docs @ pool[0])[order])
+
+
 def test_build_context_rejects_query_id_collision():
     with pytest.raises(DataError):
         build_context("q", np.array([1.0, 0.0]), ["q"], np.array([[1.0, 0.0]]))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,14 @@ def test_binary_truncation(tmp_path):
     blob = p.read_bytes()
     p.write_bytes(blob[:-5])
     with pytest.raises(DataError, match="truncated"):
+        load_embeddings(p)
+
+
+def test_binary_lying_count_rejected_before_allocation(tmp_path):
+    # a 16-byte file whose header claims 2**64 - 1 one-dimensional records
+    p = tmp_path / "lying.bin"
+    p.write_bytes(b"EMB1" + struct.pack("<IQ", 1, 2**64 - 1))
+    with pytest.raises(DataError, match="at byte 16"):
         load_embeddings(p)
 
 

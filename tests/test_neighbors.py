@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recipnn.context import build_context
 from recipnn.errors import ConfigError, DataError
 from recipnn.neighbors import (
     ConnectivityVector,
@@ -16,6 +17,10 @@ from recipnn.neighbors import (
     nn_set,
     reciprocal_set,
     rnn_scores,
+    _extended_mask,
+    _rank_order,
+    _row_maxmin,
+    _weight_matrix,
 )
 from recipnn.oracle import (
     extended_oracle,
@@ -434,3 +439,72 @@ def test_lambda_zero_matches_set_oracle_ordering(seed, n):
     ids = ctx.candidate_ids
     order = [ids[i] for i in sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))]
     assert order == ranked_ids_oracle(ctx, k, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# tied contexts: planted exact-duplicate vectors on a small integer grid, so
+# every inner product is an exact small integer and duplicates tie exactly
+
+def tied_context(seed: int, n: int = 15, distinct: int = 5, dim: int = 4):
+    rng = np.random.default_rng([seed, 1701])
+    pool = rng.integers(-2, 3, size=(distinct, dim)).astype(np.float64)
+    pool[np.all(pool == 0, axis=1), 0] = 1.0  # keep every vector nonzero
+    picks = rng.integers(0, distinct, size=n + 1)
+    picks[1] = picks[0]  # the query has at least one exact duplicate
+    ctx = build_context("q", pool[picks[0]], [f"c{i:03d}" for i in range(n)], pool[picks[1:]])
+    assert len({tuple(v) for v in pool[picks]}) < n + 1
+    return ctx
+
+
+tied_seeds = pytest.mark.parametrize("seed", range(6))
+
+
+@tied_seeds
+@pytest.mark.parametrize("k,tau", [(1, 0.0), (3, 0.5), (5, 1.0), (8, 0.5), (16, 0.3)])
+def test_tied_extended_sets_match_oracle(seed, k, tau):
+    ctx = tied_context(seed)
+    sim = ctx.sim_matrix
+    for probe in range(ctx.size):
+        assert set(extended_reciprocal_set(probe, sim, k, tau).members) == extended_oracle(sim, probe, k, tau)
+
+
+@tied_seeds
+@pytest.mark.parametrize("k,tau,lam", [(2, 0.0, 0.3), (4, 0.5, 0.0), (7, 1.0, 0.6)])
+def test_tied_binary_scores_match_oracle(seed, k, tau, lam):
+    ctx = tied_context(seed)
+    p = RnnParams(k=k, k_exp=1, tau=tau, lam=lam, weight_fn="binary")
+    np.testing.assert_allclose(rnn_scores(ctx, p), mixed_scores_oracle(ctx, k, lam, tau), atol=1e-12)
+    two = np.mean([mixed_scores_oracle(ctx, k, lam, tau, probe=q) for q in (1, 2)], axis=0)
+    np.testing.assert_allclose(rnn_scores(ctx, p, probe=[1, 2]), two, atol=1e-12)
+
+
+@tied_seeds
+@pytest.mark.parametrize("weight_fn", ["neg_identity", "exp_neg", "binary"])
+def test_multi_probe_is_mean_of_single_probes(seed, weight_fn):
+    ctx = tied_context(seed)
+    p = RnnParams(k=6, k_exp=3, tau=0.5, lam=0.451, weight_fn=weight_fn)
+    for a, b in [(0, 1), (1, 0), (3, 7), (ctx.size - 1, 2)]:
+        pair = rnn_scores(ctx, p, probe=[a, b])
+        np.testing.assert_array_equal(pair, (rnn_scores(ctx, p, probe=a) + rnn_scores(ctx, p, probe=b)) / 2)
+
+
+def test_multi_probe_rejects_empty_and_bad_probes(small_context):
+    p = RnnParams(k=2, k_exp=1)
+    with pytest.raises(DataError):
+        rnn_scores(small_context, p, probe=[])
+    with pytest.raises(DataError):
+        rnn_scores(small_context, p, probe=[1, 4])
+
+
+@tied_seeds
+@pytest.mark.parametrize("weight_fn", ["neg_identity", "exp_neg", "binary"])
+def test_connectivity_vector_is_row_of_fused_weights(seed, weight_fn):
+    ctx = tied_context(seed)
+    sim = ctx.sim_matrix
+    _, ranks = _rank_order(sim)
+    ext = _extended_mask(ranks, 5, 0.5)
+    fused = _weight_matrix(_row_maxmin(sim), ext, weight_fn)
+    for probe in range(ctx.size):
+        members = NeighborSet(probe, frozenset(np.nonzero(ext[probe])[0].tolist()))
+        np.testing.assert_array_equal(connectivity_vector(probe, members, sim, weight_fn).weights,
+                                      fused[probe])
