@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .config import (COMMAND_KEYS, REQUIRED_KEYS, display_key, effective_config,
+from .config import (COMMAND_KEYS, REQUIRED_KEYS, coerce_value, display_key, effective_config,
                      header_line, key_type, parse_config_file, rerank_params_from,
                      rnn_params_from, smooth_params_from)
 from .embeddings import load_embeddings, write_embeddings
@@ -40,13 +41,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_sizes(raw: str) -> list[int]:
-    try:
-        return [int(p) for p in raw.split(",") if p.strip()]
-    except ValueError:
-        raise ConfigError(f"sizes must be a comma-separated integer list, got {raw!r}") from None
-
-
 def _add_key_flags(sub: argparse.ArgumentParser, command: str) -> None:
     for key in sorted(COMMAND_KEYS[command]):
         flag = "--" + display_key(key)
@@ -55,15 +49,11 @@ def _add_key_flags(sub: argparse.ArgumentParser, command: str) -> None:
         if tag == "bool":
             sub.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction,
                              default=None, help=f"{key}{required_note}")
-        elif tag == "int":
-            sub.add_argument(flag, dest=key, type=int, default=None, help=f"{key}{required_note}")
-        elif tag == "float":
-            sub.add_argument(flag, dest=key, type=float, default=None, help=f"{key}{required_note}")
-        elif tag == "ints":
-            sub.add_argument(flag, dest=key, type=_parse_sizes, default=None,
-                             metavar="N,N,...", help=f"{key}{required_note}")
-        else:
+        elif tag in ("str", "path"):
             sub.add_argument(flag, dest=key, type=str, default=None, help=f"{key}{required_note}")
+        else:  # numbers parse as in config files
+            sub.add_argument(flag, dest=key, type=partial(coerce_value, key), default=None,
+                             metavar="N,N,..." if tag == "ints" else None, help=f"{key}{required_note}")
 
 
 def _build_parser() -> _Parser:

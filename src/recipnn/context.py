@@ -1,10 +1,10 @@
 """Per-query ranking contexts: the query plus its top-N candidates.
 
 A context bundles the query (always position 0), the candidates in
-descending geometric score order (ties broken by id ascending), and the
-dense (N+1) x (N+1) matrix of pairwise inner products that all reciprocal-
-neighbor math runs on. Retrieval is exact brute force — at the scales this
-package targets no ANN index is warranted.
+`order_by_score` order (geometric score descending, ties broken by id
+ascending), and the dense (N+1) x (N+1) matrix of pairwise inner products
+that all reciprocal-neighbor math runs on. Retrieval is exact brute force —
+at the scales this package targets no ANN index is warranted.
 """
 
 from __future__ import annotations
@@ -21,6 +21,30 @@ from .errors import DataError
 _SYM_TOL = 1e-9
 
 
+def order_by_score(scores, ids: Sequence[str]) -> np.ndarray:
+    """Positions of `scores` sorted by score descending, then id ascending.
+
+    The package's one candidate order (contexts, reranked lists, soft labels,
+    synthetic runs), so equal scores always resolve alike, byte for byte.
+    """
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)[by_id]
+    return by_id[np.argsort(-scores, kind="stable")]
+
+
+def top_n(scores, ids: Sequence[str], n: int) -> np.ndarray:
+    """Positions of the n best entries, in `order_by_score` order."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if n < len(scores):
+        cut = np.argpartition(-scores, n - 1)[:n]
+        # argpartition is unstable under score ties: widen to every entry tied
+        # with the worst kept score so the exact order below decides the cut
+        cand = np.nonzero(scores >= scores[cut].min())[0]
+    else:
+        cand = np.arange(len(scores))
+    return cand[order_by_score(scores[cand], [ids[i] for i in cand])[:n]]
+
+
 def inner_product(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
     """Plain dot product <a, b>, with a dimensionality check."""
     a = np.asarray(a, dtype=np.float64)
@@ -34,8 +58,8 @@ def inner_product(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarr
 class RankingContext:
     """A query and its candidates with all pairwise inner products.
 
-    element_ids[0] is the query; element_ids[1:] are candidates sorted by
-    descending geometric score (ties by id ascending). geo_scores is aligned
+    element_ids[0] is the query; element_ids[1:] are candidates in
+    `order_by_score` order of their geometric scores. geo_scores is aligned
     with element_ids (geo_scores[0] = <x_q, x_q>) and sim_matrix[i][j] is the
     inner product of elements i and j. Never mutated after construction.
     """
@@ -87,7 +111,9 @@ def build_context(
     """Assemble a context from raw vectors, sorting candidates into canonical order.
 
     The geometric score of each candidate is recomputed as <query, doc>;
-    candidates are ordered by (score descending, id ascending).
+    candidates are put in `order_by_score` order. Only what the input can
+    break is checked (dimensions, ids, finiteness); the shapes, order and
+    symmetry that `RankingContext.validate` covers hold by construction.
     """
     query_vec = np.asarray(query_vec, dtype=np.float64)
     doc_vecs = np.asarray(doc_vecs, dtype=np.float64)
@@ -95,26 +121,28 @@ def build_context(
         raise DataError(f"{len(doc_ids)} candidate ids for vector array of shape {doc_vecs.shape}")
     if doc_vecs.shape[0] > 0 and doc_vecs.shape[1] != query_vec.shape[0]:
         raise DataError(f"candidate dim {doc_vecs.shape[1]} != query dim {query_vec.shape[0]}")
-    if query_id in doc_ids:
+    unique_ids = set(doc_ids)
+    if query_id in unique_ids:
         raise DataError(f"query id {query_id!r} also appears among candidate ids")
+    if len(unique_ids) != len(doc_ids):
+        raise DataError(f"duplicate element ids in context for query {query_id!r}")
 
     scores = doc_vecs @ query_vec
-    order = sorted(range(len(doc_ids)), key=lambda i: (-scores[i], doc_ids[i]))
+    order = order_by_score(scores, doc_ids)
 
     all_vecs = np.vstack([query_vec[None, :], doc_vecs[order]]) if len(doc_ids) else query_vec[None, :]
     sim = all_vecs @ all_vecs.T
     sim = (sim + sim.T) / 2.0  # pin exact symmetry against BLAS rounding asymmetry
-    element_ids = (query_id, *(doc_ids[i] for i in order))
-    ctx = RankingContext(
+    if not np.isfinite(sim).all():
+        raise DataError(f"non-finite inner products in context for query {query_id!r}")
+    return RankingContext(
         query_id=query_id,
-        element_ids=element_ids,
+        element_ids=(query_id, *(doc_ids[i] for i in order.tolist())),
         # the scores that defined the order: sim[0] of the matrix product can
         # round differently and break the order's ties between equal vectors
         geo_scores=np.concatenate(([sim[0, 0]], scores[order])),
         sim_matrix=sim,
     )
-    ctx.validate()
-    return ctx
 
 
 def top_n_context(
@@ -140,24 +168,12 @@ def top_n_context(
     ids = pool.ids
     vecs = pool.vectors.astype(np.float64)
     if query_id in pool:
-        keep = [i for i, eid in enumerate(ids) if eid != query_id]
-        ids = [ids[i] for i in keep]
-        vecs = vecs[keep]
+        vecs = np.delete(vecs, pool.position(query_id), axis=0)
+        ids.remove(query_id)
         if not ids:
             raise DataError(f"pool contains only the query {query_id!r}")
-    scores = vecs @ query_vec
-    n_eff = min(n, len(ids))
-    # partial selection first, then exact ordering of the survivors
-    if n_eff < len(ids):
-        cut = np.argpartition(-scores, n_eff - 1)[:n_eff]
-        # argpartition is unstable under score ties: widen to every entry tied
-        # with the worst kept score so the (score, id) sort below stays exact
-        worst = scores[cut].min()
-        cand = np.nonzero(scores >= worst)[0]
-    else:
-        cand = np.arange(len(ids))
-    chosen = sorted(cand, key=lambda i: (-scores[i], ids[i]))[:n_eff]
-    return build_context(query_id, query_vec, [ids[i] for i in chosen], vecs[chosen])
+    chosen = top_n(vecs @ query_vec, ids, n)
+    return build_context(query_id, query_vec, [ids[i] for i in chosen.tolist()], vecs[chosen])
 
 
 def context_from_run(
@@ -174,11 +190,11 @@ def context_from_run(
     """
     if query_id not in embeddings:
         raise DataError(f"query id {query_id!r} missing from embedding store")
-    take = list(doc_ids if n is None else doc_ids[: max(n, 0)])
     if n is not None and n < 1:
         raise DataError(f"context size must be >= 1, got {n}")
+    take = list(doc_ids if n is None else doc_ids[:n])
     missing = sorted(set(d for d in take if d not in embeddings))
     if missing:
         raise DataError(f"embedding store missing candidate id(s): {', '.join(missing)}")
-    doc_vecs = np.vstack([embeddings.lookup(d) for d in take]).astype(np.float64) if take else np.zeros((0, embeddings.dim))
-    return build_context(query_id, embeddings.lookup(query_id).astype(np.float64), take, doc_vecs)
+    rows = [embeddings.position(d) for d in take]
+    return build_context(query_id, embeddings.lookup(query_id), take, embeddings.vectors[rows])

@@ -11,13 +11,12 @@ both file formats, so files written by this package round-trip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError
-from .rerank import RankedList
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,45 @@ class Qrels:
 
     def relevant_docs(self, query_id: str, rel_threshold: int = 1) -> set[str]:
         return {d for d, g in self.grades_for(query_id).items() if g >= rel_threshold}
+
+
+@dataclass(frozen=True)
+class RankedList:
+    """One query's ordered result list: (doc_id, score, 1-based rank) triples."""
+
+    query_id: str
+    entries: tuple[tuple[str, float, int], ...]
+
+    def __post_init__(self) -> None:
+        entries = tuple((str(d), float(s), int(r)) for d, s, r in self.entries)
+        object.__setattr__(self, "entries", entries)
+        for pos, (_, _, rank) in enumerate(entries, start=1):
+            if rank != pos:
+                raise DataError(f"query {self.query_id!r}: rank {rank} at position {pos}; ranks must run 1..n")
+        scores = [s for _, s, _ in entries]
+        if any(a < b for a, b in zip(scores, scores[1:])):
+            raise DataError(f"query {self.query_id!r}: scores increase down the list")
+        ids = [d for d, _, _ in entries]
+        if len(set(ids)) != len(ids):
+            raise DataError(f"query {self.query_id!r}: duplicate doc ids")
+
+    @classmethod
+    def from_scored(cls, query_id: str, scored: Sequence[tuple[str, float]]) -> "RankedList":
+        """Build from an already-sorted (doc_id, score) sequence."""
+        return cls(query_id, tuple((d, s, i + 1) for i, (d, s) in enumerate(scored)))
+
+    @property
+    def doc_ids(self) -> list[str]:
+        return [d for d, _, _ in self.entries]
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def truncated(self, depth: int) -> "RankedList":
+        return RankedList(self.query_id, self.entries[:depth])
 
 
 @dataclass(frozen=True)
@@ -278,8 +316,6 @@ _METRICS = {
 
 def evaluate_metric(metric_id: str, run: RunFile, qrels: Qrels, rel_threshold: int = 1) -> float:
     """Dispatch a `name@k` metric id, e.g. mrr@10, ndcg@20, recall@100, map@10."""
-    from .errors import ConfigError
-
     parts = metric_id.strip().lower().split("@")
     if len(parts) != 2 or parts[0] not in _METRICS:
         raise ConfigError(f"unknown metric id {metric_id!r}; use one of "

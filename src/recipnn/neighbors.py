@@ -267,10 +267,8 @@ def nn_set(probe: int, sim_matrix, k: int) -> NeighborSet:
     m = sim.shape[0]
     probe = _check_probe(probe, m)
     k = _check_k(k, m)
-    row = sim[probe].copy()
-    row[probe] = np.inf
-    order = np.argsort(-row, kind="stable")
-    return NeighborSet(probe, frozenset(order[:k].tolist()))
+    order, _ = _rank_order(sim)
+    return NeighborSet(probe, frozenset(order[probe, :k].tolist()))
 
 
 def reciprocal_set(probe: int, sim_matrix, k: int) -> NeighborSet:

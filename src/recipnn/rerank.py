@@ -15,51 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .context import RankingContext, build_context, context_from_run
+from .context import RankingContext, build_context, context_from_run, order_by_score
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
+from .ir_eval import RankedList, RunFile, evaluate_metric
 from .neighbors import RnnParams, rnn_scores
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class RankedList:
-    """One query's ordered result list: (doc_id, score, 1-based rank) triples."""
-
-    query_id: str
-    entries: tuple[tuple[str, float, int], ...]
-
-    def __post_init__(self) -> None:
-        entries = tuple((str(d), float(s), int(r)) for d, s, r in self.entries)
-        object.__setattr__(self, "entries", entries)
-        for pos, (_, _, rank) in enumerate(entries, start=1):
-            if rank != pos:
-                raise DataError(f"query {self.query_id!r}: rank {rank} at position {pos}; ranks must run 1..n")
-        scores = [s for _, s, _ in entries]
-        if any(a < b for a, b in zip(scores, scores[1:])):
-            raise DataError(f"query {self.query_id!r}: scores increase down the list")
-        ids = [d for d, _, _ in entries]
-        if len(set(ids)) != len(ids):
-            raise DataError(f"query {self.query_id!r}: duplicate doc ids")
-
-    @classmethod
-    def from_scored(cls, query_id: str, scored: Sequence[tuple[str, float]]) -> "RankedList":
-        """Build from an already-sorted (doc_id, score) sequence."""
-        return cls(query_id, tuple((d, s, i + 1) for i, (d, s) in enumerate(scored)))
-
-    @property
-    def doc_ids(self) -> list[str]:
-        return [d for d, _, _ in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def truncated(self, depth: int) -> "RankedList":
-        return RankedList(self.query_id, self.entries[:depth])
 
 
 @dataclass(frozen=True)
@@ -79,7 +41,7 @@ class RerankParams:
 def rerank_context(context: RankingContext, params: RnnParams, top_k: int | None = None) -> RankedList:
     """Re-sort a context's candidates by mixed similarity, descending.
 
-    Ties break by doc id ascending. top_k (default: all candidates) must not
+    Ties break by doc id ascending (`order_by_score`). top_k (default: all candidates) must not
     exceed the candidate count. Neighborhood sizes larger than the context
     are reduced to fit, so parameters tuned for deep contexts remain usable
     on shallow ones.
@@ -93,7 +55,7 @@ def rerank_context(context: RankingContext, params: RnnParams, top_k: int | None
         raise DataError(f"top_k={top_k} out of range [1, {n}] for query {context.query_id!r}")
     scores = rnn_scores(context, params.clamped(context.size))
     ids = context.candidate_ids
-    order = sorted(range(n), key=lambda i: (-scores[i], ids[i]))[:top_k]
+    order = order_by_score(scores, ids)[:top_k].tolist()
     return RankedList.from_scored(context.query_id, [(ids[i], float(scores[i])) for i in order])
 
 
@@ -120,8 +82,6 @@ def rerank_run(run, embeddings: EmbeddingMatrix, params: RerankParams,
     in their original order; strict=True raises instead. Queries run one
     after another; `threads` is accepted for compatibility and ignored.
     """
-    from .ir_eval import RunFile
-
     return RunFile({qid: _rerank_one(qid, run[qid], embeddings, params, top_k, strict)
                     for qid in run.query_ids})
 
@@ -134,8 +94,6 @@ def sweep_context_size(run, embeddings: EmbeddingMatrix, qrels, params,
     Sizes must be ascending. `metric` is a name@k id understood by the
     evaluation module, e.g. mrr@10 or ndcg@20. `threads` is ignored.
     """
-    from .ir_eval import evaluate_metric
-
     sizes = [int(n) for n in sizes]
     if not sizes:
         raise ConfigError("sweep needs at least one context size")

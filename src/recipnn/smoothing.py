@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .context import RankingContext, context_from_run
+from .context import RankingContext, context_from_run, order_by_score
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
 from .neighbors import RnnParams, rnn_scores
@@ -84,8 +84,7 @@ class SoftLabelSet:
             raise DataError(f"query {self.query_id!r}: negative target probability")
         if abs(probs.sum() - 1.0) > _SUM_TOL:
             raise DataError(f"query {self.query_id!r}: targets sum to {probs.sum()!r}")
-        key = [(-p, d) for d, p in entries]
-        if key != sorted(key):
+        if order_by_score(probs, ids).tolist() != list(range(len(ids))):
             raise DataError(f"query {self.query_id!r}: labels not sorted by prob desc, id asc")
 
     @property
@@ -181,16 +180,23 @@ def softmax(r_prime) -> np.ndarray:
     return e / e.sum()
 
 
-def uniform_smooth(n: int, epsilon: float, gt_index: int = 0) -> np.ndarray:
-    """Move mass epsilon off the ground truth, split evenly over the rest."""
+def uniform_smooth(n: int, epsilon: float, gt_index: int | Sequence[int] = 0) -> np.ndarray:
+    """Move mass epsilon off the ground truth, split evenly over the rest.
+
+    gt_index is one ground-truth position or several; each ground-truth
+    entry keeps (1 - epsilon)/|gt| and every other entry gets epsilon/(n - |gt|).
+    """
     if not isinstance(n, int) or n < 2:
         raise DataError(f"uniform smoothing needs n >= 2, got {n!r}")
     if not 0.0 <= epsilon < 1.0:
         raise ConfigError(f"epsilon must lie in [0, 1), got {epsilon!r}")
-    if not 0 <= gt_index < n:
+    gt = np.unique(gt_index)
+    if gt.size == 0 or gt[0] < 0 or gt[-1] >= n:
         raise DataError(f"gt_index {gt_index} out of range for n={n}")
-    out = np.full(n, epsilon / (n - 1), dtype=np.float64)
-    out[gt_index] = 1.0 - epsilon
+    if gt.size == n:
+        raise DataError("no non-ground-truth entry to spread mass over")
+    out = np.full(n, epsilon / (n - gt.size), dtype=np.float64)
+    out[gt] = (1.0 - epsilon) / gt.size
     return out
 
 
@@ -217,8 +223,8 @@ def _labels_for_query(query_id: str, doc_ids: Sequence[str], qrels, embeddings: 
         raise DataError(f"query {query_id!r}: need at least 2 candidates, got {n}")
 
     r_gt = mean_gt_similarity(context, gt_all, params)
-    order = sorted(range(n), key=lambda i: (-r_gt[i], cand_ids[i]))
-    ids_sorted = [cand_ids[i] for i in order]
+    order = order_by_score(r_gt, cand_ids)
+    ids_sorted = [cand_ids[i] for i in order.tolist()]
     flags_sorted = np.array([d in gt_all for d in ids_sorted])
 
     if mode == "eb" or mode == "uniform-matched":
@@ -227,13 +233,10 @@ def _labels_for_query(query_id: str, doc_ids: Sequence[str], qrels, embeddings: 
             r_prime = transform_scores(r_gt[order], flags_sorted, params)
         probs = softmax(r_prime)
     if mode != "eb":
-        n_gt = int(flags_sorted.sum())
-        if n == n_gt:
-            raise DataError(f"query {query_id!r}: no non-ground-truth candidate to spread mass over")
         eps = epsilon if mode == "uniform" else float(probs[~flags_sorted].sum())
-        probs = np.where(flags_sorted, (1.0 - eps) / n_gt, eps / (n - n_gt))
+        probs = uniform_smooth(n, eps, np.nonzero(flags_sorted)[0])
 
-    entries = sorted(zip(ids_sorted, probs.tolist()), key=lambda e: (-e[1], e[0]))
+    entries = [(ids_sorted[i], probs[i]) for i in order_by_score(probs, ids_sorted).tolist()]
     return SoftLabelSet(query_id, tuple(entries), frozenset(gt_all))
 
 
@@ -244,7 +247,8 @@ def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams
 
     Queries without a resolvable ground truth (or with unresolvable
     embeddings) are warned about and skipped unless strict. mode is one of
-    eb | uniform | uniform-matched; epsilon only applies to uniform mode.
+    eb | uniform | uniform-matched; epsilon only applies to uniform mode, where
+    a value outside [0, 1) is a ConfigError.
     Queries run one after another in query-id order; `threads` is accepted for
     compatibility and ignored.
     """

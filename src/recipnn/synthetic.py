@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import RankingContext, build_context
+from .context import RankingContext, build_context, top_n
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError
-from .ir_eval import Qrels, RunFile
-from .rerank import RankedList
+from .ir_eval import Qrels, RankedList, RunFile
 
 
 def unit_vectors(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -131,12 +130,9 @@ def planted_corpus(seed: int = 0, n_queries: int = 20, dim: int = 24,
 
     scores = query_vecs @ docs.T  # exact brute-force retrieval
     lists = {}
-    n_docs = len(doc_ids)
-    take = min(depth, n_docs)
     for qi, qid in enumerate(query_ids):
         row = scores[qi]
-        top = sorted(np.argpartition(-row, take - 1)[:take] if take < n_docs else range(n_docs),
-                     key=lambda j: (-row[j], doc_ids[j]))[:take]
+        top = top_n(row, doc_ids, depth).tolist()
         lists[qid] = RankedList.from_scored(qid, [(doc_ids[j], float(row[j])) for j in top])
     return PlantedCorpus(embeddings, RunFile(lists), Qrels(judgments))
 

@@ -260,6 +260,17 @@ def test_smooth_preset(corpus_files, tmp_path):
     assert " f-n=maxmin " in header
 
 
+@pytest.mark.parametrize("epsilon", ["1.5", "1.0", "-0.1"])
+def test_smooth_uniform_epsilon_outside_unit_interval_is_config_error(corpus_files, tmp_path,
+                                                                      capsys, epsilon):
+    code = main(["smooth", "--embeddings", corpus_files["emb"],
+                 "--run", corpus_files["run"], "--qrels", corpus_files["qrels"],
+                 "--output", str(tmp_path / "labels.jsonl"), "--mode", "uniform",
+                 f"--epsilon={epsilon}"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: epsilon")
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -331,6 +342,14 @@ def test_sweep_rejects_unsorted_sizes(corpus_files, tmp_path, capsys):
     code = main(["sweep", "--embeddings", corpus_files["emb"],
                  "--run", corpus_files["run"], "--qrels", corpus_files["qrels"],
                  "--output", str(tmp_path / "s.csv"), "--sizes", "10,5"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_sweep_rejects_non_integer_sizes(corpus_files, tmp_path, capsys):
+    code = main(["sweep", "--embeddings", corpus_files["emb"],
+                 "--run", corpus_files["run"], "--qrels", corpus_files["qrels"],
+                 "--output", str(tmp_path / "s.csv"), "--sizes", "5,x"])
     assert code == 1
     assert capsys.readouterr().err.startswith("config error:")
 

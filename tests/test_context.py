@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from recipnn.context import build_context, context_from_run, inner_product, top_n_context
+from recipnn.context import build_context, context_from_run, inner_product, top_n, top_n_context
 from recipnn.embeddings import EmbeddingMatrix
 from recipnn.errors import DataError
 from recipnn.synthetic import unit_vectors
@@ -63,6 +63,11 @@ def test_build_context_accepts_duplicate_embeddings():
 def test_build_context_rejects_query_id_collision():
     with pytest.raises(DataError):
         build_context("q", np.array([1.0, 0.0]), ["q"], np.array([[1.0, 0.0]]))
+
+
+def test_build_context_rejects_duplicate_candidate_ids():
+    with pytest.raises(DataError, match="duplicate"):
+        build_context("q", np.array([1.0, 0.0]), ["a", "a"], np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
 def test_index_of(small_context):
@@ -151,3 +156,35 @@ def test_context_from_run_missing_id_listed():
 
     with pytest.raises(DataError, match="nope"):
         context_from_run("nope", ["d000"], store, 5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    grid=st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=40),
+    n=st.integers(min_value=1, max_value=45),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example(grid=[1, 2, 2, 2, 0], n=2, seed=0)
+def test_top_n_matches_full_sort_with_ties_across_the_cut(grid, n, seed):
+    # a seven-value grid makes ties at the n-th score the common case
+    scores = np.array(grid, dtype=np.float64)
+    ids = [f"d{p:02d}" for p in np.random.default_rng(seed).permutation(len(grid))]
+    expect = sorted(range(len(grid)), key=lambda i: (-scores[i], ids[i]))[:n]
+    assert top_n(scores, ids, n).tolist() == expect
+
+
+def test_top_n_context_with_tied_pool_vectors():
+    # 30 entries drawn from 4 distinct integer vectors: exact score ties
+    # straddle every cut
+    rng = np.random.default_rng(5)
+    grid = rng.integers(-2, 3, size=(4, 3)).astype(np.float32)
+    ids = [f"d{i:02d}" for i in rng.permutation(30)]
+    vecs = grid[rng.integers(0, 4, size=30)]
+    pool = EmbeddingMatrix(ids, vecs)
+    qvec = np.array([1.0, 2.0, -1.0])
+    scores = vecs.astype(np.float64) @ qvec
+    for n in range(1, 31):
+        ctx = top_n_context("q", qvec, pool, n)
+        expect = sorted(range(30), key=lambda i: (-scores[i], ids[i]))[:n]
+        assert list(ctx.candidate_ids) == [ids[i] for i in expect]
+        np.testing.assert_array_equal(ctx.geo_scores[1:], scores[expect])

@@ -163,6 +163,16 @@ def test_uniform_validation():
         uniform_smooth(5, 0.1, gt_index=9)
 
 
+def test_uniform_several_ground_truth_positions():
+    out = uniform_smooth(5, 0.2, gt_index=[3, 1])
+    assert out.tolist() == [0.2 / 3, (1 - 0.2) / 2, 0.2 / 3, (1 - 0.2) / 2, 0.2 / 3]
+    np.testing.assert_array_equal(uniform_smooth(4, 0.3, gt_index=[2]), uniform_smooth(4, 0.3, gt_index=2))
+    with pytest.raises(DataError):
+        uniform_smooth(3, 0.1, gt_index=[0, 1, 2])
+    with pytest.raises(DataError):
+        uniform_smooth(3, 0.1, gt_index=[])
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(min_value=2, max_value=12), num=st.integers(min_value=0, max_value=99))
 def test_uniform_sums_to_one_rational_check(n, num):
