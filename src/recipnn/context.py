@@ -61,13 +61,20 @@ class RankingContext:
     element_ids[0] is the query; element_ids[1:] are candidates in
     `order_by_score` order of their geometric scores. geo_scores is aligned
     with element_ids (geo_scores[0] = <x_q, x_q>) and sim_matrix[i][j] is the
-    inner product of elements i and j. Never mutated after construction.
+    inner product of elements i and j. Never mutated after construction;
+    constructing one with a non-finite similarity raises DataError.
     """
 
     query_id: str
     element_ids: tuple[str, ...]
     geo_scores: np.ndarray = field(repr=False)
     sim_matrix: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        # the neighbour kernel ranks each element first in its own row, which
+        # holds only for finite similarities
+        if not np.isfinite(self.sim_matrix).all():
+            raise DataError(f"non-finite similarities in context for query {self.query_id!r}")
 
     @property
     def size(self) -> int:
@@ -112,8 +119,9 @@ def build_context(
 
     The geometric score of each candidate is recomputed as <query, doc>;
     candidates are put in `order_by_score` order. Only what the input can
-    break is checked (dimensions, ids, finiteness); the shapes, order and
-    symmetry that `RankingContext.validate` covers hold by construction.
+    break is checked: dimensions and ids here, finiteness by `RankingContext`
+    itself; the shapes, order and symmetry that `RankingContext.validate`
+    covers hold by construction.
     """
     query_vec = np.asarray(query_vec, dtype=np.float64)
     doc_vecs = np.asarray(doc_vecs, dtype=np.float64)
@@ -133,8 +141,6 @@ def build_context(
     all_vecs = np.vstack([query_vec[None, :], doc_vecs[order]]) if len(doc_ids) else query_vec[None, :]
     sim = all_vecs @ all_vecs.T
     sim = (sim + sim.T) / 2.0  # pin exact symmetry against BLAS rounding asymmetry
-    if not np.isfinite(sim).all():
-        raise DataError(f"non-finite inner products in context for query {query_id!r}")
     return RankingContext(
         query_id=query_id,
         element_ids=(query_id, *(doc_ids[i] for i in order.tolist())),

@@ -11,6 +11,7 @@ both file formats, so files written by this package round-trip.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -53,22 +54,23 @@ class RankedList:
     entries: tuple[tuple[str, float, int], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple((str(d), float(s), int(r)) for d, s, r in self.entries)
-        object.__setattr__(self, "entries", entries)
-        for pos, (_, _, rank) in enumerate(entries, start=1):
-            if rank != pos:
-                raise DataError(f"query {self.query_id!r}: rank {rank} at position {pos}; ranks must run 1..n")
-        scores = [s for _, s, _ in entries]
-        if any(a < b for a, b in zip(scores, scores[1:])):
+        # column-wise coercion: every entry must be a (doc_id, score, rank) triple
+        ids, scores, ranks = zip(*self.entries, strict=True) if self.entries else ((), (), ())
+        ids, scores, ranks = tuple(map(str, ids)), tuple(map(float, scores)), tuple(map(int, ranks))
+        object.__setattr__(self, "entries", tuple(zip(ids, scores, ranks)))
+        if ranks != tuple(range(1, len(ranks) + 1)):
+            pos, rank = next((p, r) for p, r in enumerate(ranks, start=1) if r != p)
+            raise DataError(f"query {self.query_id!r}: rank {rank} at position {pos}; ranks must run 1..n")
+        if any(map(operator.lt, scores, scores[1:])):
             raise DataError(f"query {self.query_id!r}: scores increase down the list")
-        ids = [d for d, _, _ in entries]
         if len(set(ids)) != len(ids):
             raise DataError(f"query {self.query_id!r}: duplicate doc ids")
 
     @classmethod
     def from_scored(cls, query_id: str, scored: Sequence[tuple[str, float]]) -> "RankedList":
         """Build from an already-sorted (doc_id, score) sequence."""
-        return cls(query_id, tuple((d, s, i + 1) for i, (d, s) in enumerate(scored)))
+        ids, scores = zip(*scored, strict=True) if scored else ((), ())
+        return cls(query_id, tuple(zip(ids, scores, range(1, len(ids) + 1))))
 
     @property
     def doc_ids(self) -> list[str]:

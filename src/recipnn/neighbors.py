@@ -12,13 +12,18 @@ Everything here operates on integer indices into a context (query at index
   k_exp-NN), and
 * a vectorized Jaccard distance mixed with normalized geometric similarity.
 
-The module-level functions are the readable one-probe-at-a-time surface;
-`rnn_scores` is the fused whole-context pipeline (pure numpy, no per-row
-Python loops) that the reranker and smoother build on.
+All neighbour sets come from one selection, `_top_order(sim, n)`: the first
+n entries of every row's ordering (the row itself first, then similarity
+descending, ties broken by index ascending), found by partial selection
+instead of sorting whole rows. The module-level functions are the readable
+one-probe-at-a-time surface; `rnn_scores` is the fused whole-context
+pipeline (pure numpy, no per-row Python loops) that the reranker and
+smoother build on. Both read the same selection, so they agree on ties.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -134,6 +139,8 @@ def _as_sim(sim_matrix) -> np.ndarray:
     s = np.asarray(sim_matrix, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DataError(f"similarity matrix must be square, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise DataError("similarity matrix has non-finite entries")
     return s
 
 def _check_probe(probe: int, m: int) -> int:
@@ -149,55 +156,70 @@ def _check_k(k: int, m: int, name: str = "k") -> int:
     return k
 
 
-def _rank_order(sim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending-similarity orderings for every row at once.
+def _top_order(sim: np.ndarray, n: int) -> np.ndarray:
+    """The first n entries of every row's neighbour ordering, as an (m, n) block.
 
-    The diagonal is forced to +inf first so each element ranks itself at
-    position 0 regardless of its stored self-similarity; remaining ties
-    break by index ascending (stable sort of the negated row).
-    Returns (order, ranks): order[i] lists indices best-first, and
-    ranks[i, j] is the position of j within row i's ordering.
+    Row i's ordering puts i itself first (its diagonal entry counts as +inf,
+    whatever the stored self-similarity), then the other indices by
+    similarity descending, ties broken by index ascending: exactly the first
+    n columns of a stable argsort of the negated +inf-diagonal matrix, found
+    without sorting whole rows. One partition per row finds the n-th key;
+    in the rows where entries tied with that key straddle the cut, a running
+    count over the tied entries keeps the lowest indices; a stable sort then
+    orders the kept block. `sim` must be finite, so column 0 is the row itself.
     """
-    a = sim.copy()
-    np.fill_diagonal(a, np.inf)
-    order = np.argsort(-a, axis=1, kind="stable")
-    m = a.shape[0]
-    ranks = np.empty((m, m), dtype=np.int64)
-    ranks[np.arange(m)[:, None], order] = np.arange(m)[None, :]
-    return order, ranks
+    m = sim.shape[0]
+    key = np.negative(sim)
+    key.reshape(-1)[::m + 1] = -np.inf
+    cut = np.partition(key, n - 1, axis=1)[:, n - 1:n]
+    keep = key <= cut
+    if np.count_nonzero(keep) > m * n:
+        over = np.nonzero(np.count_nonzero(keep, axis=1) > n)[0]
+        sub, at = key[over], cut[over]
+        below, tied = sub < at, sub == at
+        room = n - np.count_nonzero(below, axis=1)[:, None]
+        keep[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
+    kept = keep.reshape(-1).nonzero()[0].reshape(m, n)  # flat positions, index ascending per row
+    by_key = key.take(kept).argsort(axis=1, kind="stable")
+    by_key += np.arange(0, m * n, n)[:, None]
+    return kept.take(by_key) % m
 
 
-def _reciprocal_mask(ranks: np.ndarray, k: int) -> np.ndarray:
-    nn = ranks < k
+def _reciprocal_mask(order: np.ndarray, k: int) -> np.ndarray:
+    """Mutual k-NN membership, scattered from the first k columns of `order`."""
+    m = order.shape[0]
+    nn = np.zeros((m, m), dtype=bool)
+    nn.reshape(-1)[order[:, :k] + np.arange(0, m * m, m)[:, None]] = True
     return nn & nn.T
 
 
 def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
+    return math.floor(x + 0.5)
 
 
-def _extended_mask(ranks: np.ndarray, k: int, tau: float) -> np.ndarray:
+def _extended_mask(order: np.ndarray, k: int, tau: float) -> np.ndarray:
     """Boolean matrix whose row i is the tau-extended reciprocal set of i.
 
-    Row i starts from R(i, k); each member c whose smaller set R(c, tk),
-    tk = round(tau*k), overlaps the ORIGINAL R(i, k) in at least 2/3 of
-    |R(c, tk)| gets its set unioned in. Single pass; the overlap test is
-    integer-exact (3*|inter| >= 2*|R(c, tk)|).
+    `order` is a `_top_order` block of at least k columns. Row i starts from
+    R(i, k); each member c whose smaller set R(c, tk), tk = round(tau*k),
+    overlaps the ORIGINAL R(i, k) in at least 2/3 of |R(c, tk)| gets its set
+    unioned in. Single pass; the overlap test is integer-exact
+    (3*|inter| >= 2*|R(c, tk)|).
     """
-    r = _reciprocal_mask(ranks, k)
+    r = _reciprocal_mask(order, k)
     tk = _round_half_up(tau * k)
     if tk < 1:
         return r
-    rt = _reciprocal_mask(ranks, tk)  # tk <= k <= m since tau <= 1
-    # float64 matmuls of 0/1 matrices count set sizes exactly (all values are
-    # small integers, far below 2**53) and stay on the BLAS fast path, unlike
+    rt = _reciprocal_mask(order, tk)  # tk <= k <= m since tau <= 1
+    # float32 matmuls of 0/1 matrices count set sizes exactly (every count is
+    # at most m, far below 2**24) and stay on the BLAS fast path, unlike
     # integer matmul
-    ri = r.astype(np.float64)
-    rti = rt.astype(np.float64)
+    ri = r.astype(np.float32)
+    rti = rt.astype(np.float32)
     inter = ri @ rti.T                # inter[i, c] = |R(i,k) ∩ R(c,tk)|
     sizes = rti.sum(axis=1)           # |R(c,tk)|
     passing = r & (3.0 * inter >= 2.0 * sizes[None, :])
-    return r | ((passing.astype(np.float64) @ rti) > 0)
+    return r | ((passing.astype(np.float32) @ rti) > 0)
 
 
 def _row_maxmin(sim: np.ndarray) -> np.ndarray:
@@ -260,25 +282,28 @@ def _jaccard_against(weights: np.ndarray, probe: int) -> np.ndarray:
 def nn_set(probe: int, sim_matrix, k: int) -> NeighborSet:
     """The k most similar context indices to `probe`, probe included.
 
-    The probe counts toward k (self-similarity ranks first); remaining
-    ties break by index ascending.
+    The probe counts toward k (it ranks first whatever its stored
+    self-similarity); among equal similarities the lower index wins. Reads
+    the probe's row of the one neighbour selection, `_top_order(sim, k)`.
     """
     sim = _as_sim(sim_matrix)
     m = sim.shape[0]
     probe = _check_probe(probe, m)
     k = _check_k(k, m)
-    order, _ = _rank_order(sim)
-    return NeighborSet(probe, frozenset(order[probe, :k].tolist()))
+    return NeighborSet(probe, frozenset(_top_order(sim, k)[probe].tolist()))
 
 
 def reciprocal_set(probe: int, sim_matrix, k: int) -> NeighborSet:
-    """Members of nn_set(probe, k) whose own k-NN set contains the probe."""
+    """Members of nn_set(probe, k) whose own k-NN set contains the probe.
+
+    Every k-NN set is scattered from `_top_order(sim, k)`, so ties resolve
+    as in nn_set.
+    """
     sim = _as_sim(sim_matrix)
     m = sim.shape[0]
     probe = _check_probe(probe, m)
     k = _check_k(k, m)
-    _, ranks = _rank_order(sim)
-    mask = _reciprocal_mask(ranks, k)
+    mask = _reciprocal_mask(_top_order(sim, k), k)
     return NeighborSet(probe, frozenset(np.nonzero(mask[probe])[0].tolist()))
 
 
@@ -288,6 +313,8 @@ def extended_reciprocal_set(probe: int, sim_matrix, k: int, tau: float) -> Neigh
     Each c in the original set contributes R(c, round(tau*k)) when at least
     2/3 of that smaller set already lies inside the original set. tau=0 (or
     any tau with round(tau*k) == 0) returns the reciprocal set unchanged.
+    Both set sizes are prefixes of one `_top_order(sim, k)` selection, so
+    ties resolve as in nn_set.
     """
     sim = _as_sim(sim_matrix)
     m = sim.shape[0]
@@ -295,8 +322,7 @@ def extended_reciprocal_set(probe: int, sim_matrix, k: int, tau: float) -> Neigh
     k = _check_k(k, m)
     if not 0.0 <= tau <= 1.0:
         raise ConfigError(f"tau must lie in [0, 1], got {tau!r}")
-    _, ranks = _rank_order(sim)
-    mask = _extended_mask(ranks, k, tau)
+    mask = _extended_mask(_top_order(sim, k), k, tau)
     return NeighborSet(probe, frozenset(np.nonzero(mask[probe])[0].tolist()))
 
 
@@ -327,7 +353,9 @@ def local_expansion(vectors: Sequence[ConnectivityVector], sim_matrix, k_exp: in
     """Average each element's connectivity vector with its k_exp-NN's vectors.
 
     Expects one vector per context element, in index order. k_exp=1 is the
-    identity; k_exp=m averages everything into identical vectors.
+    identity; k_exp=m averages everything into identical vectors. The
+    neighbours are the rows of `_top_order(sim, k_exp)`, ties resolved as in
+    nn_set.
     """
     sim = _as_sim(sim_matrix)
     m = sim.shape[0]
@@ -340,8 +368,7 @@ def local_expansion(vectors: Sequence[ConnectivityVector], sim_matrix, k_exp: in
         if v.weights.shape != (m,):
             raise DataError(f"connectivity vector {i} has length {v.weights.shape[0]}, context size is {m}")
     stacked = np.vstack([v.weights for v in vectors])
-    order, _ = _rank_order(sim)
-    expanded = _expand_matrix(stacked, order, k_exp)
+    expanded = _expand_matrix(stacked, _top_order(sim, k_exp), k_exp)
     return [ConnectivityVector(i, expanded[i]) for i in range(m)]
 
 
@@ -389,8 +416,8 @@ def rnn_scores(context: RankingContext, params: RnnParams, probe: int | Sequence
     if m == 1:
         return np.zeros(0, dtype=np.float64)
     sim = context.sim_matrix
-    order, ranks = _rank_order(sim)
-    ext = _extended_mask(ranks, params.k, params.tau)
+    order = _top_order(sim, max(params.k, params.k_exp))
+    ext = _extended_mask(order, params.k, params.tau)
     s_hat = _row_maxmin(sim)
     weights = _expand_matrix(_weight_matrix(s_hat, ext, params.weight_fn), order, params.k_exp)
     acc = np.zeros(m, dtype=np.float64)

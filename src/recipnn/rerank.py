@@ -76,11 +76,13 @@ def rerank_run(run, embeddings: EmbeddingMatrix, params: RerankParams,
                top_k: int | None = None, strict: bool = False, threads: int = 1):
     """Rerank every query of a run; returns a new RunFile.
 
-    Per query, the top params.n_context candidates are re-scored (deeper run
-    entries are dropped from the output). Queries whose query or candidate
-    vectors are missing from the store are warned about and passed through
-    in their original order; strict=True raises instead. Queries run one
-    after another; `threads` is accepted for compatibility and ignored.
+    Per query, the top params.n_context candidates are re-scored and written
+    back, cut to top_k when that is smaller; deeper run entries are dropped.
+    Queries whose query or candidate vectors are missing from the store are
+    warned about and passed through unchanged: original order and original
+    depth, so such a query can keep more entries than a reranked one.
+    strict=True raises instead. Queries run one after another; `threads` is
+    accepted for compatibility and ignored.
     """
     return RunFile({qid: _rerank_one(qid, run[qid], embeddings, params, top_k, strict)
                     for qid in run.query_ids})

@@ -80,6 +80,8 @@ class SoftLabelSet:
         if len(set(ids)) != len(ids):
             raise DataError(f"query {self.query_id!r}: duplicate doc ids in labels")
         probs = np.array([p for _, p in entries])
+        if not np.isfinite(probs).all():
+            raise DataError(f"query {self.query_id!r}: non-finite target probability")
         if probs.min() < 0:
             raise DataError(f"query {self.query_id!r}: negative target probability")
         if abs(probs.sum() - 1.0) > _SUM_TOL:
@@ -304,6 +306,6 @@ def read_soft_labels(path) -> list[SoftLabelSet]:
                 out.append(SoftLabelSet(obj["qid"],
                                         tuple((d, p) for d, p in obj["labels"]),
                                         frozenset(obj["gt"])))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, DataError) as exc:
                 raise DataError(f"{path}:{lineno}: bad soft-label line: {exc}") from None
     return out

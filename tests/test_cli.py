@@ -5,13 +5,14 @@ codes, stdout and stderr can be asserted exactly.  Output files are
 compared byte-for-byte across repeated invocations and worker counts.
 """
 
+import numpy as np
 import pytest
 
 import recipnn.cli as cli
 from recipnn import __version__
 from recipnn.cli import main
 from recipnn.config import config_hash, effective_config
-from recipnn.embeddings import load_embeddings, write_embeddings
+from recipnn.embeddings import EmbeddingMatrix, load_embeddings, write_embeddings
 from recipnn.ir_eval import parse_run, write_qrels, write_run
 from recipnn.smoothing import read_soft_labels
 from recipnn.synthetic import planted_corpus
@@ -194,6 +195,30 @@ def test_rerank_end_to_end(corpus_files, tmp_path, capsys):
     assert reranked.query_ids == original.query_ids
     for qid in reranked.query_ids:
         assert sorted(reranked[qid].doc_ids) == sorted(original[qid].doc_ids)
+
+
+def test_pass_through_query_keeps_full_depth(tmp_path, capsys):
+    # A query whose context cannot be built is written in its original order
+    # at its original depth; reranked queries are cut to n_context, or to
+    # top_k when that is smaller.
+    corpus = planted_corpus(seed=7, n_queries=6, n_distractors=60, depth=15)
+    stuck = corpus.run.query_ids[2]
+    dropped = corpus.run[stuck].doc_ids[1]
+    keep = [i for i in corpus.embeddings.ids if i != dropped]
+    emb, run = str(tmp_path / "v.emb"), str(tmp_path / "b.run")
+    write_embeddings(EmbeddingMatrix(keep, np.vstack([corpus.embeddings.lookup(i) for i in keep])), emb)
+    write_run(corpus.run, run, tag="base")
+    for extra, depth in (([], 5), (["--top-k", "3"], 3)):
+        out = tmp_path / "r.run"
+        assert main(["rerank", "--embeddings", emb, "--run", run, "--output", str(out),
+                     "--n-context", "5", *extra]) == 0
+        reranked = parse_run(out)
+        for qid in reranked.query_ids:
+            if qid == stuck:
+                assert reranked[qid].doc_ids == corpus.run[qid].doc_ids  # all 15, in order
+            else:
+                assert len(reranked[qid]) == depth
+    assert len(corpus.run[stuck]) == 15
 
 
 def test_rerank_prints_metric_table_with_qrels(corpus_files, tmp_path, capsys):

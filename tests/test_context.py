@@ -188,3 +188,11 @@ def test_top_n_context_with_tied_pool_vectors():
         expect = sorted(range(30), key=lambda i: (-scores[i], ids[i]))[:n]
         assert list(ctx.candidate_ids) == [ids[i] for i in expect]
         np.testing.assert_array_equal(ctx.geo_scores[1:], scores[expect])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_context_rejects_non_finite_vectors(bad):
+    docs = np.eye(3)
+    docs[1, 2] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        build_context("q", np.ones(3), ["a", "b", "c"], docs)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recipnn.context import build_context
+from recipnn.context import RankingContext, build_context
 from recipnn.errors import ConfigError, DataError
 from recipnn.neighbors import (
     ConnectivityVector,
@@ -17,9 +17,11 @@ from recipnn.neighbors import (
     nn_set,
     reciprocal_set,
     rnn_scores,
+    _expand_matrix,
     _extended_mask,
-    _rank_order,
+    _reciprocal_mask,
     _row_maxmin,
+    _top_order,
     _weight_matrix,
 )
 from recipnn.oracle import (
@@ -501,10 +503,113 @@ def test_multi_probe_rejects_empty_and_bad_probes(small_context):
 def test_connectivity_vector_is_row_of_fused_weights(seed, weight_fn):
     ctx = tied_context(seed)
     sim = ctx.sim_matrix
-    _, ranks = _rank_order(sim)
-    ext = _extended_mask(ranks, 5, 0.5)
+    ext = _extended_mask(_top_order(sim, 5), 5, 0.5)
     fused = _weight_matrix(_row_maxmin(sim), ext, weight_fn)
     for probe in range(ctx.size):
         members = NeighborSet(probe, frozenset(np.nonzero(ext[probe])[0].tolist()))
         np.testing.assert_array_equal(connectivity_vector(probe, members, sim, weight_fn).weights,
                                       fused[probe])
+
+
+# ---------------------------------------------------------------------------
+# the partial-selection kernel against a full-sort reference written here:
+# a stable argsort of the +inf-diagonal matrix and a rank matrix, the route
+# the kernel replaced
+
+def full_sort_reference(sim):
+    a = np.array(sim, dtype=np.float64)
+    np.fill_diagonal(a, np.inf)
+    order = np.argsort(-a, axis=1, kind="stable")
+    m = a.shape[0]
+    ranks = np.empty((m, m), dtype=np.int64)
+    ranks[np.arange(m)[:, None], order] = np.arange(m)[None, :]
+    return order, ranks
+
+
+def reference_reciprocal(ranks, k):
+    nn = ranks < k
+    return nn & nn.T
+
+
+def reference_extended(ranks, k, tau):
+    r = reference_reciprocal(ranks, k)
+    tk = int(np.floor(tau * k + 0.5))
+    if tk < 1:
+        return r
+    rt = reference_reciprocal(ranks, tk)
+    inter = r.astype(np.float64) @ rt.astype(np.float64).T
+    passing = r & (3.0 * inter >= 2.0 * rt.sum(axis=1)[None, :])
+    return r | ((passing.astype(np.float64) @ rt.astype(np.float64)) > 0)
+
+
+@st.composite
+def kernel_contexts(draw):
+    """Integer-grid contexts with planted exact duplicates, or generic ones."""
+    seed = draw(seeds)
+    n = draw(st.integers(min_value=0, max_value=22))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        dim = draw(st.integers(min_value=1, max_value=4))
+        pool = rng.integers(-2, 3, size=(draw(st.integers(min_value=1, max_value=6)), dim)).astype(np.float64)
+        pool[np.all(pool == 0, axis=1), 0] = 1.0
+        vecs = pool[rng.integers(0, len(pool), size=n + 1)]
+        if n:
+            vecs[1] = vecs[0]
+        return build_context("q", vecs[0], [f"c{i:02d}" for i in range(n)], vecs[1:])
+    return random_context(rng, n, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ctx=kernel_contexts())
+def test_top_order_is_prefix_of_full_stable_sort(ctx):
+    sim = ctx.sim_matrix
+    order, _ = full_sort_reference(sim)
+    for n in range(1, ctx.size + 1):
+        np.testing.assert_array_equal(_top_order(sim, n), order[:, :n])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ctx=kernel_contexts())
+def test_masks_and_expansion_order_match_full_sort(ctx):
+    sim = ctx.sim_matrix
+    m = ctx.size
+    full, ranks = full_sort_reference(sim)
+    weights = np.random.default_rng(m).random((m, m))
+    for k in range(1, m + 1):
+        for k_exp in sorted({max(1, k - 1), k, min(m, k + 1)}):  # k_exp below, at and above k
+            order = _top_order(sim, max(k, k_exp))
+            np.testing.assert_array_equal(order[:, :k_exp], full[:, :k_exp])
+            np.testing.assert_array_equal(_reciprocal_mask(order, k), reference_reciprocal(ranks, k))
+            for tau in (0.0, 0.5, 1.0):
+                np.testing.assert_array_equal(_extended_mask(order, k, tau), reference_extended(ranks, k, tau))
+            np.testing.assert_array_equal(_expand_matrix(weights, order, k_exp),
+                                          weights[full[:, :k_exp]].mean(axis=1))
+
+
+def test_extended_sets_match_oracle_on_deep_tied_context():
+    ctx = tied_context(3, n=119, distinct=12, dim=4)
+    sim = ctx.sim_matrix
+    for probe in (0, 1, 2, 60, 118, 119):
+        assert set(extended_reciprocal_set(probe, sim, 21, 0.5).members) == extended_oracle(sim, probe, 21, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_one_probe_surface_rejects_non_finite_similarities(bad):
+    sim = np.eye(3)
+    sim[0, 2] = sim[2, 0] = bad
+    for call in (lambda: nn_set(0, sim, 2), lambda: reciprocal_set(0, sim, 2),
+                 lambda: extended_reciprocal_set(0, sim, 2, 0.5)):
+        with pytest.raises(DataError, match="non-finite"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hand_built_context_rejects_non_finite_similarities(bad):
+    # a context built without build_context: construction itself refuses
+    # the matrix, so rnn_scores never sees a row whose own entry is not its
+    # unique maximum
+    sim = np.eye(6)
+    sim[1, 4] = sim[4, 1] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        RankingContext("q", ("q", *(f"c{i}" for i in range(5))), np.ones(6), sim)
+

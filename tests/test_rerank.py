@@ -36,6 +36,20 @@ def test_ranked_list_invariants():
         RankedList("q", (("a", 2.0, 1), ("a", 1.0, 2)))
 
 
+def test_ranked_list_coerces_and_rejects_malformed_entries():
+    rl = RankedList("q", [[np.str_("a"), np.float64(2.0), np.int64(1)], ("b", 1, 2.0)])
+    assert rl.entries == (("a", 2.0, 1), ("b", 1.0, 2))
+    assert all(type(v) is t for e in rl.entries for v, t in zip(e, (str, float, int)))
+    assert RankedList("q", ()).entries == ()
+    for bad in [(("a", 2.0, 1), ("b", 1.0)), (("a", 2.0, 1, 0), ("b", 1.0, 2)), (("a", 2.0, 1, 0),)]:
+        with pytest.raises(ValueError):
+            RankedList("q", bad)
+    with pytest.raises(ValueError):
+        RankedList("q", (("a", "high", 1),))
+    with pytest.raises(ValueError):
+        RankedList.from_scored("q", [("x", 0.5, 9)])
+
+
 def test_from_scored_assigns_ranks():
     rl = RankedList.from_scored("q", [("x", 0.5), ("y", 0.25)])
     assert rl.entries == (("x", 0.5, 1), ("y", 0.25, 2))

@@ -47,6 +47,13 @@ def test_soft_label_set_invariants():
         SoftLabelSet("q", (("a", 1.1), ("b", -0.1)), frozenset({"a"}))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_soft_label_set_rejects_non_finite(bad):
+    # a NaN last in the list passed the sum, sign and order checks
+    with pytest.raises(DataError, match="non-finite"):
+        SoftLabelSet("q", (("b", 1.0), ("a", bad)), frozenset({"b"}))
+
+
 # --- normalize_scores -------------------------------------------------------------
 
 def test_normalize_maxmin_hand_case():
@@ -344,6 +351,14 @@ def test_soft_label_round_trip(tmp_path):
     p2 = tmp_path / "labels2.jsonl"
     write_soft_labels(res.label_sets, p2, header="demo v0 config=fff")
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_read_soft_labels_rejects_nan_with_line(tmp_path):
+    p = tmp_path / "nan.jsonl"
+    p.write_text('{"qid":"q","gt":["b"],"labels":[["b",1.0]]}\n'
+                 '{"qid":"r","gt":["b"],"labels":[["b",1.0],["a",NaN]]}\n')
+    with pytest.raises(DataError, match=r"nan\.jsonl:2: .*non-finite"):
+        read_soft_labels(p)
 
 
 def test_read_soft_labels_error_carries_line(tmp_path):
