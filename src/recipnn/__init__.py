@@ -9,49 +9,41 @@ verified end to end.
 
 __version__ = "0.1.0"
 
-from .context import RankingContext, build_context, context_from_run, inner_product, top_n_context
-from .embeddings import EmbeddingMatrix, load_embeddings, write_embeddings
-from .errors import ConfigError, DataError, RecipnnError
-from .neighbors import (
-    ConnectivityVector,
-    NeighborSet,
-    RnnParams,
-    connectivity_vector,
-    extended_reciprocal_set,
-    jaccard_distance,
-    local_expansion,
-    mixed_similarity,
-    nn_set,
-    reciprocal_set,
-    rnn_scores,
-)
-from .ir_eval import (
-    Qrels,
-    RunFile,
-    evaluate_metric,
-    kl_divergence,
-    map_at_k,
-    mrr_at_k,
-    ndcg_at_k,
-    parse_qrels,
-    parse_run,
-    recall_at_k,
-    write_run,
-)
-from .rerank import RankedList, RerankParams, bench_latency, rerank_context, rerank_run, sweep_context_size
-from .smoothing import (
-    SmoothParams,
-    SmoothResult,
-    SoftLabelSet,
-    mean_gt_similarity,
-    normalize_scores,
-    read_soft_labels,
-    smooth_dataset,
-    softmax,
-    transform_scores,
-    uniform_smooth,
-    write_soft_labels,
-)
+import importlib
+
+# the submodule that defines each public name. Nothing is imported until a
+# name is first used, so `import recipnn` does not load numpy.
+_EXPORTS = {
+    "context": ("RankingContext", "build_context", "context_from_run", "inner_product", "top_n_context"),
+    "embeddings": ("EmbeddingMatrix", "load_embeddings", "write_embeddings"),
+    "errors": ("ConfigError", "DataError", "RecipnnError"),
+    "neighbors": ("ConnectivityVector", "NeighborSet", "RnnParams", "connectivity_vector",
+                  "extended_reciprocal_set", "jaccard_distance", "local_expansion", "mixed_similarity",
+                  "nn_set", "reciprocal_set", "rnn_scores"),
+    "ir_eval": ("Qrels", "RankedList", "RunFile", "evaluate_metric", "kl_divergence", "map_at_k", "mrr_at_k",
+                "ndcg_at_k", "parse_qrels", "parse_run", "recall_at_k", "write_run"),
+    "rerank": ("RerankParams", "bench_latency", "rerank_context", "rerank_run", "sweep_context_size"),
+    "smoothing": ("SmoothParams", "SmoothResult", "SoftLabelSet", "mean_gt_similarity", "normalize_scores",
+                  "read_soft_labels", "smooth_dataset", "softmax", "transform_scores", "uniform_smooth",
+                  "write_soft_labels"),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _HOMES:
+        value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    elif name in _EXPORTS:  # a submodule, as `import recipnn` used to load them all
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "ConfigError",

@@ -6,10 +6,23 @@ explicit flags overriding both. Exit codes: 0 ok, 1 configuration error,
 2 data error, 3 internal error. Output files begin with a '#' provenance
 header carrying the tool version and a hash of the effective parameters;
 file paths never influence output bytes, and --threads is accepted but
-ignored.
+ignored: queries run one after another.
+
+BLAS runs on one thread. The work is single-threaded, and BLAS worker
+threads left spinning after each similarity product slowed the code that
+follows. Importing this module, before numpy is loaded, sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 when none of
+them is set; if the user set any of them, all three are left alone. Code
+that imports numpy before this module keeps its BLAS threading.
 """
 
 from __future__ import annotations
+
+import os
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 import argparse
 import logging

@@ -591,6 +591,17 @@ def test_extended_sets_match_oracle_on_deep_tied_context():
     sim = ctx.sim_matrix
     for probe in (0, 1, 2, 60, 118, 119):
         assert set(extended_reciprocal_set(probe, sim, 21, 0.5).members) == extended_oracle(sim, probe, 21, 0.5)
+    # sizes on either side of the 64-bit words the extension packs its sets
+    # into, so a padding bit that leaked into a count or a set would show
+    for m in (63, 64, 65, 127, 128, 129):
+        ctx = tied_context(m, n=m - 1, distinct=12, dim=4)
+        sim = ctx.sim_matrix
+        _, ranks = full_sort_reference(sim)
+        for tau in (0.5, 1.0):
+            for k in (8, 21, m // 2, m - 1, m):
+                np.testing.assert_array_equal(_extended_mask(_top_order(sim, k), k, tau),
+                                              reference_extended(ranks, k, tau))
+            assert set(extended_reciprocal_set(m - 1, sim, 8, tau).members) == extended_oracle(sim, m - 1, 8, tau)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,0 +1,63 @@
+"""What importing the package and its command line does to a fresh interpreter.
+
+Each check runs in its own subprocess: the test process has numpy loaded
+already (conftest.py imports it), so only a fresh interpreter shows what an
+import loads and which environment it sees.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import recipnn
+
+SRC = str(Path(recipnn.__file__).resolve().parents[1])
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_fresh(code: str, **env_overrides: str) -> str:
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.update(env_overrides)
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_import_does_not_load_numpy():
+    assert run_fresh("""
+        import sys
+        import recipnn
+        print("numpy" in sys.modules)
+    """) == "False"
+
+
+def test_public_names_resolve_on_first_use_to_their_home_objects():
+    assert run_fresh("""
+        import sys
+        import recipnn
+        assert not set(recipnn.__all__) & set(vars(recipnn)), "names bound before first use"
+        for name in recipnn.__all__:
+            obj = getattr(recipnn, name)
+            assert obj is getattr(sys.modules[obj.__module__], name), name
+            assert vars(recipnn)[name] is obj, name
+        assert set(recipnn.__all__) <= set(dir(recipnn))
+        try:
+            recipnn.no_such_name
+        except AttributeError as exc:
+            print(exc)
+    """) == "module 'recipnn' has no attribute 'no_such_name'"
+
+
+def test_cli_import_pins_blas_threads_unless_set():
+    show = f"""
+        import os
+        import recipnn.cli
+        print(*(os.environ.get(var) for var in {BLAS_VARS!r}))
+    """
+    assert run_fresh(show) == "1 1 1"
+    assert run_fresh(show, OPENBLAS_NUM_THREADS="3") == "3 None None"
+    assert run_fresh(show, OMP_NUM_THREADS="2") == "None 2 None"
