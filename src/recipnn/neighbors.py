@@ -198,26 +198,6 @@ def _reciprocal_mask(order: np.ndarray, k: int) -> np.ndarray:
     return nn & nn.T
 
 
-def _reciprocal_masks(near: np.ndarray, ks: Sequence[int], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_reciprocal_mask` for each k in `ks`, stacked as (len(ks), m, width) for bit packing.
-
-    `near[j, i]` is the j-th entry of row i's neighbour ordering (a
-    transposed `_top_order` block of at least max(ks) rows). Columns m to
-    width-1 are False padding, so rows pack into whole 64-bit words. Also
-    returns `at`, where near[j, i] sits in a flattened layer. Kept apart
-    from `_reciprocal_mask`, which the tau=0 path and `reciprocal_set` use:
-    routing that through this stack made every call about 3 us slower.
-    """
-    m = near.shape[1]
-    masks = np.zeros((len(ks), m, width), dtype=bool)
-    at = near + np.arange(0, m * width, width)  # contiguous, so its prefixes at[:k] are too
-    for layer, k in zip(masks, ks):
-        layer.reshape(-1)[at[:k]] = True
-    square = masks[:, :, :m]
-    square &= square.transpose(0, 2, 1)  # numpy buffers the overlapping operand
-    return masks, at
-
-
 def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
@@ -232,33 +212,38 @@ def _extended_mask(order: np.ndarray, k: int, tau: float) -> np.ndarray:
     (3*|inter| >= 2*|R(c, tk)|).
 
     The sets are bitsets: every row of R(., k) and R(., tk) is packed into
-    ceil(m/64) uint64 words. The members of R(i, k) lie among i's first k
-    neighbours order[i, :k], so each row tests only those k candidates,
+    W = ceil(m/64) uint64 words. The members of R(i, k) lie among i's first
+    k neighbours order[i, :k], so each row tests only those k candidates,
     counting |R(i, k) & R(c, tk)| by popcount, and ORs the words of the
-    passing ones: O(m*k*m/64) integer work and no BLAS call.
+    passing ones: O(m*k*m/64) integer work and no BLAS call. Both passes go
+    one word at a time, so no temporary holds more than k*m words.
     """
     tk = _round_half_up(tau * k)
     if tk < 1:
         return _reciprocal_mask(order, k)
     m = order.shape[0]
-    cand = np.ascontiguousarray(order[:, :k].T)  # cand[j, i]: the j-th neighbour of i
-    masks, at = _reciprocal_masks(cand, (k, tk), 64 * -(-m // 64))  # tk <= k <= m since tau <= 1
-    # bits[w, 0, i] and bits[w, 1, i]: word w of R(i, k) and of R(i, tk); words
+    r = _reciprocal_mask(order, k)
+    words = -(-m // 64)
+    packed = np.zeros((2, m, 8 * words), dtype=np.uint8)  # rows padded with zero bits to whole words
+    packed[0, :, :-(-m // 8)] = np.packbits(r, axis=1, bitorder="little")
+    packed[1, :, :-(-m // 8)] = np.packbits(_reciprocal_mask(order, tk), axis=1, bitorder="little")
+    # r_bits[w, i] and rt_bits[w, i]: word w of R(i, k) and of R(i, tk); words
     # first, so every elementwise step below runs along m
-    packed = np.packbits(masks, axis=2, bitorder="little").view(np.uint64)
-    bits = np.ascontiguousarray(packed.transpose(2, 0, 1))
-    r_bits, rt_bits = bits[:, 0], bits[:, 1]
-    cand_bits = rt_bits.take(cand, axis=1)     # words of R(cand[j, i], tk)
-    counts = np.bitwise_count(cand_bits & r_bits[:, None, :])  # uint8 per word
-    inter = counts[0].astype(np.intp)          # inter[j, i] = |R(i, k) & R(cand[j, i], tk)|
-    for more in counts[1:]:                    # summed wide: a set can hold more than 255
-        inter += more
+    r_bits, rt_bits = np.ascontiguousarray(packed.view(np.uint64).transpose(0, 2, 1))
+    cand = np.ascontiguousarray(order[:, :k].T)  # cand[j, i]: the j-th neighbour of i
+    inter = np.zeros((k, m), dtype=np.intp)      # inter[j, i] = |R(i, k) & R(cand[j, i], tk)|
+    for r_word, rt_word in zip(r_bits, rt_bits):
+        got = rt_word.take(cand)
+        got &= r_word
+        inter += np.bitwise_count(got)
     # cand[0, i] is i itself and R(i, tk) lies inside R(i, k), so inter[0, i] = |R(i, tk)|;
-    # masks[0] read at `at` says whether cand[j, i] is in R(i, k)
-    passing = masks[0].reshape(-1)[at] & (3 * inter >= 2 * inter[0].take(cand))
-    cand_bits *= passing                       # zero the words of candidates that fail
-    union = np.bitwise_or.reduce(cand_bits, axis=1)
-    union |= r_bits
+    # r read at row i, column cand[j, i] says whether cand[j, i] is in R(i, k)
+    passing = r.reshape(-1).take(cand + np.arange(0, m * m, m)) & (3 * inter >= 2 * inter[0].take(cand))
+    union = r_bits.copy()
+    for rt_word, union_word in zip(rt_bits, union):
+        got = rt_word.take(cand)
+        got *= passing                           # zero the words of candidates that fail
+        union_word |= np.bitwise_or.reduce(got, axis=0)
     return np.unpackbits(np.ascontiguousarray(union.T).view(np.uint8), axis=1, count=m, bitorder="little").view(bool)
 
 

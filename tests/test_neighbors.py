@@ -592,8 +592,9 @@ def test_extended_sets_match_oracle_on_deep_tied_context():
     for probe in (0, 1, 2, 60, 118, 119):
         assert set(extended_reciprocal_set(probe, sim, 21, 0.5).members) == extended_oracle(sim, probe, 21, 0.5)
     # sizes on either side of the 64-bit words the extension packs its sets
-    # into, so a padding bit that leaked into a count or a set would show
-    for m in (63, 64, 65, 127, 128, 129):
+    # into, so a padding bit that leaked into a count or a set would show,
+    # and m=257 (five words, k up to m), as the extension counts a word at a time
+    for m in (63, 64, 65, 127, 128, 129, 257):
         ctx = tied_context(m, n=m - 1, distinct=12, dim=4)
         sim = ctx.sim_matrix
         _, ranks = full_sort_reference(sim)
