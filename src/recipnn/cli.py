@@ -37,7 +37,8 @@ from .config import (COMMAND_KEYS, REQUIRED_KEYS, coerce_value, display_key, eff
                      rnn_params_from, smooth_params_from)
 from .embeddings import load_embeddings, write_embeddings
 from .errors import ConfigError, DataError
-from .ir_eval import map_at_k, mrr_at_k, ndcg_at_k, parse_qrels, parse_run, recall_at_k, write_run
+from .ir_eval import (check_tag, map_at_k, mrr_at_k, ndcg_at_k, parse_qrels, parse_run, recall_at_k,
+                      write_run)
 from .neighbors import RnnParams, extended_reciprocal_set, rnn_scores
 from .oracle import extended_oracle, mixed_scores_oracle
 from .rerank import bench_latency, rerank_context, rerank_run, sweep_context_size
@@ -111,6 +112,7 @@ def _standard_metrics(run, qrels, cutoff: int, rel_threshold: int) -> list[tuple
 
 
 def cmd_rerank(cfg: dict) -> None:
+    check_tag(cfg["tag"])
     embeddings = load_embeddings(cfg["embeddings"])
     run = parse_run(cfg["run"])
     reranked = rerank_run(run, embeddings, rerank_params_from(cfg), top_k=cfg.get("top_k"),

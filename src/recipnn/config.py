@@ -18,6 +18,7 @@ from .errors import ConfigError
 from .neighbors import RnnParams
 from .rerank import RerankParams
 from .smoothing import SmoothParams
+from .textfile import numbered_lines, open_text
 
 # key -> coercion tag
 _SCHEMA: dict[str, str] = {
@@ -161,11 +162,11 @@ def parse_config_file(path) -> dict[str, Any]:
     """Read `key = value` lines; '#' starts a full-line comment."""
     values: dict[str, Any] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open_text(path) as fh:
+            lines = list(numbered_lines(fh, path, ConfigError))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -177,7 +178,10 @@ def parse_config_file(path) -> dict[str, Any]:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key_raw.strip()!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate config key {key_raw.strip()!r}")
-        values[key] = coerce_value(key, value)
+        try:
+            values[key] = coerce_value(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
 
 

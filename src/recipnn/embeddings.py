@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DataError
+from .textfile import numbered_lines, open_text
 
 MAGIC = b"EMB1"
 MAX_DIM = 16384
@@ -26,6 +27,19 @@ MAX_ID_BYTES = 65535
 
 _HEADER = struct.Struct("<IQ")
 _ID_LEN = struct.Struct("<H")
+
+
+def _check_ids(ids: Sequence[str]) -> None:
+    """Raise for the first id, in order, that is empty, too long or repeated."""
+    seen: set[str] = set()
+    for pos, eid in enumerate(ids):
+        if not eid:
+            raise DataError(f"empty id at position {pos}")
+        if len(eid.encode("utf-8")) > MAX_ID_BYTES:
+            raise DataError(f"id at position {pos} exceeds {MAX_ID_BYTES} UTF-8 bytes")
+        if eid in seen:
+            raise DataError(f"duplicate id {eid!r}")
+        seen.add(eid)
 
 
 class EmbeddingMatrix:
@@ -48,15 +62,11 @@ class EmbeddingMatrix:
         if not np.all(np.isfinite(vectors)):
             bad = [ids[i] for i in np.unique(np.nonzero(~np.isfinite(vectors))[0])][:5]
             raise DataError(f"non-finite component(s) in vector(s): {bad}")
-        index: dict[str, int] = {}
-        for pos, eid in enumerate(ids):
-            if not eid:
-                raise DataError(f"empty id at position {pos}")
-            if len(eid.encode("utf-8")) > MAX_ID_BYTES:
-                raise DataError(f"id at position {pos} exceeds {MAX_ID_BYTES} UTF-8 bytes")
-            if eid in index:
-                raise DataError(f"duplicate id {eid!r}")
-            index[eid] = pos
+        index = dict(zip(ids, range(len(ids))))
+        # a UTF-8 code point takes at most 4 bytes, so only ids longer than
+        # MAX_ID_BYTES // 4 characters need encoding to check their length
+        if len(index) != len(ids) or "" in index or max(map(len, ids), default=0) > MAX_ID_BYTES // 4:
+            _check_ids(ids)
         self._ids = list(ids)
         self._vectors = vectors
         self._vectors.setflags(write=False)
@@ -166,7 +176,7 @@ def _load_binary(path: str | Path) -> EmbeddingMatrix:
     if count * (_ID_LEN.size + vec_bytes) > len(blob) - off:
         raise DataError(f"{path}: header at byte 4 declares {count} records of dim {dim}, "
                         f"but only {len(blob) - off} bytes follow it at byte {off}")
-    rows = np.empty((count, dim), dtype=np.float32)
+    starts = np.empty(count, dtype=np.intp)  # byte offset of each record's vector
     for rec in range(count):
         if off + _ID_LEN.size > len(blob):
             raise DataError(f"{path}: truncated record {rec} at byte {off}")
@@ -179,10 +189,14 @@ def _load_binary(path: str | Path) -> EmbeddingMatrix:
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: undecodable id in record {rec} at byte {off}: {exc}") from None
         off += id_len
-        rows[rec] = np.frombuffer(blob, dtype="<f4", count=dim, offset=off)
+        starts[rec] = off
         off += vec_bytes
     if off != len(blob):
         raise DataError(f"{path}: {len(blob) - off} trailing bytes after record {count - 1} at byte {off}")
+    rows = np.empty((0, dim), dtype=np.float32)
+    if count:  # one gather of every vector's bytes, as rows of a sliding window over the blob
+        windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(blob, dtype=np.uint8), vec_bytes)
+        rows = windows[starts].view("<f4").astype(np.float32, copy=False)
     try:
         return EmbeddingMatrix(ids, rows)
     except DataError as exc:
@@ -208,8 +222,8 @@ def _load_tsv(path: str | Path) -> EmbeddingMatrix:
     ids: list[str] = []
     rows: list[np.ndarray] = []
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open_text(path) as fh:
+        for lineno, line in numbered_lines(fh, path):
             line = line.rstrip("\n")
             if not line:
                 continue

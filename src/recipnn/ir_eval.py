@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain, compress, pairwise
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .textfile import numbered_lines, open_text
 
 
 @dataclass(frozen=True)
@@ -46,25 +49,41 @@ class Qrels:
         return {d for d, g in self.grades_for(query_id).items() if g >= rel_threshold}
 
 
-@dataclass(frozen=True)
 class RankedList:
-    """One query's ordered result list: (doc_id, score, 1-based rank) triples."""
+    """One query's ordered result list: doc ids and float64 scores, best first.
 
-    query_id: str
-    entries: tuple[tuple[str, float, int], ...]
+    `doc_ids` and `scores` are the columns it holds; `entries`, the
+    (doc_id, score, 1-based rank) triples, is built from them on demand.
+    Immutable: `scores` is a read-only array.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("query_id", "_ids", "_scores")
+
+    def __init__(self, query_id: str, entries: Iterable[Sequence]) -> None:
         # column-wise coercion: every entry must be a (doc_id, score, rank) triple
-        ids, scores, ranks = zip(*self.entries, strict=True) if self.entries else ((), (), ())
+        ids, scores, ranks = zip(*entries, strict=True) if entries else ((), (), ())
         ids, scores, ranks = tuple(map(str, ids)), tuple(map(float, scores)), tuple(map(int, ranks))
-        object.__setattr__(self, "entries", tuple(zip(ids, scores, ranks)))
         if ranks != tuple(range(1, len(ranks) + 1)):
             pos, rank = next((p, r) for p, r in enumerate(ranks, start=1) if r != p)
-            raise DataError(f"query {self.query_id!r}: rank {rank} at position {pos}; ranks must run 1..n")
+            raise DataError(f"query {query_id!r}: rank {rank} at position {pos}; ranks must run 1..n")
         if any(map(operator.lt, scores, scores[1:])):
-            raise DataError(f"query {self.query_id!r}: scores increase down the list")
+            raise DataError(f"query {query_id!r}: scores increase down the list")
         if len(set(ids)) != len(ids):
-            raise DataError(f"query {self.query_id!r}: duplicate doc ids")
+            raise DataError(f"query {query_id!r}: duplicate doc ids")
+        self._hold(query_id, ids, np.array(scores, dtype=np.float64))
+
+    def _hold(self, query_id: str, ids: tuple[str, ...], scores: np.ndarray) -> None:
+        scores.setflags(write=False)
+        for name, value in (("query_id", query_id), ("_ids", ids), ("_scores", scores)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, query_id: str, ids: tuple[str, ...], scores: np.ndarray) -> "RankedList":
+        """Wrap columns the caller guarantees: unique str ids, float64 scores
+        that never increase. No check, no copy."""
+        ranked = cls.__new__(cls)
+        ranked._hold(query_id, ids, scores)
+        return ranked
 
     @classmethod
     def from_scored(cls, query_id: str, scored: Sequence[tuple[str, float]]) -> "RankedList":
@@ -72,18 +91,38 @@ class RankedList:
         ids, scores = zip(*scored, strict=True) if scored else ((), ())
         return cls(query_id, tuple(zip(ids, scores, range(1, len(ids) + 1))))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RankedList is immutable; cannot set {name!r}")
+
     @property
     def doc_ids(self) -> list[str]:
-        return [d for d, _, _ in self.entries]
+        return list(self._ids)
+
+    @property
+    def scores(self) -> np.ndarray:
+        return self._scores
+
+    @property
+    def entries(self) -> tuple[tuple[str, float, int], ...]:
+        return tuple(zip(self._ids, self._scores.tolist(), range(1, len(self._ids) + 1)))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._ids)
 
     def __iter__(self):
         return iter(self.entries)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RankedList):
+            return NotImplemented
+        return (self.query_id, self._ids) == (other.query_id, other._ids) and \
+            np.array_equal(self._scores, other._scores)
+
+    def __repr__(self) -> str:
+        return f"RankedList(query_id={self.query_id!r}, entries={self.entries!r})"
+
     def truncated(self, depth: int) -> "RankedList":
-        return RankedList(self.query_id, self.entries[:depth])
+        return RankedList._of(self.query_id, self._ids[:depth], self._scores[:depth])
 
 
 @dataclass(frozen=True)
@@ -116,11 +155,11 @@ class RunFile:
 
 def _data_lines(path) -> Iterable[tuple[int, list[str]]]:
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open_text(path)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     with fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in numbered_lines(fh, path):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -147,50 +186,149 @@ def parse_qrels(path) -> Qrels:
     return Qrels(judgments)
 
 
-def parse_run(path) -> RunFile:
-    """Read `<qid> Q0 <docid> <rank> <score> <tag>` lines.
+# bytes read at a time; each chunk is cut after its last line feed
+_READ_BYTES = 1 << 18
+# per code point: 0 inside a field, 1 whitespace as str.split() sees it,
+# 2 line feed; no code point above U+3000 is whitespace, so larger ones are
+# clipped to the last entry, which is 0
+_MARKS = np.array([2 if c == 10 else chr(c).isspace() for c in range(0x3002)], dtype=np.uint8)
+_ASCII_MARKS = _MARKS[:256].tobytes()  # the same, as a bytes.translate table
 
-    Ordering is taken from the scores (descending; ties keep file order), not
-    from the rank column, so files with a stale rank column still load. The
-    rank column is validated as an integer only.
-    """
-    rows: dict[str, list[tuple[str, float]]] = {}
-    seen: dict[str, set[str]] = {}
+
+class _BadLine(Exception):
+    """A column check failed; the line walk finds which line and why."""
+
+
+def _line_chunks(fh) -> Iterable[bytes]:
+    tail = b""
+    while block := fh.read(_READ_BYTES):
+        block = tail + block
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield block[:cut]
+        tail = block[cut:]
+    if tail:
+        yield tail
+
+
+def _run_blocks(chunk: bytes) -> list[tuple[str, list[str], np.ndarray]]:
+    """A chunk of whole run lines as (qid, doc ids, scores) blocks of
+    consecutive lines of one query, in file order. Raises _BadLine when a
+    line breaks a rule or a byte is not UTF-8."""
+    if b"\r" in chunk:  # universal newlines, as text mode reads them
+        chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = chunk.decode("utf-8")
+    except UnicodeDecodeError:
+        raise _BadLine from None
+    tokens = text.split()
+    if chunk.isascii():
+        marks = np.frombuffer(chunk.translate(_ASCII_MARKS), dtype=np.uint8)
+    else:
+        points = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+        marks = _MARKS[np.minimum(points, _MARKS.size - 1)]
+    space = marks != 0
+    starts = np.empty_like(space)  # a field starts at a non-space after a space
+    starts[0] = not space[0]
+    np.greater(space[:-1], space[1:], out=starts[1:])
+    line_ends = np.append(np.flatnonzero(marks == 2), marks.size)
+    ends = np.searchsorted(np.flatnonzero(starts), line_ends)  # fields before each line's end
+    counts = np.diff(ends, prepend=0)
+    data = counts > 0
+    if b"#" in chunk:  # comment lines: the first field starts with '#'
+        data[data] = [not tokens[i].startswith("#") for i in (ends - counts)[data].tolist()]
+        if not data.all():
+            tokens = list(compress(tokens, np.repeat(data, counts).tolist()))
+    if not (counts[data] == 6).all():
+        raise _BadLine
+    qids, dids = tokens[0::6], tokens[2::6]
+    try:
+        deque(map(int, tokens[3::6]), maxlen=0)
+        scores = np.fromiter(map(float, tokens[4::6]), dtype=np.float64, count=len(qids))
+    except ValueError:
+        raise _BadLine from None
+    if not np.isfinite(scores).all():
+        raise _BadLine
+    if not qids:
+        return []
+    cuts = [0, *compress(range(1, len(qids)), map(operator.ne, qids[1:], qids)), len(qids)]
+    return [(qids[a], dids[a:b], scores[a:b]) for a, b in pairwise(cuts)]
+
+
+def _first_bad_line(path) -> DataError:
+    """The error for the first line of a run file that breaks a rule, walking
+    the lines one by one; called only once a column check has failed."""
+    seen: set[tuple[str, str]] = set()
     for lineno, fields in _data_lines(path):
         if len(fields) != 6:
-            raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
+            return DataError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
         qid, _, did, rank_s, score_s, _ = fields
         try:
             int(rank_s)
         except ValueError:
-            raise DataError(f"{path}:{lineno}: rank {rank_s!r} is not an integer") from None
+            return DataError(f"{path}:{lineno}: rank {rank_s!r} is not an integer")
         try:
             score = float(score_s)
         except ValueError:
-            raise DataError(f"{path}:{lineno}: score {score_s!r} is not a number") from None
+            return DataError(f"{path}:{lineno}: score {score_s!r} is not a number")
         if not math.isfinite(score):
-            raise DataError(f"{path}:{lineno}: non-finite score {score_s!r}")
-        if did in seen.setdefault(qid, set()):
-            raise DataError(f"{path}:{lineno}: duplicate doc {did!r} for query {qid!r}")
-        seen[qid].add(did)
-        rows.setdefault(qid, []).append((did, score))
+            return DataError(f"{path}:{lineno}: non-finite score {score_s!r}")
+        if (qid, did) in seen:
+            return DataError(f"{path}:{lineno}: duplicate doc {did!r} for query {qid!r}")
+        seen.add((qid, did))
+    raise AssertionError(f"{path}: a column check failed but no line breaks a rule")
+
+
+def parse_run(path) -> RunFile:
+    """Read `<qid> Q0 <docid> <rank> <score> <tag>` lines.
+
+    Fields are separated by any whitespace; blank lines and lines starting
+    with '#' are skipped. Ordering is taken from the scores (descending;
+    ties keep file order), not from the rank column, so files with a stale
+    rank column still load. The rank column is validated as an integer only.
+    The file is read in chunks, and each check runs on whole columns; only
+    when one fails are the lines walked to report the first bad one.
+    """
+    blocks: dict[str, list[tuple[list[str], np.ndarray]]] = {}
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    with fh:
+        try:
+            for chunk in _line_chunks(fh):
+                for qid, dids, scores in _run_blocks(chunk):
+                    blocks.setdefault(qid, []).append((dids, scores))
+        except _BadLine:
+            raise _first_bad_line(path) from None
     lists = {}
-    for qid, entries in rows.items():
-        entries = sorted(entries, key=lambda e: -e[1])  # stable: ties keep file order
-        lists[qid] = RankedList.from_scored(qid, entries)
+    for qid, parts in blocks.items():
+        dids, scores = parts[0] if len(parts) == 1 else \
+            (list(chain.from_iterable(d for d, _ in parts)), np.concatenate([s for _, s in parts]))
+        order = np.argsort(-scores, kind="stable").tolist()  # stable: ties keep file order
+        ids = tuple([dids[i] for i in order])
+        if len(set(ids)) != len(ids):
+            raise _first_bad_line(path)
+        lists[qid] = RankedList._of(qid, ids, scores[order])
     return RunFile(lists)
+
+
+def check_tag(tag: str) -> None:
+    """A run tag is one nonempty field of a run line: no whitespace."""
+    if not isinstance(tag, str) or tag.split() != [tag]:
+        raise ConfigError(f"run tag must be a nonempty word without whitespace, got {tag!r}")
 
 
 def write_run(run: RunFile, path, tag: str = "recipnn", header: str | None = None) -> None:
     """Write rank-consistent, score-sorted TREC run lines, queries in id order."""
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    for qid in run.query_ids:
-        for did, score, rank in run[qid]:
-            lines.append(f"{qid} Q0 {did} {rank} {score!r} {tag}")
+    check_tag(tag)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+        if header:
+            fh.write(f"# {header}\n")
+        for qid in run.query_ids:
+            ranked, head, tail = run[qid], f"{qid} Q0 ", f" {tag}\n"
+            fh.write("".join([f"{head}{did} {rank} {score!r}{tail}" for rank, (did, score)
+                              in enumerate(zip(ranked._ids, ranked._scores.tolist()), start=1)]))
 
 
 def write_qrels(qrels: Qrels, path, header: str | None = None) -> None:
@@ -228,7 +366,7 @@ def mrr_at_k(run: RunFile, qrels: Qrels, k: int = 10, rel_threshold: int = 1) ->
     queries = _evaluated_queries(run, qrels)
     for qid in queries:
         grades = qrels.grades_for(qid)
-        for did, _, rank in run[qid].entries[:k]:
+        for rank, did in enumerate(run[qid]._ids[:k], start=1):
             if grades.get(did, 0) >= rel_threshold:
                 total += 1.0 / rank
                 break
@@ -243,7 +381,7 @@ def ndcg_at_k(run: RunFile, qrels: Qrels, k: int = 10) -> float:
     for qid in queries:
         grades = qrels.grades_for(qid)
         dcg = sum(grades.get(did, 0) / math.log2(rank + 1)
-                  for did, _, rank in run[qid].entries[:k])
+                  for rank, did in enumerate(run[qid]._ids[:k], start=1))
         ideal = sorted(grades.values(), reverse=True)[:k]
         idcg = sum(g / math.log2(i + 2) for i, g in enumerate(ideal))
         if idcg > 0:
@@ -260,7 +398,7 @@ def recall_at_k(run: RunFile, qrels: Qrels, k: int = 10, rel_threshold: int = 1)
         relevant = qrels.relevant_docs(qid, rel_threshold)
         if not relevant:
             continue
-        hit = sum(1 for did, _, _ in run[qid].entries[:k] if did in relevant)
+        hit = sum(1 for did in run[qid]._ids[:k] if did in relevant)
         total += hit / len(relevant)
     return total / len(queries)
 
@@ -276,7 +414,7 @@ def map_at_k(run: RunFile, qrels: Qrels, k: int = 10, rel_threshold: int = 1) ->
             continue
         hits = 0
         precision_sum = 0.0
-        for did, _, rank in run[qid].entries[:k]:
+        for rank, did in enumerate(run[qid]._ids[:k], start=1):
             if did in relevant:
                 hits += 1
                 precision_sum += hits / rank

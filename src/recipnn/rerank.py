@@ -55,8 +55,9 @@ def rerank_context(context: RankingContext, params: RnnParams, top_k: int | None
         raise DataError(f"top_k={top_k} out of range [1, {n}] for query {context.query_id!r}")
     scores = rnn_scores(context, params.clamped(context.size))
     ids = context.candidate_ids
-    order = order_by_score(scores, ids)[:top_k].tolist()
-    return RankedList.from_scored(context.query_id, [(ids[i], float(scores[i])) for i in order])
+    order = order_by_score(scores, ids)[:top_k]
+    # candidate ids are unique and the order is by score, so the list needs no check
+    return RankedList._of(context.query_id, tuple([ids[i] for i in order.tolist()]), scores[order])
 
 
 def _rerank_one(query_id: str, ranked: RankedList, embeddings: EmbeddingMatrix,

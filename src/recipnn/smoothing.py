@@ -24,6 +24,7 @@ from .context import RankingContext, context_from_run, order_by_score
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
 from .neighbors import RnnParams, rnn_scores
+from .textfile import numbered_lines, open_text
 
 logger = logging.getLogger(__name__)
 
@@ -293,11 +294,11 @@ def write_soft_labels(label_sets: Iterable[SoftLabelSet], path, header: str | No
 def read_soft_labels(path) -> list[SoftLabelSet]:
     out = []
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open_text(path)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     with fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in numbered_lines(fh, path):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -306,6 +307,6 @@ def read_soft_labels(path) -> list[SoftLabelSet]:
                 out.append(SoftLabelSet(obj["qid"],
                                         tuple((d, p) for d, p in obj["labels"]),
                                         frozenset(obj["gt"])))
-            except (KeyError, TypeError, ValueError, DataError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
                 raise DataError(f"{path}:{lineno}: bad soft-label line: {exc}") from None
     return out
