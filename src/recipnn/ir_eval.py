@@ -186,13 +186,12 @@ def parse_qrels(path) -> Qrels:
     return Qrels(judgments)
 
 
-# bytes read at a time; each chunk is cut after its last line feed
+# bytes read at a time; each chunk is cut after its last line end
 _READ_BYTES = 1 << 18
 # per code point: 0 inside a field, 1 whitespace as str.split() sees it,
 # 2 line feed; no code point above U+3000 is whitespace, so larger ones are
 # clipped to the last entry, which is 0
 _MARKS = np.array([2 if c == 10 else chr(c).isspace() for c in range(0x3002)], dtype=np.uint8)
-_ASCII_MARKS = _MARKS[:256].tobytes()  # the same, as a bytes.translate table
 
 
 class _BadLine(Exception):
@@ -203,7 +202,8 @@ def _line_chunks(fh) -> Iterable[bytes]:
     tail = b""
     while block := fh.read(_READ_BYTES):
         block = tail + block
-        cut = block.rfind(b"\n") + 1
+        # a \r\n cut in two reads as one more blank line, which is skipped
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
         if cut:
             yield block[:cut]
         tail = block[cut:]
@@ -222,11 +222,8 @@ def _run_blocks(chunk: bytes) -> list[tuple[str, list[str], np.ndarray]]:
     except UnicodeDecodeError:
         raise _BadLine from None
     tokens = text.split()
-    if chunk.isascii():
-        marks = np.frombuffer(chunk.translate(_ASCII_MARKS), dtype=np.uint8)
-    else:
-        points = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
-        marks = _MARKS[np.minimum(points, _MARKS.size - 1)]
+    points = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    marks = _MARKS.take(points, mode="clip")
     space = marks != 0
     starts = np.empty_like(space)  # a field starts at a non-space after a space
     starts[0] = not space[0]

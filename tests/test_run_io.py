@@ -134,14 +134,17 @@ def test_field_count_is_checked_per_line(tmp_path):
         parse_run(path)
 
 
-def test_long_queries_with_ties_keep_file_order(tmp_path):
+@pytest.mark.parametrize("end", ["\n", "\r", "\r\n"])
+def test_long_queries_with_ties_keep_file_order(tmp_path, end):
     rng = np.random.default_rng(9)
     docs = [f"d{i}" for i in range(300)]
-    lines = [f"q{rng.integers(3)} Q0 {doc} 1 {rng.integers(3)} t" for doc in rng.permutation(docs)]
+    lines = [f"q{rng.integers(3)} Q0 {doc} 1 {rng.integers(3)} t{end}" for doc in rng.permutation(docs)]
     path = tmp_path / "ties.run"
-    path.write_text("\n".join(lines) + "\n")
-    for chunk in (512, ir_eval._READ_BYTES):
-        with mock.patch.object(ir_eval, "_READ_BYTES", chunk):
+    path.write_bytes("".join(lines).encode("ascii"))
+    for chunk in (511, 512, ir_eval._READ_BYTES):
+        with mock.patch.object(ir_eval, "_READ_BYTES", chunk), open(path, "rb") as fh:
+            sizes = [len(c) for c in ir_eval._line_chunks(fh)]  # cut at any line end
+            assert max(sizes) <= chunk + max(map(len, lines))
             assert outcome(parse_run, path) == outcome(reference_parse, path)
 
 
