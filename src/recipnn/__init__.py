@@ -14,12 +14,10 @@ import importlib
 # the submodule that defines each public name. Nothing is imported until a
 # name is first used, so `import recipnn` does not load numpy.
 _EXPORTS = {
-    "context": ("RankingContext", "build_context", "context_from_run", "inner_product", "top_n_context"),
+    "context": ("RankingContext", "build_context", "context_from_run", "top_n_context"),
     "embeddings": ("EmbeddingMatrix", "load_embeddings", "write_embeddings"),
     "errors": ("ConfigError", "DataError", "RecipnnError"),
-    "neighbors": ("ConnectivityVector", "NeighborSet", "RnnParams", "connectivity_vector",
-                  "extended_reciprocal_set", "jaccard_distance", "local_expansion", "mixed_similarity",
-                  "nn_set", "reciprocal_set", "rnn_scores"),
+    "neighbors": ("NeighborSet", "RnnParams", "extended_reciprocal_set", "nn_set", "reciprocal_set", "rnn_scores"),
     "ir_eval": ("Qrels", "RankedList", "RunFile", "evaluate_metric", "kl_divergence", "map_at_k", "mrr_at_k",
                 "ndcg_at_k", "parse_qrels", "parse_run", "recall_at_k", "write_run"),
     "rerank": ("RerankParams", "bench_latency", "rerank_context", "rerank_run", "sweep_context_size"),
@@ -28,6 +26,7 @@ _EXPORTS = {
                   "write_soft_labels"),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name: str):
@@ -44,56 +43,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-__all__ = [
-    "ConfigError",
-    "ConnectivityVector",
-    "DataError",
-    "EmbeddingMatrix",
-    "NeighborSet",
-    "Qrels",
-    "RankedList",
-    "RankingContext",
-    "RecipnnError",
-    "RerankParams",
-    "RnnParams",
-    "RunFile",
-    "SmoothParams",
-    "SmoothResult",
-    "SoftLabelSet",
-    "bench_latency",
-    "build_context",
-    "connectivity_vector",
-    "context_from_run",
-    "evaluate_metric",
-    "extended_reciprocal_set",
-    "inner_product",
-    "jaccard_distance",
-    "kl_divergence",
-    "load_embeddings",
-    "local_expansion",
-    "map_at_k",
-    "mean_gt_similarity",
-    "mixed_similarity",
-    "mrr_at_k",
-    "ndcg_at_k",
-    "nn_set",
-    "normalize_scores",
-    "parse_qrels",
-    "parse_run",
-    "read_soft_labels",
-    "recall_at_k",
-    "reciprocal_set",
-    "rerank_context",
-    "rerank_run",
-    "rnn_scores",
-    "smooth_dataset",
-    "softmax",
-    "sweep_context_size",
-    "top_n_context",
-    "transform_scores",
-    "uniform_smooth",
-    "write_embeddings",
-    "write_run",
-    "write_soft_labels",
-]

@@ -39,7 +39,7 @@ from .embeddings import load_embeddings, write_embeddings
 from .errors import ConfigError, DataError
 from .ir_eval import (check_tag, map_at_k, mrr_at_k, ndcg_at_k, parse_qrels, parse_run, recall_at_k,
                       write_run)
-from .neighbors import RnnParams, extended_reciprocal_set, rnn_scores
+from .neighbors import WEIGHT_FNS, RnnParams, extended_reciprocal_set, rnn_scores
 from .oracle import extended_oracle, mixed_scores_oracle
 from .rerank import bench_latency, rerank_context, rerank_run, sweep_context_size
 from .smoothing import smooth_dataset, write_soft_labels
@@ -194,21 +194,26 @@ def cmd_selftest(cfg: dict) -> None:
         n = int(rng.integers(4, 40))
         dim = int(rng.integers(2, 9))
         ctx = random_context(rng, n, dim, query_id=f"selftest-{trial}")
-        k = int(rng.integers(1, ctx.size + 1))
+        # preset-shaped parameters: k up to 21, k_exp up to 8 or the whole
+        # context. Half the contexts take k up to 4, where singleton sets (whose
+        # weight the zero-span rule sets) sit beside larger ones.
+        k_max = 4 if rng.uniform() < 0.5 else min(21, ctx.size)
+        k = int(rng.integers(1, k_max + 1))
+        k_exp = ctx.size if rng.uniform() < 0.25 else int(rng.integers(1, min(8, ctx.size) + 1))
         lam = float(rng.uniform())
         tau = float(rng.uniform())
-
-        binary = RnnParams(k=k, k_exp=1, tau=0.0, lam=lam, weight_fn="binary")
         pair = rng.choice(ctx.size, size=2, replace=False).tolist()
-        # the reranker's query probe, then the smoother's multi-probe route
-        for probes in (0, pair):
-            fast = rnn_scores(ctx, binary, probe=probes)
-            slow = np.mean([mixed_scores_oracle(ctx, k, lam, probe=p)
-                            for p in np.atleast_1d(probes)], axis=0)
-            worst = float(np.max(np.abs(fast - slow)))
-            if worst > 1e-9:
-                raise RuntimeError(f"selftest: mixed scores diverge from oracle by {worst:.3e} "
-                                   f"(trial {trial}, n={n}, k={k}, probes={probes})")
+        for weight_fn in WEIGHT_FNS:
+            params = RnnParams(k=k, k_exp=k_exp, tau=tau, lam=lam, weight_fn=weight_fn)
+            # the reranker's query probe, then the smoother's multi-probe route
+            for probes in ([0], pair):
+                fast = rnn_scores(ctx, params, probe=probes)
+                slow = np.mean([mixed_scores_oracle(ctx, k, lam, tau, p, k_exp=k_exp, weight_fn=weight_fn)
+                                for p in probes], axis=0)
+                worst = float(np.max(np.abs(fast - slow)))
+                if worst > 1e-9:
+                    raise RuntimeError(f"selftest: mixed scores diverge from oracle by {worst:.3e} (trial {trial}, "
+                                       f"n={n}, k={k}, k_exp={k_exp}, tau={tau:.3f}, {weight_fn}, probes={probes})")
 
         probe = int(rng.integers(0, ctx.size))
         fast_set = extended_reciprocal_set(probe, ctx.sim_matrix, k, tau).members

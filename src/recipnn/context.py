@@ -45,15 +45,6 @@ def top_n(scores, ids: Sequence[str], n: int) -> np.ndarray:
     return cand[order_by_score(scores[cand], [ids[i] for i in cand])[:n]]
 
 
-def inner_product(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
-    """Plain dot product <a, b>, with a dimensionality check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DataError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
-
-
 @dataclass(frozen=True)
 class RankingContext:
     """A query and its candidates with all pairwise inner products.

@@ -15,7 +15,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress, pairwise
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -310,15 +310,36 @@ def parse_run(path) -> RunFile:
     return RunFile(lists)
 
 
+def _one_field_each(values: Sequence[str]) -> bool:
+    """Whether each value reads back as one field of a whitespace-split line:
+    nonempty and free of whitespace. One join and one split for the column."""
+    return " ".join(values).split() == list(values)
+
+
 def check_tag(tag: str) -> None:
     """A run tag is one nonempty field of a run line: no whitespace."""
-    if not isinstance(tag, str) or tag.split() != [tag]:
+    if not isinstance(tag, str) or not _one_field_each([tag]):
         raise ConfigError(f"run tag must be a nonempty word without whitespace, got {tag!r}")
+
+
+def _check_ids(columns: Mapping[str, Collection[str]]) -> None:
+    """Raise DataError unless every id reads back as written: each one field,
+    and no query id starting with '#' (its lines would be comments).
+    `columns` maps each query id to its doc ids."""
+    rule = "ids must be nonempty words without whitespace, and a query id must not start with '#'"
+    if not _one_field_each(list(columns)) or any(qid.startswith("#") for qid in columns):
+        bad = next(qid for qid in columns if not _one_field_each([qid]) or qid.startswith("#"))
+        raise DataError(f"query id {bad!r} would not read back: {rule}")
+    for qid, dids in columns.items():
+        if not _one_field_each(dids):
+            bad = next(did for did in dids if not _one_field_each([did]))
+            raise DataError(f"query {qid!r}: doc id {bad!r} would not read back: {rule}")
 
 
 def write_run(run: RunFile, path, tag: str = "recipnn", header: str | None = None) -> None:
     """Write rank-consistent, score-sorted TREC run lines, queries in id order."""
     check_tag(tag)
+    _check_ids({qid: ranked._ids for qid, ranked in run.lists.items()})
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"# {header}\n")
@@ -329,6 +350,7 @@ def write_run(run: RunFile, path, tag: str = "recipnn", header: str | None = Non
 
 
 def write_qrels(qrels: Qrels, path, header: str | None = None) -> None:
+    _check_ids(qrels.judgments)  # each doc id -> grade mapping iterates over its doc ids
     lines = []
     if header:
         lines.append(f"# {header}")

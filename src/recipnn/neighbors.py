@@ -1,24 +1,22 @@
 """Reciprocal nearest-neighbor machinery over a context similarity matrix.
 
 Everything here operates on integer indices into a context (query at index
-0, candidates after it) and its dense pairwise similarity matrix:
-
-* k-NN sets that always contain the probe itself,
-* reciprocal sets (mutual k-NN membership),
-* tau-extended reciprocal sets (single-pass union of neighbors' smaller
-  reciprocal sets when they overlap the original set by at least 2/3),
-* weighted connectivity vectors with a choice of weighting function,
-* local expansion (averaging connectivity vectors over each element's
-  k_exp-NN), and
-* a vectorized Jaccard distance mixed with normalized geometric similarity.
+0, candidates after it) and its dense pairwise similarity matrix.
+`nn_set`, `reciprocal_set` and `extended_reciprocal_set` give one probe's
+k-NN set (always containing the probe), its reciprocal set (mutual k-NN
+membership) and its tau-extended set (single-pass union of neighbours'
+smaller reciprocal sets that overlap the original set by at least 2/3).
+`rnn_scores` is the fused whole-context pipeline (pure numpy, no per-row
+Python loops) that the reranker and smoother build on: extended sets,
+weighted connectivity vectors, local expansion over each element's k_exp-NN,
+and a weighted Jaccard distance mixed with normalized geometric similarity.
+`oracle` recomputes all of it in scalar Python.
 
 All neighbour sets come from one selection, `_top_order(sim, n)`: the first
 n entries of every row's ordering (the row itself first, then similarity
 descending, ties broken by index ascending), found by partial selection
-instead of sorting whole rows. The module-level functions are the readable
-one-probe-at-a-time surface; `rnn_scores` is the fused whole-context
-pipeline (pure numpy, no per-row Python loops) that the reranker and
-smoother build on. Both read the same selection, so they agree on ties.
+instead of sorting whole rows, so the set functions and `rnn_scores` agree
+on ties.
 
 Set sizes in the tau extension are counted on 64-bit bitsets (popcount of
 ANDed words), so no BLAS call is left in this module; per context only
@@ -111,42 +109,9 @@ class NeighborSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
-
-
-@dataclass(frozen=True)
-class ConnectivityVector:
-    """Dense per-context weight vector; nonzero exactly on the probe's set."""
-
-    probe_index: int
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1:
-            raise DataError(f"connectivity weights must be 1-D, got shape {w.shape}")
-        if w.size and (w.min() < -1e-12 or w.max() > 1.0 + 1e-12):
-            raise DataError("connectivity weights must lie in [0, 1]")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(np.nonzero(self.weights)[0].tolist())
-
 
 # ---------------------------------------------------------------------------
-# vectorized internals (shared by the surface functions and rnn_scores)
-
-def _as_sim(sim_matrix) -> np.ndarray:
-    s = np.asarray(sim_matrix, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DataError(f"similarity matrix must be square, got shape {s.shape}")
-    if not np.isfinite(s).all():
-        raise DataError("similarity matrix has non-finite entries")
-    return s
+# vectorized internals (shared by the set functions and rnn_scores)
 
 def _check_probe(probe: int, m: int) -> int:
     probe = int(probe)
@@ -154,11 +119,18 @@ def _check_probe(probe: int, m: int) -> int:
         raise DataError(f"probe index {probe} out of range for context of size {m}")
     return probe
 
-def _check_k(k: int, m: int, name: str = "k") -> int:
-    k = int(k)
+def _set_args(probe: int, sim_matrix, k: int) -> tuple[np.ndarray, int, int]:
+    """The checked similarity matrix, probe and k of a one-probe set function."""
+    sim = np.asarray(sim_matrix, dtype=np.float64)
+    if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
+        raise DataError(f"similarity matrix must be square, got shape {sim.shape}")
+    if not np.isfinite(sim).all():
+        raise DataError("similarity matrix has non-finite entries")
+    m = sim.shape[0]
+    probe, k = _check_probe(probe, m), int(k)
     if not 1 <= k <= m:
-        raise DataError(f"{name}={k} out of range [1, {m}]")
-    return k
+        raise DataError(f"k={k} out of range [1, {m}]")
+    return sim, probe, k
 
 
 def _top_order(sim: np.ndarray, n: int) -> np.ndarray:
@@ -302,7 +274,7 @@ def _jaccard_against(weights: np.ndarray, probe: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# one-probe-at-a-time surface
+# one-probe set functions
 
 def nn_set(probe: int, sim_matrix, k: int) -> NeighborSet:
     """The k most similar context indices to `probe`, probe included.
@@ -311,10 +283,7 @@ def nn_set(probe: int, sim_matrix, k: int) -> NeighborSet:
     self-similarity); among equal similarities the lower index wins. Reads
     the probe's row of the one neighbour selection, `_top_order(sim, k)`.
     """
-    sim = _as_sim(sim_matrix)
-    m = sim.shape[0]
-    probe = _check_probe(probe, m)
-    k = _check_k(k, m)
+    sim, probe, k = _set_args(probe, sim_matrix, k)
     return NeighborSet(probe, frozenset(_top_order(sim, k)[probe].tolist()))
 
 
@@ -324,10 +293,7 @@ def reciprocal_set(probe: int, sim_matrix, k: int) -> NeighborSet:
     Every k-NN set is scattered from `_top_order(sim, k)`, so ties resolve
     as in nn_set.
     """
-    sim = _as_sim(sim_matrix)
-    m = sim.shape[0]
-    probe = _check_probe(probe, m)
-    k = _check_k(k, m)
+    sim, probe, k = _set_args(probe, sim_matrix, k)
     mask = _reciprocal_mask(_top_order(sim, k), k)
     return NeighborSet(probe, frozenset(np.nonzero(mask[probe])[0].tolist()))
 
@@ -341,85 +307,11 @@ def extended_reciprocal_set(probe: int, sim_matrix, k: int, tau: float) -> Neigh
     Both set sizes are prefixes of one `_top_order(sim, k)` selection, so
     ties resolve as in nn_set.
     """
-    sim = _as_sim(sim_matrix)
-    m = sim.shape[0]
-    probe = _check_probe(probe, m)
-    k = _check_k(k, m)
+    sim, probe, k = _set_args(probe, sim_matrix, k)
     if not 0.0 <= tau <= 1.0:
         raise ConfigError(f"tau must lie in [0, 1], got {tau!r}")
     mask = _extended_mask(_top_order(sim, k), k, tau)
     return NeighborSet(probe, frozenset(np.nonzero(mask[probe])[0].tolist()))
-
-
-def connectivity_vector(probe: int, extended_set: NeighborSet, sim_matrix, weight_fn: str = "neg_identity") -> ConnectivityVector:
-    """Dense weight vector over the context, nonzero on `extended_set`.
-
-    The probe's row of `_weight_matrix`; see there for the weighting rules.
-    """
-    sim = _as_sim(sim_matrix)
-    m = sim.shape[0]
-    probe = _check_probe(probe, m)
-    if weight_fn not in WEIGHT_FNS:
-        raise ConfigError(f"weight_fn must be one of {', '.join(WEIGHT_FNS)}; got {weight_fn!r}")
-    if extended_set.probe_index != probe:
-        raise DataError(f"extended set belongs to probe {extended_set.probe_index}, not {probe}")
-    if not extended_set.members:
-        raise DataError("cannot weight an empty neighbor set")
-    if max(extended_set.members) >= m or min(extended_set.members) < 0:
-        raise DataError("extended set contains indices outside the context")
-
-    members = np.zeros(m, dtype=bool)
-    members[list(extended_set.members)] = True
-    row = _weight_matrix(_row_maxmin(sim[probe:probe + 1]), members[None], weight_fn)[0]
-    return ConnectivityVector(probe, row)
-
-
-def local_expansion(vectors: Sequence[ConnectivityVector], sim_matrix, k_exp: int) -> list[ConnectivityVector]:
-    """Average each element's connectivity vector with its k_exp-NN's vectors.
-
-    Expects one vector per context element, in index order. k_exp=1 is the
-    identity; k_exp=m averages everything into identical vectors. The
-    neighbours are the rows of `_top_order(sim, k_exp)`, ties resolved as in
-    nn_set.
-    """
-    sim = _as_sim(sim_matrix)
-    m = sim.shape[0]
-    k_exp = _check_k(k_exp, m, name="k_exp")
-    if len(vectors) != m:
-        raise DataError(f"need one connectivity vector per context element ({m}), got {len(vectors)}")
-    for i, v in enumerate(vectors):
-        if v.probe_index != i:
-            raise DataError(f"connectivity vectors out of order: position {i} holds probe {v.probe_index}")
-        if v.weights.shape != (m,):
-            raise DataError(f"connectivity vector {i} has length {v.weights.shape[0]}, context size is {m}")
-    stacked = np.vstack([v.weights for v in vectors])
-    expanded = _expand_matrix(stacked, _top_order(sim, k_exp), k_exp)
-    return [ConnectivityVector(i, expanded[i]) for i in range(m)]
-
-
-def jaccard_distance(v_a, v_b) -> float:
-    """1 - sum(min)/sum(max) over paired weights; 0 iff identical, up to 1."""
-    wa = v_a.weights if isinstance(v_a, ConnectivityVector) else np.asarray(v_a, dtype=np.float64)
-    wb = v_b.weights if isinstance(v_b, ConnectivityVector) else np.asarray(v_b, dtype=np.float64)
-    if wa.shape != wb.shape or wa.ndim != 1:
-        raise DataError(f"vector length mismatch: {wa.shape} vs {wb.shape}")
-    if wa.size and (wa.min() < 0 or wb.min() < 0):
-        raise DataError("jaccard distance requires nonnegative weights")
-    denom = float(np.maximum(wa, wb).sum())
-    if denom == 0.0:
-        raise DataError("jaccard distance undefined for two all-zero vectors")
-    return 1.0 - float(np.minimum(wa, wb).sum()) / denom
-
-
-def mixed_similarity(s_geo_norm: float, d_jaccard: float, lam: float) -> float:
-    """lam * s_geo_norm + (1 - lam) * (1 - d_jaccard)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"lambda must lie in [0, 1], got {lam!r}")
-    if not -1e-9 <= s_geo_norm <= 1.0 + 1e-9:
-        raise DataError(f"normalized geometric similarity out of [0, 1]: {s_geo_norm!r}")
-    if not -1e-9 <= d_jaccard <= 1.0 + 1e-9:
-        raise DataError(f"jaccard distance out of [0, 1]: {d_jaccard!r}")
-    return lam * s_geo_norm + (1.0 - lam) * (1.0 - d_jaccard)
 
 
 def rnn_scores(context: RankingContext, params: RnnParams, probe: int | Sequence[int] = 0) -> np.ndarray:

@@ -1,10 +1,14 @@
-"""Naive set-based reference implementations for cross-checking.
+"""Naive reference implementation of the whole rNN pipeline, for cross-checking.
 
-Everything here recomputes the neighbor machinery with explicit Python sets,
-sorted() calls and scalar arithmetic — no numpy vectorization — so the fast
-pipeline in `neighbors` can be validated against an independently written
-route. Used by the test suite and the `selftest` CLI command. Quadratic or
-worse; only suitable for small contexts.
+Everything here recomputes what `neighbors.rnn_scores` does with Python
+lists, sets, sorted() calls and scalar arithmetic: k-NN, reciprocal and
+tau-extended sets, weighted connectivity vectors, local expansion over each
+element's k_exp nearest neighbours, the weighted Jaccard distance and the
+lambda mixture (Zhong et al.'s weighted k-reciprocal encoding with local
+query expansion, as this package adapts it). Nothing is imported from
+`neighbors` and no numpy vectorization is used, so the fast pipeline is
+validated against an independently written route. Used by the test suite
+and the `selftest` CLI command. Cubic or worse; only for small contexts.
 """
 
 from __future__ import annotations
@@ -13,71 +17,109 @@ import math
 
 from .context import RankingContext
 
+# written out here, not imported from the kernel, so the two routes share
+# no code: the guard added to every max-min span, and the floor of the
+# affine weight map
+_EPS_NORM = 1e-12
+_EPS_WEIGHT = 1e-6
 
-def _sim_rows(sim_matrix) -> list[list[float]]:
+
+def _rows(sim_matrix) -> list[list[float]]:
     return [[float(x) for x in row] for row in sim_matrix]
+
+
+def _orders(rows: list[list[float]]) -> list[list[int]]:
+    """Every row's full neighbour ordering: the row's own index first, then
+    the others by similarity descending, ties by index ascending."""
+    return [sorted(range(len(row)), key=lambda j: (j != i, -row[j], j)) for i, row in enumerate(rows)]
+
+
+def _reciprocal(orders: list[list[int]], probe: int, k: int) -> set[int]:
+    return {c for c in orders[probe][:k] if probe in orders[c][:k]}
+
+
+def _extended(orders: list[list[int]], probe: int, k: int, tau: float) -> set[int]:
+    """Single-pass extension: merge R(c, round(tau*k)) for members whose
+    smaller set overlaps the original set in at least two thirds."""
+    base = _reciprocal(orders, probe, k)
+    tk = math.floor(tau * k + 0.5)
+    out = set(base)
+    if tk >= 1:
+        for c in base:
+            r_c = _reciprocal(orders, c, tk)
+            if 3 * len(base & r_c) >= 2 * len(r_c):
+                out |= r_c
+    return out
 
 
 def nn_oracle(sim_matrix, probe: int, k: int) -> set[int]:
     """k nearest indices to probe, probe first, ties by index ascending."""
-    rows = _sim_rows(sim_matrix)
-    m = len(rows)
-    order = sorted(range(m),
-                   key=lambda j: (-(math.inf if j == probe else rows[probe][j]), j))
-    return set(order[:k])
+    return set(_orders(_rows(sim_matrix))[probe][:k])
 
 
 def reciprocal_oracle(sim_matrix, probe: int, k: int) -> set[int]:
-    return {c for c in nn_oracle(sim_matrix, probe, k)
-            if probe in nn_oracle(sim_matrix, c, k)}
+    return _reciprocal(_orders(_rows(sim_matrix)), probe, k)
 
 
 def extended_oracle(sim_matrix, probe: int, k: int, tau: float) -> set[int]:
-    """Single-pass extension: merge R(c, round(tau*k)) for members whose
-    smaller set overlaps the original set in at least two thirds."""
-    base = reciprocal_oracle(sim_matrix, probe, k)
-    tk = math.floor(tau * k + 0.5)
-    if tk < 1:
-        return set(base)
-    out = set(base)
-    for c in sorted(base):
-        r_c = reciprocal_oracle(sim_matrix, c, tk)
-        if 3 * len(base & r_c) >= 2 * len(r_c):
-            out |= r_c
-    return out
-
-
-def jaccard_set_oracle(set_a: set[int], set_b: set[int]) -> float:
-    """Plain set-cardinality Jaccard distance 1 - |a&b|/|a|b|."""
-    union = len(set_a | set_b)
-    if union == 0:
-        raise ValueError("jaccard of two empty sets is undefined")
-    return 1.0 - len(set_a & set_b) / union
+    return _extended(_orders(_rows(sim_matrix)), probe, k, tau)
 
 
 def normalized_geo_row(sim_matrix, probe: int) -> list[float]:
     """Scalar re-implementation of the per-row max-min normalization."""
     row = [float(x) for x in sim_matrix[probe]]
     lo, hi = min(row), max(row)
-    return [(x - lo) / (hi - lo + 1e-12) for x in row]
+    return [(x - lo) / (hi - lo + _EPS_NORM) for x in row]
 
 
-def mixed_scores_oracle(context: RankingContext, k: int, lam: float,
-                        tau: float = 0.0, probe: int = 0) -> list[float]:
-    """Candidate scores for the binary-weight, no-expansion configuration.
+def connectivity_oracle(s_hat_row: list[float], members: set[int], weight_fn: str) -> list[float]:
+    """A probe's connectivity vector over the context: zero off `members`.
 
-    Mirrors rnn_scores(..., weight_fn="binary", k_exp=1) through explicit
-    sets: s* = lam * s_hat + (1 - lam) * (1 - jaccard of (extended)
-    reciprocal sets). Aligned with context.element_ids[1:].
+    Binary weights are 1 on members. Otherwise each member j gets f_w of the
+    normalized distance 1 - s_hat_row[j], and the members' values are mapped
+    affinely onto [1e-6, 1]; a single member, or members of equal value, map
+    to 1.
     """
-    sim = context.sim_matrix
-    probe_set = extended_oracle(sim, probe, k, tau)
-    s_hat = normalized_geo_row(sim, probe)
-    scores = []
-    for j in range(1, context.size):
-        d_j = jaccard_set_oracle(probe_set, extended_oracle(sim, j, k, tau))
-        scores.append(lam * s_hat[j] + (1.0 - lam) * (1.0 - d_j))
-    return scores
+    out = [0.0] * len(s_hat_row)
+    if weight_fn == "binary":
+        for j in members:
+            out[j] = 1.0
+        return out
+    f_w = {"neg_identity": lambda d: -d, "exp_neg": lambda d: math.exp(-d)}[weight_fn]
+    raw = {j: f_w(1.0 - s_hat_row[j]) for j in members}
+    lo, hi = min(raw.values()), max(raw.values())
+    for j, x in raw.items():
+        out[j] = _EPS_WEIGHT + (1.0 - _EPS_WEIGHT) * ((x - lo) / (hi - lo) if hi > lo else 1.0)
+    return out
+
+
+def expansion_oracle(vectors: list[list[float]], orders: list[list[int]], k_exp: int) -> list[list[float]]:
+    """Each element's vector replaced by the mean of the vectors of its first
+    k_exp neighbours in `orders` (its own first)."""
+    return [[sum(vectors[c][j] for c in order[:k_exp]) / k_exp for j in range(len(vectors))]
+            for order in orders]
+
+
+def jaccard_oracle(a: list[float], b: list[float]) -> float:
+    """Weighted Jaccard distance: 1 - sum of minima / sum of maxima."""
+    return 1.0 - sum(map(min, a, b)) / sum(map(max, a, b))
+
+
+def mixed_scores_oracle(context: RankingContext, k: int, lam: float, tau: float = 0.0, probe: int = 0,
+                        *, k_exp: int = 1, weight_fn: str = "binary") -> list[float]:
+    """Candidate scores of `probe`, as rnn_scores computes them.
+
+    s* = lam * s_hat + (1 - lam) * (1 - Jaccard of the expanded connectivity
+    vectors built on the tau-extended reciprocal sets). Aligned with
+    context.element_ids[1:].
+    """
+    rows = _rows(context.sim_matrix)
+    orders = _orders(rows)
+    vectors = expansion_oracle([connectivity_oracle(normalized_geo_row(rows, i), _extended(orders, i, k, tau), weight_fn)
+                                for i in range(context.size)], orders, k_exp)
+    s_hat = normalized_geo_row(rows, probe)
+    return [lam * s_hat[j] + (1.0 - lam) * (1.0 - jaccard_oracle(vectors[probe], vectors[j]))
+            for j in range(1, context.size)]
 
 
 def ranked_ids_oracle(context: RankingContext, k: int, lam: float,

@@ -3,21 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from recipnn.context import build_context, context_from_run, inner_product, top_n, top_n_context
+from recipnn.context import build_context, context_from_run, top_n, top_n_context
 from recipnn.embeddings import EmbeddingMatrix
 from recipnn.errors import DataError
 from recipnn.synthetic import unit_vectors
-
-
-def test_inner_product_hand_values():
-    assert inner_product(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert inner_product(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
-    assert inner_product(np.array([0.96, 0.28]), np.array([0.8, 0.6])) == pytest.approx(0.936)
-
-
-def test_inner_product_dim_mismatch():
-    with pytest.raises(DataError):
-        inner_product(np.array([1.0]), np.array([1.0, 2.0]))
 
 
 def test_build_context_layout(small_context):

@@ -1,34 +1,34 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recipnn.context import RankingContext, build_context
 from recipnn.errors import ConfigError, DataError
 from recipnn.neighbors import (
-    ConnectivityVector,
+    WEIGHT_FNS,
     NeighborSet,
     RnnParams,
-    connectivity_vector,
     extended_reciprocal_set,
-    jaccard_distance,
-    local_expansion,
-    mixed_similarity,
     nn_set,
     reciprocal_set,
     rnn_scores,
     _expand_matrix,
     _extended_mask,
+    _jaccard_against,
     _reciprocal_mask,
     _row_maxmin,
     _top_order,
     _weight_matrix,
 )
 from recipnn.oracle import (
+    connectivity_oracle,
+    expansion_oracle,
     extended_oracle,
-    jaccard_set_oracle,
+    jaccard_oracle,
     mixed_scores_oracle,
     nn_oracle,
+    normalized_geo_row,
     ranked_ids_oracle,
     reciprocal_oracle,
 )
@@ -147,84 +147,55 @@ def test_extended_rejects_bad_tau(small_context):
         extended_reciprocal_set(0, small_context.sim_matrix, 2, 1.2)
 
 
-# --- connectivity vectors ----------------------------------------------------
+# --- connectivity vectors, local expansion, Jaccard and the mixture -------------
+# hand values pin the oracle's pieces (and, where it has one, the kernel's
+# step) to their definitions, so the two routes cannot share a misreading;
+# test_rnn_scores_match_oracle below ties the whole kernel to the oracle
 
 def test_connectivity_binary_fixture(small_context):
     sim = small_context.sim_matrix
-    ext = reciprocal_set(0, sim, 2)
-    v = connectivity_vector(0, ext, sim, "binary")
-    np.testing.assert_array_equal(v.weights, [1.0, 1.0, 0.0, 0.0])
-    assert v.support == {0, 1}
+    row = normalized_geo_row(sim, 0)
+    assert connectivity_oracle(row, reciprocal_oracle(sim, 0, 2), "binary") == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_connectivity_singleton_maps_to_one(small_context):
-    sim = small_context.sim_matrix
-    v = connectivity_vector(2, NeighborSet(2, frozenset({2})), sim, "neg_identity")
-    assert v.weights[2] == 1.0
-    assert v.support == {2}
+    row = normalized_geo_row(small_context.sim_matrix, 2)
+    for wfn in WEIGHT_FNS:
+        assert connectivity_oracle(row, {2}, wfn) == [0.0, 0.0, 1.0, 0.0]
 
 
 def test_connectivity_neg_identity_monotone(small_context):
-    sim = small_context.sim_matrix
-    ext = NeighborSet(0, frozenset({0, 1, 2, 3}))
-    v = connectivity_vector(0, ext, sim, "neg_identity")
+    w = connectivity_oracle(normalized_geo_row(small_context.sim_matrix, 0), {0, 1, 2, 3}, "neg_identity")
     # weight order matches similarity order: q > c1 > c2 > c3
-    assert v.weights[0] > v.weights[1] > v.weights[2] > v.weights[3]
-    assert v.weights[0] == 1.0
-    assert v.weights[3] == pytest.approx(1e-6)
+    assert w[0] > w[1] > w[2] > w[3]
+    assert w[0] == 1.0
+    assert w[3] == pytest.approx(1e-6)
 
 
 def test_connectivity_weights_within_unit_interval(small_context):
     sim = small_context.sim_matrix
-    for wfn in ("neg_identity", "exp_neg", "binary"):
+    ext = _extended_mask(_top_order(sim, 3), 3, 0.5)
+    for wfn in WEIGHT_FNS:
+        fused = _weight_matrix(_row_maxmin(sim), ext, wfn)
         for probe in range(4):
-            ext = extended_reciprocal_set(probe, sim, 3, 0.5)
-            w = connectivity_vector(probe, ext, sim, wfn).weights
-            members = sorted(ext.members)
-            assert np.all(w[members] > 0.0)
-            assert np.all(w[members] <= 1.0)
-            off = [i for i in range(4) if i not in ext.members]
-            assert np.all(w[off] == 0.0)
+            members = extended_oracle(sim, probe, 3, 0.5)
+            for w in (fused[probe], connectivity_oracle(normalized_geo_row(sim, probe), members, wfn)):
+                assert all(0.0 < w[j] <= 1.0 for j in members)
+                assert all(w[j] == 0.0 for j in range(4) if j not in members)
 
 
-def test_connectivity_probe_mismatch(small_context):
-    sim = small_context.sim_matrix
-    with pytest.raises(DataError):
-        connectivity_vector(0, NeighborSet(1, frozenset({1})), sim)
+def test_local_expansion_identity():
+    vecs = [[1.0, 0.5, 0.0], [0.0, 1.0, 0.25], [0.0, 0.0, 1.0]]
+    assert expansion_oracle(vecs, [[0, 1, 2], [1, 0, 2], [2, 1, 0]], 1) == vecs
+    assert _expand_matrix(np.array(vecs), np.array([[0], [1], [2]]), 1).tolist() == vecs
 
 
-def test_connectivity_vector_validation():
-    with pytest.raises(DataError):
-        ConnectivityVector(0, np.array([[1.0]]))
-    with pytest.raises(DataError):
-        ConnectivityVector(0, np.array([1.5, 0.0]))
-    v = ConnectivityVector(0, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        v.weights[0] = 0.5
-
-
-# --- local expansion ----------------------------------------------------------
-
-def _binary_vectors(sim, k):
-    m = sim.shape[0]
-    return [connectivity_vector(i, reciprocal_set(i, sim, k), sim, "binary") for i in range(m)]
-
-
-def test_local_expansion_identity(small_context):
-    sim = small_context.sim_matrix
-    vecs = _binary_vectors(sim, 2)
-    out = local_expansion(vecs, sim, 1)
-    for a, b in zip(vecs, out):
-        np.testing.assert_array_equal(a.weights, b.weights)
-
-
-def test_local_expansion_full_average(small_context):
-    sim = small_context.sim_matrix
-    vecs = _binary_vectors(sim, 2)
-    out = local_expansion(vecs, sim, 4)
-    mean = np.vstack([v.weights for v in vecs]).mean(axis=0)
-    for v in out:
-        np.testing.assert_allclose(v.weights, mean, atol=1e-15)
+def test_local_expansion_full_average():
+    vecs = [[1.0, 0.5, 0.0], [0.0, 1.0, 0.25], [0.0, 0.0, 1.0]]
+    orders = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    mean = np.mean(vecs, axis=0)
+    for row in [*expansion_oracle(vecs, orders, 3), *_expand_matrix(np.array(vecs), np.array(orders), 3)]:
+        np.testing.assert_allclose(row, mean, atol=1e-15)
 
 
 def test_local_expansion_hand_average():
@@ -233,55 +204,28 @@ def test_local_expansion_hand_average():
     vecs_raw = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     x = np.array([[0.0], [0.1], [5.0]])
     sim = -np.abs(x - x.T)  # higher = closer
-    vecs = [ConnectivityVector(i, vecs_raw[i]) for i in range(3)]
-    out = local_expansion(vecs, sim, 2)
-    np.testing.assert_allclose(out[0].weights, (vecs_raw[0] + vecs_raw[1]) / 2)
-    np.testing.assert_allclose(out[1].weights, (vecs_raw[1] + vecs_raw[0]) / 2)
-    np.testing.assert_allclose(out[2].weights, (vecs_raw[2] + vecs_raw[1]) / 2)
+    expect = [(vecs_raw[0] + vecs_raw[1]) / 2, (vecs_raw[1] + vecs_raw[0]) / 2, (vecs_raw[2] + vecs_raw[1]) / 2]
+    np.testing.assert_allclose(_expand_matrix(vecs_raw, _top_order(sim, 2), 2), expect)
+    np.testing.assert_allclose(expansion_oracle(vecs_raw.tolist(), [[0, 1], [1, 0], [2, 1]], 2), expect)
 
-
-def test_local_expansion_errors(small_context):
-    sim = small_context.sim_matrix
-    vecs = _binary_vectors(sim, 2)
-    with pytest.raises(DataError):
-        local_expansion(vecs, sim, 5)
-    with pytest.raises(DataError):
-        local_expansion(vecs[:3], sim, 2)
-    with pytest.raises(DataError):
-        local_expansion(list(reversed(vecs)), sim, 2)
-
-
-# --- jaccard / mixture ---------------------------------------------------------
 
 def test_jaccard_hand_values():
-    assert jaccard_distance(np.array([1.0, 1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0])) == 0.0
-    assert jaccard_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
-    d = jaccard_distance(np.array([1.0, 1.0, 0.0, 0.0]), np.array([1.0, 0.0, 1.0, 0.0]))
-    assert d == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert jaccard_oracle([1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]) == 0.0
+    assert jaccard_oracle([1.0, 0.0], [0.0, 1.0]) == 1.0
+    assert jaccard_oracle([1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    # weighted: minima sum to 0.5 + 0.25, maxima to 1 + 1
+    assert jaccard_oracle([1.0, 0.25], [0.5, 1.0]) == pytest.approx(1.0 - 0.75 / 2.0, abs=1e-15)
 
 
-def test_jaccard_errors():
-    with pytest.raises(DataError):
-        jaccard_distance(np.zeros(3), np.zeros(3))
-    with pytest.raises(DataError):
-        jaccard_distance(np.ones(3), np.ones(4))
-    with pytest.raises(DataError):
-        jaccard_distance(np.array([-0.5, 1.0]), np.array([1.0, 1.0]))
-
-
-def test_mixed_similarity_degenerate_and_hand():
-    assert mixed_similarity(0.37, 0.9, 1.0) == 0.37
-    assert mixed_similarity(0.37, 0.25, 0.0) == 0.75
-    assert mixed_similarity(0.5, 0.0, 0.451) == pytest.approx(0.7745, abs=1e-12)
-
-
-def test_mixed_similarity_range_checks():
-    with pytest.raises(ConfigError):
-        mixed_similarity(0.5, 0.5, 1.5)
-    with pytest.raises(DataError):
-        mixed_similarity(1.5, 0.5, 0.5)
-    with pytest.raises(DataError):
-        mixed_similarity(0.5, -0.5, 0.5)
+def test_mixed_similarity_degenerate_and_hand(small_context):
+    # binary weights on the k=2 reciprocal sets {0, 1}, {0, 1}, {2}, {3}:
+    # 1 - Jaccard against the query is 1, 0, 0; lam=1 leaves the geometry
+    geo = normalized_geo_row(small_context.sim_matrix, 0)[1:]
+    for lam in (0.0, 0.451, 1.0):
+        expect = [lam * g + (1.0 - lam) * s for g, s in zip(geo, [1.0, 0.0, 0.0])]
+        assert mixed_scores_oracle(small_context, 2, lam) == pytest.approx(expect, abs=1e-15)
+        np.testing.assert_allclose(rnn_scores(small_context, RnnParams(k=2, k_exp=1, lam=lam, weight_fn="binary")),
+                                   expect, rtol=0, atol=1e-15)
 
 
 # --- fused pipeline -------------------------------------------------------------
@@ -325,8 +269,8 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=seeds, n=st.integers(min_value=1, max_value=24), dim=st.integers(min_value=2, max_value=8))
-def test_jaccard_symmetry_and_range(seed, n, dim):
+@given(seed=seeds, n=st.integers(min_value=1, max_value=24))
+def test_jaccard_symmetry_and_range(seed, n):
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.0, 1.0, size=n)
     b = rng.uniform(0.0, 1.0, size=n)
@@ -336,11 +280,12 @@ def test_jaccard_symmetry_and_range(seed, n, dim):
         a[0] = 0.5
     if b.max() == 0.0:
         b[-1] = 0.5
-    d_ab = jaccard_distance(a, b)
-    d_ba = jaccard_distance(b, a)
-    assert d_ab == d_ba
+    pair = np.array([a, b])
+    d_ab = _jaccard_against(pair, 0)[1]
+    assert d_ab == _jaccard_against(pair, 1)[0]
     assert 0.0 <= d_ab <= 1.0
-    assert jaccard_distance(a, a) == 0.0
+    assert _jaccard_against(pair, 0)[0] == 0.0
+    assert jaccard_oracle(a.tolist(), b.tolist()) == pytest.approx(d_ab, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -381,12 +326,11 @@ def test_vectorized_jaccard_equals_set_oracle(seed, n):
     ctx = random_context(rng, n, 4)
     sim = ctx.sim_matrix
     k = int(rng.integers(1, ctx.size + 1))
-    vecs = [connectivity_vector(i, reciprocal_set(i, sim, k), sim, "binary") for i in range(ctx.size)]
+    fast = 1.0 - rnn_scores(ctx, RnnParams(k=k, k_exp=1, tau=0.0, lam=0.0, weight_fn="binary"))
     probe_set = reciprocal_oracle(sim, 0, k)
     for j in range(1, ctx.size):
-        fast = jaccard_distance(vecs[0], vecs[j])
-        slow = jaccard_set_oracle(probe_set, reciprocal_oracle(sim, j, k))
-        assert fast == pytest.approx(slow, abs=1e-9)
+        other = reciprocal_oracle(sim, j, k)
+        assert fast[j - 1] == pytest.approx(1.0 - len(probe_set & other) / len(probe_set | other), abs=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -506,9 +450,8 @@ def test_connectivity_vector_is_row_of_fused_weights(seed, weight_fn):
     ext = _extended_mask(_top_order(sim, 5), 5, 0.5)
     fused = _weight_matrix(_row_maxmin(sim), ext, weight_fn)
     for probe in range(ctx.size):
-        members = NeighborSet(probe, frozenset(np.nonzero(ext[probe])[0].tolist()))
-        np.testing.assert_array_equal(connectivity_vector(probe, members, sim, weight_fn).weights,
-                                      fused[probe])
+        oracle = connectivity_oracle(normalized_geo_row(sim, probe), extended_oracle(sim, probe, 5, 0.5), weight_fn)
+        np.testing.assert_allclose(fused[probe], oracle, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +527,39 @@ def test_masks_and_expansion_order_match_full_sort(ctx):
                 np.testing.assert_array_equal(_extended_mask(order, k, tau), reference_extended(ranks, k, tau))
             np.testing.assert_array_equal(_expand_matrix(weights, order, k_exp),
                                           weights[full[:, :k_exp]].mean(axis=1))
+
+
+def equal_vectors_context(n: int = 7):
+    """Every element the same vector: each row of the similarity matrix, and
+    every set's raw weights, has zero span."""
+    v = np.array([1.0, 2.0, -1.0])
+    return build_context("q", v, [f"c{i}" for i in range(n)], np.tile(v, (n, 1)))
+
+
+# the whole shipped pipeline against the oracle, every weight_fn at once:
+# k up to 21, k_exp up to 8 (9 stands for the whole context), tau in [0, 1],
+# one probe or several; explicit inputs cover singleton sets (k=1), the full
+# average (k_exp=m), zero-span contexts and the planted duplicates of tied_context
+@settings(max_examples=60, deadline=None)
+@given(ctx=kernel_contexts(), k=st.integers(1, 21), k_exp=st.integers(1, 9), tau=st.floats(0.0, 1.0),
+       lam=st.floats(0.0, 1.0), probes=st.lists(st.integers(0, 40), min_size=1, max_size=3))
+@example(ctx=tied_context(0), k=1, k_exp=3, tau=0.5, lam=0.3, probes=[0])
+@example(ctx=tied_context(1), k=6, k_exp=9, tau=0.5, lam=0.451, probes=[0, 5])
+@example(ctx=tied_context(2), k=16, k_exp=8, tau=0.3, lam=0.2, probes=[1, 2])
+@example(ctx=tied_context(3), k=21, k_exp=5, tau=1.0, lam=0.0, probes=[3])
+@example(ctx=tied_context(4), k=8, k_exp=3, tau=0.5, lam=0.451, probes=[0, 1, 9])
+@example(ctx=tied_context(5), k=3, k_exp=1, tau=0.0, lam=0.7, probes=[15])
+@example(ctx=equal_vectors_context(), k=4, k_exp=3, tau=1.0, lam=0.451, probes=[0])
+@example(ctx=equal_vectors_context(), k=1, k_exp=9, tau=0.5, lam=0.0, probes=[2, 6])
+def test_rnn_scores_match_oracle(ctx, k, k_exp, tau, lam, probes):
+    m = ctx.size
+    k, k_exp, probes = min(k, m), (m if k_exp == 9 else min(k_exp, m)), [q % m for q in probes]
+    for weight_fn in WEIGHT_FNS:
+        p = RnnParams(k=k, k_exp=k_exp, tau=tau, lam=lam, weight_fn=weight_fn)
+        slow = np.mean([mixed_scores_oracle(ctx, k, lam, tau, q, k_exp=k_exp, weight_fn=weight_fn)
+                        for q in probes], axis=0)
+        np.testing.assert_allclose(rnn_scores(ctx, p, probe=probes), slow, rtol=0, atol=1e-9,
+                                   err_msg=f"k={k} k_exp={k_exp} tau={tau} {weight_fn} probes={probes}")
 
 
 def test_extended_sets_match_oracle_on_deep_tied_context():

@@ -22,7 +22,7 @@ from recipnn.cli import main
 from recipnn.config import parse_config_file
 from recipnn.embeddings import EmbeddingMatrix, load_embeddings, write_embeddings
 from recipnn.errors import ConfigError, DataError
-from recipnn.ir_eval import RankedList, RunFile, parse_qrels, parse_run, write_qrels, write_run
+from recipnn.ir_eval import Qrels, RankedList, RunFile, parse_qrels, parse_run, write_qrels, write_run
 from recipnn.smoothing import read_soft_labels
 from recipnn.synthetic import planted_corpus
 
@@ -215,6 +215,32 @@ def test_rerank_rejects_bad_tag_before_reading_input(tmp_path, capsys, tag):
     assert code == 1
     assert "tag" in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- ids: a writer writes only what its reader reads back ----------------------------
+
+@pytest.mark.parametrize("qid,did", [("#q", "a"), ("", "a"), ("q 1", "a"), ("q\n", "a"),
+                                     ("q", "d 1"), ("q", ""), ("q", "d\u3000e")])
+def test_writers_refuse_ids_that_do_not_read_back(tmp_path, qid, did):
+    run = RunFile({"ok": RankedList.from_scored("ok", [("a", 1.0)]),
+                   qid: RankedList.from_scored(qid, [("b", 2.0), (did, 1.0)])})
+    with pytest.raises(DataError, match="would not read back"):
+        write_run(run, tmp_path / "out.run")
+    with pytest.raises(DataError, match="would not read back"):
+        write_qrels(Qrels({"ok": {"a": 1}, qid: {"b": 0, did: 1}}), tmp_path / "out.qrels")
+    assert not list(tmp_path.iterdir())
+
+
+def test_written_ids_read_back(tmp_path):
+    # a doc id may start with '#': only a line's first field marks a comment
+    dids = ["#d", "d#", "\u00e9", "x.y-z", "0"]
+    run = RunFile({qid: RankedList.from_scored(qid, [(d, -float(i)) for i, d in enumerate(dids)])
+                   for qid in ("q1", "q#", "\u03a9")})
+    write_run(run, tmp_path / "r.run")
+    assert parse_run(tmp_path / "r.run") == run
+    qrels = Qrels({qid: {d: i for i, d in enumerate(dids)} for qid in run.lists})
+    write_qrels(qrels, tmp_path / "r.qrels")
+    assert parse_qrels(tmp_path / "r.qrels") == qrels
 
 
 # --- bytes that are not UTF-8 ---------------------------------------------------------
