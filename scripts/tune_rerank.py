@@ -12,7 +12,7 @@ import itertools
 from recipnn.embeddings import load_embeddings
 from recipnn.ir_eval import evaluate_metric, parse_qrels, parse_run
 from recipnn.neighbors import RnnParams
-from recipnn.rerank import RerankParams, rerank_run
+from recipnn.rerank import rerank_run
 
 
 def main() -> None:
@@ -39,9 +39,8 @@ def main() -> None:
     results = []
     print(f"{'k':>4} {'tau':>6} {'lambda':>7} {args.metric:>10}")
     for k, tau, lam in itertools.product(ks, taus, lams):
-        params = RerankParams(rnn=RnnParams(k=k, k_exp=3, tau=tau, lam=lam),
-                              n_context=args.n_context)
-        reranked = rerank_run(run, embeddings, params)
+        params = RnnParams(k=k, tau=tau, lam=lam)
+        reranked = rerank_run(run, embeddings, params, args.n_context)
         value = evaluate_metric(args.metric, reranked, qrels)
         results.append((value, k, tau, lam))
         print(f"{k:>4} {tau:>6.2f} {lam:>7.2f} {value:>10.4f}")

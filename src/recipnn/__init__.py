@@ -20,7 +20,7 @@ _EXPORTS = {
     "neighbors": ("NeighborSet", "RnnParams", "extended_reciprocal_set", "nn_set", "reciprocal_set", "rnn_scores"),
     "ir_eval": ("Qrels", "RankedList", "RunFile", "evaluate_metric", "kl_divergence", "map_at_k", "mrr_at_k",
                 "ndcg_at_k", "parse_qrels", "parse_run", "recall_at_k", "write_run"),
-    "rerank": ("RerankParams", "bench_latency", "rerank_context", "rerank_run", "sweep_context_size"),
+    "rerank": ("bench_latency", "rerank_context", "rerank_run", "sweep_context_size"),
     "smoothing": ("SmoothParams", "SmoothResult", "SoftLabelSet", "mean_gt_similarity", "normalize_scores",
                   "read_soft_labels", "smooth_dataset", "softmax", "transform_scores", "uniform_smooth",
                   "write_soft_labels"),

@@ -3,10 +3,12 @@
 Commands: rerank, smooth, eval, sweep, bench, convert, selftest. Every
 command takes --config FILE (flat key=value lines) and --preset NAME, with
 explicit flags overriding both. Exit codes: 0 ok, 1 configuration error,
-2 data error, 3 internal error. Output files begin with a '#' provenance
-header carrying the tool version and a hash of the effective parameters;
-file paths never influence output bytes, and --threads is accepted but
-ignored: queries run one after another.
+2 data error (an input that cannot be read or an output that cannot be
+written included), 3 internal error. Output files begin with a '#'
+provenance header carrying the tool version and a hash of the effective
+parameters; file paths never influence output bytes. Every flag reaches the
+command's code except --threads, which rerank, smooth and sweep accept but
+ignore: queries run one after another.
 
 BLAS runs on one thread. The work is single-threaded, and BLAS worker
 threads left spinning after each similarity product slowed the code that
@@ -33,10 +35,10 @@ import numpy as np
 
 from . import __version__
 from .config import (COMMAND_KEYS, REQUIRED_KEYS, coerce_value, display_key, effective_config,
-                     header_line, key_type, parse_config_file, rerank_params_from,
-                     rnn_params_from, smooth_params_from)
+                     header_line, key_type, parse_config_file, rnn_params_from,
+                     smooth_params_from)
 from .embeddings import load_embeddings, write_embeddings
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_positive
 from .ir_eval import (check_tag, map_at_k, mrr_at_k, ndcg_at_k, parse_qrels, parse_run, recall_at_k,
                       write_run)
 from .neighbors import WEIGHT_FNS, RnnParams, extended_reciprocal_set, rnn_scores
@@ -113,10 +115,12 @@ def _standard_metrics(run, qrels, cutoff: int, rel_threshold: int) -> list[tuple
 
 def cmd_rerank(cfg: dict) -> None:
     check_tag(cfg["tag"])
+    check_positive("cutoff", cfg["cutoff"])
+    params = rnn_params_from(cfg)
     embeddings = load_embeddings(cfg["embeddings"])
     run = parse_run(cfg["run"])
-    reranked = rerank_run(run, embeddings, rerank_params_from(cfg), top_k=cfg.get("top_k"),
-                          strict=cfg["strict"])
+    reranked = rerank_run(run, embeddings, params, cfg["n_context"],
+                          top_k=cfg.get("top_k"), strict=cfg["strict"])
     write_run(reranked, cfg["output"], tag=cfg["tag"], header=header_line(cfg, __version__))
     print(f"reranked {len(reranked)} queries -> {cfg['output']}")
     if cfg.get("qrels"):
@@ -128,10 +132,11 @@ def cmd_rerank(cfg: dict) -> None:
 
 
 def cmd_smooth(cfg: dict) -> None:
+    params = smooth_params_from(cfg)
     embeddings = load_embeddings(cfg["embeddings"])
     run = parse_run(cfg["run"])
     qrels = parse_qrels(cfg["qrels"])
-    result = smooth_dataset(run, qrels, embeddings, smooth_params_from(cfg),
+    result = smooth_dataset(run, qrels, embeddings, params,
                             n_context=cfg["n_context"], mode=cfg["mode"],
                             epsilon=cfg["epsilon"], rel_threshold=cfg["rel_threshold"],
                             strict=cfg["strict"])
@@ -142,6 +147,7 @@ def cmd_smooth(cfg: dict) -> None:
 
 
 def cmd_eval(cfg: dict) -> None:
+    check_positive("cutoff", cfg["cutoff"])
     run = parse_run(cfg["run"])
     qrels = parse_qrels(cfg["qrels"])
     rows = [(name, [value]) for name, value
@@ -150,10 +156,11 @@ def cmd_eval(cfg: dict) -> None:
 
 
 def cmd_sweep(cfg: dict) -> None:
+    params = rnn_params_from(cfg)
     embeddings = load_embeddings(cfg["embeddings"])
     run = parse_run(cfg["run"])
     qrels = parse_qrels(cfg["qrels"])
-    rows = sweep_context_size(run, embeddings, qrels, rnn_params_from(cfg), cfg["sizes"],
+    rows = sweep_context_size(run, embeddings, qrels, params, cfg["sizes"],
                               metric=cfg["metric"], rel_threshold=cfg["rel_threshold"])
     lines = [f"# {header_line(cfg, __version__)}", f"n,{cfg['metric']}"]
     lines += [f"{n},{value!r}" for n, value in rows]
@@ -188,8 +195,9 @@ def cmd_convert(cfg: dict) -> None:
 
 def cmd_selftest(cfg: dict) -> None:
     """Random cross-checks of the fast pipeline against the naive oracle."""
+    trials = cfg["trials"]
+    check_positive("trials", trials)
     rng = np.random.default_rng([abs(int(cfg["seed"])), 4242])
-    trials = max(int(cfg["trials"]), 1)
     for trial in range(trials):
         n = int(rng.integers(4, 40))
         dim = int(rng.integers(2, 9))
@@ -254,7 +262,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: mostly an output that cannot be written
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort CLI boundary

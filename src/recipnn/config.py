@@ -5,18 +5,21 @@ command-line flags. Keys are kebab-case on disk and in flags ("k-exp",
 "lambda"), snake_case internally ("k_exp", "lam"). Unknown keys are
 rejected. The effective configuration (minus thread count and file paths)
 is hashed into output headers so artifacts record how they were produced.
-The `threads` key is still accepted, for old config files and scripts, but
-has no effect: every command runs its queries one after another.
+The defaults of the rNN and smoothing keys are the field defaults of
+`RnnParams` and `SmoothParams`. Every key a command accepts reaches its
+code, except `threads`: it is still accepted by rerank, smooth and sweep,
+for old config files and scripts, but has no effect, since every command
+runs its queries one after another.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import fields
 from typing import Any
 
 from .errors import ConfigError
 from .neighbors import RnnParams
-from .rerank import RerankParams
 from .smoothing import SmoothParams
 from .textfile import numbered_lines, open_text
 
@@ -53,19 +56,15 @@ _SCHEMA: dict[str, str] = {
     "to": "str",
 }
 
+# the parameter dataclasses are the one home of their fields' defaults
+_RNN_KEYS = tuple(f.name for f in fields(RnnParams))
+_SMOOTH_KEYS = tuple(f.name for f in fields(SmoothParams) if f.name != "rnn")
+
 DEFAULTS: dict[str, Any] = {
-    "k": 21,
-    "k_exp": 3,
-    "tau": 0.0,
-    "lam": 0.451,
-    "weight_fn": "neg_identity",
+    **{f.name: f.default for f in fields(RnnParams) + fields(SmoothParams) if f.name != "rnn"},
     "n_context": 60,
     "rel_threshold": 1,
     "tag": "recipnn",
-    "b": 1.0,
-    "n_max": 32,
-    "f_n": "maxmin",
-    "inject_missing_gt": True,
     "mode": "eb",
     "epsilon": 0.1,
     "cutoff": 10,
@@ -77,18 +76,15 @@ DEFAULTS: dict[str, Any] = {
     "strict": False,
 }
 
-_RNN_KEYS = ("k", "k_exp", "tau", "lam", "weight_fn")
-
 COMMAND_KEYS: dict[str, frozenset[str]] = {
     "rerank": frozenset(("embeddings", "run", "qrels", "output", "n_context", "top_k",
                          "rel_threshold", "cutoff", "tag", "threads", "strict", *_RNN_KEYS)),
-    "smooth": frozenset(("embeddings", "run", "qrels", "output", "n_context", "b", "n_max",
-                         "f_n", "inject_missing_gt", "mode", "epsilon", "rel_threshold",
-                         "threads", "strict", *_RNN_KEYS)),
+    "smooth": frozenset(("embeddings", "run", "qrels", "output", "n_context", "mode", "epsilon",
+                         "rel_threshold", "threads", "strict", *_SMOOTH_KEYS, *_RNN_KEYS)),
     "eval": frozenset(("run", "qrels", "cutoff", "rel_threshold")),
     "sweep": frozenset(("embeddings", "run", "qrels", "output", "sizes", "metric",
-                        "rel_threshold", "threads", "strict", *_RNN_KEYS)),
-    "bench": frozenset(("sizes", "trials", "dim", "seed", "output", "n_context", *_RNN_KEYS)),
+                        "rel_threshold", "threads", *_RNN_KEYS)),
+    "bench": frozenset(("sizes", "trials", "dim", "seed", "output", *_RNN_KEYS)),
     "convert": frozenset(("input", "output", "to")),
     "selftest": frozenset(("seed", "trials")),
 }
@@ -234,14 +230,8 @@ def header_line(cfg: dict[str, Any], version: str) -> str:
 
 
 def rnn_params_from(cfg: dict[str, Any]) -> RnnParams:
-    return RnnParams(k=cfg["k"], k_exp=cfg["k_exp"], tau=cfg["tau"],
-                     lam=cfg["lam"], weight_fn=cfg["weight_fn"])
-
-
-def rerank_params_from(cfg: dict[str, Any]) -> RerankParams:
-    return RerankParams(rnn=rnn_params_from(cfg), n_context=cfg["n_context"])
+    return RnnParams(**{key: cfg[key] for key in _RNN_KEYS})
 
 
 def smooth_params_from(cfg: dict[str, Any]) -> SmoothParams:
-    return SmoothParams(rnn=rnn_params_from(cfg), b=cfg["b"], n_max=cfg["n_max"],
-                        f_n=cfg["f_n"], inject_missing_gt=cfg["inject_missing_gt"])
+    return SmoothParams(rnn=rnn_params_from(cfg), **{key: cfg[key] for key in _SMOOTH_KEYS})

@@ -17,3 +17,9 @@ class ConfigError(RecipnnError):
 class DataError(RecipnnError):
     """Bad input data: malformed embedding/run/qrels files, unknown ids,
     dimension mismatches, degenerate inputs an operation cannot handle."""
+
+
+def check_positive(name: str, value) -> None:
+    """Raise ConfigError unless `value` is a positive integer."""
+    if not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")

@@ -19,7 +19,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_positive
 from .textfile import numbered_lines, open_text
 
 
@@ -483,6 +483,7 @@ def evaluate_metric(metric_id: str, run: RunFile, qrels: Qrels, rel_threshold: i
         k = int(parts[1])
     except ValueError:
         raise ConfigError(f"metric id {metric_id!r} has non-integer cutoff") from None
+    check_positive(f"cutoff of metric id {metric_id!r}", k)
     if parts[0] == "ndcg":
         return ndcg_at_k(run, qrels, k)
     return _METRICS[parts[0]](run, qrels, k, rel_threshold)

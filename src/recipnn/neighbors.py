@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .context import RankingContext
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_positive
 
 WEIGHT_FNS = ("neg_identity", "exp_neg", "binary")
 
@@ -64,10 +64,8 @@ class RnnParams:
     weight_fn: str = "neg_identity"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ConfigError(f"k must be a positive integer, got {self.k!r}")
-        if not isinstance(self.k_exp, int) or self.k_exp < 1:
-            raise ConfigError(f"k_exp must be a positive integer, got {self.k_exp!r}")
+        check_positive("k", self.k)
+        check_positive("k_exp", self.k_exp)
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError(f"tau must lie in [0, 1], got {self.tau!r}")
         if not 0.0 <= self.lam <= 1.0:

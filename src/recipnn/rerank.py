@@ -10,32 +10,17 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .context import RankingContext, build_context, context_from_run, order_by_score
 from .embeddings import EmbeddingMatrix
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_positive
 from .ir_eval import RankedList, RunFile, evaluate_metric
 from .neighbors import RnnParams, rnn_scores
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class RerankParams:
-    """Pipeline-level knobs: the rNN parameters plus the context size n_context
-    (how many top run candidates participate in the pairwise math — independent
-    of the output depth top_k)."""
-
-    rnn: RnnParams = RnnParams()
-    n_context: int = 60
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n_context, int) or self.n_context < 1:
-            raise ConfigError(f"n_context must be a positive integer, got {self.n_context!r}")
 
 
 def rerank_context(context: RankingContext, params: RnnParams, top_k: int | None = None) -> RankedList:
@@ -61,11 +46,11 @@ def rerank_context(context: RankingContext, params: RnnParams, top_k: int | None
 
 
 def _rerank_one(query_id: str, ranked: RankedList, embeddings: EmbeddingMatrix,
-                params: RerankParams, top_k: int | None, strict: bool) -> RankedList:
+                params: RnnParams, n_context: int, top_k: int | None, strict: bool) -> RankedList:
     try:
-        ctx = context_from_run(query_id, ranked.doc_ids, embeddings, params.n_context)
+        ctx = context_from_run(query_id, ranked.doc_ids, embeddings, n_context)
         depth = None if top_k is None else min(top_k, ctx.n_candidates)
-        return rerank_context(ctx, params.rnn, top_k=depth)
+        return rerank_context(ctx, params, top_k=depth)
     except DataError as exc:
         if strict:
             raise
@@ -73,46 +58,47 @@ def _rerank_one(query_id: str, ranked: RankedList, embeddings: EmbeddingMatrix,
         return ranked
 
 
-def rerank_run(run, embeddings: EmbeddingMatrix, params: RerankParams,
-               top_k: int | None = None, strict: bool = False, threads: int = 1):
+def rerank_run(run, embeddings: EmbeddingMatrix, params: RnnParams, n_context: int,
+               top_k: int | None = None, strict: bool = False):
     """Rerank every query of a run; returns a new RunFile.
 
-    Per query, the top params.n_context candidates are re-scored and written
-    back, cut to top_k when that is smaller; deeper run entries are dropped.
+    Per query, the top n_context candidates (the context size, independent of
+    the output depth) are re-scored and written back, cut to top_k when that
+    is smaller; deeper run entries are dropped. n_context and top_k must be
+    positive integers (top_k may be None), else ConfigError before any query.
     Queries whose query or candidate vectors are missing from the store are
     warned about and passed through unchanged: original order and original
     depth, so such a query can keep more entries than a reranked one.
-    strict=True raises instead. Queries run one after another; `threads` is
-    accepted for compatibility and ignored.
+    strict=True raises instead. Queries run one after another.
     """
-    return RunFile({qid: _rerank_one(qid, run[qid], embeddings, params, top_k, strict)
+    check_positive("n_context", n_context)
+    if top_k is not None:
+        check_positive("top_k", top_k)
+    return RunFile({qid: _rerank_one(qid, run[qid], embeddings, params, n_context, top_k, strict)
                     for qid in run.query_ids})
 
 
-def sweep_context_size(run, embeddings: EmbeddingMatrix, qrels, params,
+def sweep_context_size(run, embeddings: EmbeddingMatrix, qrels, params: RnnParams,
                        sizes: Sequence[int], metric: str = "mrr@10",
-                       rel_threshold: int = 1, threads: int = 1) -> list[tuple[int, float]]:
+                       rel_threshold: int = 1) -> list[tuple[int, float]]:
     """Evaluate the reranked run at each context size; rows of (N, metric value).
 
     Sizes must be ascending. `metric` is a name@k id understood by the
-    evaluation module, e.g. mrr@10 or ndcg@20. `threads` is ignored.
+    evaluation module, e.g. mrr@10 or ndcg@20.
     """
     sizes = [int(n) for n in sizes]
     if not sizes:
         raise ConfigError("sweep needs at least one context size")
     if sizes != sorted(sizes):
         raise ConfigError(f"context sizes must be ascending, got {sizes}")
-    if sizes[0] < 1:
-        raise ConfigError(f"context sizes must be positive, got {sizes[0]}")
-    rnn = params.rnn if isinstance(params, RerankParams) else params
-    rows = []
+    rows = []  # a non-positive size comes first, and rerank_run refuses it
     for n in sizes:
-        reranked = rerank_run(run, embeddings, RerankParams(rnn=rnn, n_context=n))
+        reranked = rerank_run(run, embeddings, params, n)
         rows.append((n, evaluate_metric(metric, reranked, qrels, rel_threshold=rel_threshold)))
     return rows
 
 
-def bench_latency(context_sizes: Sequence[int], trials: int, params,
+def bench_latency(context_sizes: Sequence[int], trials: int, params: RnnParams,
                   dim: int = 32, seed: int = 0) -> list[tuple[int, float, float]]:
     """Wall-clock rerank time on synthetic contexts; rows of (N, mean ms, p95 ms).
 
@@ -122,7 +108,7 @@ def bench_latency(context_sizes: Sequence[int], trials: int, params,
     """
     if trials < 3:
         raise ConfigError(f"bench needs at least 3 trials, got {trials}")
-    rnn = params.rnn if isinstance(params, RerankParams) else params
+    check_positive("dim", dim)
     rows = []
     for n in context_sizes:
         n = int(n)
@@ -136,11 +122,11 @@ def bench_latency(context_sizes: Sequence[int], trials: int, params,
             doc_ids = [f"d{i:05d}" for i in range(n)]
             contexts.append(build_context("bench-q", vecs[0], doc_ids, vecs[1:]))
         for ctx in contexts[:2]:
-            rerank_context(ctx, rnn)
+            rerank_context(ctx, params)
         times_ms = []
         for ctx in contexts:
             t0 = time.perf_counter_ns()
-            rerank_context(ctx, rnn)
+            rerank_context(ctx, params)
             times_ms.append((time.perf_counter_ns() - t0) / 1e6)
         rows.append((n, float(np.mean(times_ms)), float(np.percentile(times_ms, 95))))
     return rows

@@ -22,7 +22,7 @@ import numpy as np
 
 from .context import RankingContext, context_from_run, order_by_score
 from .embeddings import EmbeddingMatrix
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_positive
 from .neighbors import RnnParams, rnn_scores
 from .textfile import numbered_lines, open_text
 
@@ -57,8 +57,7 @@ class SmoothParams:
     def __post_init__(self) -> None:
         if not self.b >= 1.0:
             raise ConfigError(f"boost factor b must be >= 1, got {self.b!r}")
-        if not isinstance(self.n_max, int) or self.n_max < 1:
-            raise ConfigError(f"n_max must be a positive integer, got {self.n_max!r}")
+        check_positive("n_max", self.n_max)
         if self.f_n not in NORMALIZERS:
             raise ConfigError(f"f_n must be one of {', '.join(NORMALIZERS)}; got {self.f_n!r}")
 
@@ -245,16 +244,19 @@ def _labels_for_query(query_id: str, doc_ids: Sequence[str], qrels, embeddings: 
 
 def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams,
                    n_context: int | None = None, mode: str = "eb", epsilon: float = 0.1,
-                   rel_threshold: int = 1, strict: bool = False, threads: int = 1) -> SmoothResult:
+                   rel_threshold: int = 1, strict: bool = False) -> SmoothResult:
     """Produce one SoftLabelSet per run query; pure offline computation.
 
-    Queries without a resolvable ground truth (or with unresolvable
-    embeddings) are warned about and skipped unless strict. mode is one of
-    eb | uniform | uniform-matched; epsilon only applies to uniform mode, where
-    a value outside [0, 1) is a ConfigError.
-    Queries run one after another in query-id order; `threads` is accepted for
-    compatibility and ignored.
+    Each query's context is its top n_context candidates (all of them when
+    None), plus any missing ground truth; n_context must be a positive
+    integer or None. Queries without a resolvable ground truth (or with
+    unresolvable embeddings) are warned about and skipped unless strict. mode
+    is one of eb | uniform | uniform-matched; epsilon only applies to uniform
+    mode, where a value outside [0, 1) is a ConfigError. Queries run one after
+    another in query-id order.
     """
+    if n_context is not None:
+        check_positive("n_context", n_context)
     if mode not in SMOOTH_MODES:
         raise ConfigError(f"mode must be one of {', '.join(SMOOTH_MODES)}; got {mode!r}")
     label_sets, skipped = [], []

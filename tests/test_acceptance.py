@@ -30,7 +30,7 @@ from recipnn.ir_eval import (Qrels, RankedList, RunFile, evaluate_metric, mrr_at
 from recipnn.neighbors import (RnnParams, extended_reciprocal_set, nn_set,
                                reciprocal_set, rnn_scores)
 from recipnn.oracle import ranked_ids_oracle
-from recipnn.rerank import RerankParams, bench_latency, rerank_context, rerank_run
+from recipnn.rerank import bench_latency, rerank_context, rerank_run
 from recipnn.smoothing import SmoothParams, smooth_dataset, uniform_smooth
 from recipnn.synthetic import (planted_corpus, random_context, smoothing_corpus,
                                unit_vectors)
@@ -171,7 +171,7 @@ def test_accept_05_soft_label_validity_under_shipped_presets():
         for b in (1.0, 1.222, 1.525, 2.0):
             result = smooth_dataset(corpus.run, corpus.qrels, corpus.embeddings,
                                     replace(base_params, b=b),
-                                    n_context=cfg["n_context"], threads=4)
+                                    n_context=cfg["n_context"])
             assert not result.skipped
             for ls in result.label_sets:
                 total = sum(p for _, p in ls.entries)
@@ -197,9 +197,9 @@ def test_accept_06_uniform_smoothing_exactness():
     params = SmoothParams(rnn=RnnParams(k=10, k_exp=3, tau=0.0, lam=0.451),
                           b=1.222, n_max=8, f_n="maxmin")
     eb = smooth_dataset(corpus.run, corpus.qrels, corpus.embeddings, params,
-                        n_context=25, mode="eb", threads=4)
+                        n_context=25, mode="eb")
     matched = smooth_dataset(corpus.run, corpus.qrels, corpus.embeddings, params,
-                             n_context=25, mode="uniform-matched", threads=4)
+                             n_context=25, mode="uniform-matched")
     eb_mass = {ls.query_id: ls.gt_mass for ls in eb.label_sets}
     worst = max(abs((1.0 - eb_mass[ls.query_id]) - (1.0 - ls.gt_mass))
                 for ls in matched.label_sets)
@@ -367,12 +367,11 @@ def test_accept_10_reciprocal_reranking_beats_geometry():
     # judged truth, confusers sit geometrically close to the query but lack
     # reciprocal support.  Tuned small (k, lam) must match or beat the
     # geometric MRR@10 on at least 95% of 50 seeded trials.
-    params = RerankParams(rnn=RnnParams(k=10, k_exp=3, tau=0.5, lam=0.45),
-                          n_context=40)
+    params = RnnParams(k=10, k_exp=3, tau=0.5, lam=0.45)
     wins, margins = 0, []
     for seed in range(50):
         corpus = planted_corpus(seed=seed, n_queries=50)
-        reranked = rerank_run(corpus.run, corpus.embeddings, params, threads=8)
+        reranked = rerank_run(corpus.run, corpus.embeddings, params, n_context=40)
         before = mrr_at_k(corpus.run, corpus.qrels, 10)
         after = mrr_at_k(reranked, corpus.qrels, 10)
         margins.append(after - before)

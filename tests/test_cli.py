@@ -5,13 +5,15 @@ codes, stdout and stderr can be asserted exactly.  Output files are
 compared byte-for-byte across repeated invocations and worker counts.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 import recipnn.cli as cli
 from recipnn import __version__
 from recipnn.cli import main
-from recipnn.config import config_hash, effective_config
+from recipnn.config import COMMAND_KEYS, config_hash, effective_config
 from recipnn.embeddings import EmbeddingMatrix, load_embeddings, write_embeddings
 from recipnn.ir_eval import parse_run, write_qrels, write_run
 from recipnn.smoothing import read_soft_labels
@@ -36,6 +38,24 @@ def corpus_files(tmp_path_factory):
 def read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
+
+
+WRITING_COMMANDS = ("rerank", "smooth", "sweep", "bench", "convert")
+
+
+def small_argv(command: str, files: dict, output: str) -> list[str]:
+    """Arguments that run `command` quickly on the corpus files, writing to `output`."""
+    data = ["--embeddings", files["emb"], "--run", files["run"], "--qrels", files["qrels"]]
+    argv = {
+        "rerank": data,
+        "smooth": data,
+        "sweep": [*data, "--sizes", "5,10"],
+        "eval": ["--run", files["run"], "--qrels", files["qrels"]],
+        "bench": ["--sizes", "10", "--trials", "3", "--dim", "4"],
+        "convert": ["--input", files["emb"], "--to", "tsv"],
+        "selftest": ["--trials", "2"],
+    }[command]
+    return [command, *argv, *(["--output", output] if command in WRITING_COMMANDS else [])]
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +105,33 @@ def test_lying_embedding_header_exit_2(tmp_path, capsys):
     code = main(["convert", "--input", str(emb), "--to", "tsv", "--output", str(tmp_path / "o.tsv")])
     assert code == 2
     assert "at byte 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_unwritable_output_exit_2(corpus_files, tmp_path, capsys, command):
+    out = tmp_path / "absent-dir" / "out"
+    assert main(small_argv(command, corpus_files, str(out))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "absent-dir" in err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("rerank", ["--top-k", "0"]),
+    ("rerank", ["--top-k", "-3"]),
+    ("rerank", ["--cutoff", "0"]),
+    ("smooth", ["--n-context", "0"]),
+    ("smooth", ["--n-context", "-5"]),
+    ("sweep", ["--metric", "mrr@0"]),
+    ("eval", ["--cutoff", "0"]),
+    ("bench", ["--dim", "-1"]),
+    ("selftest", ["--trials", "0"]),
+])
+def test_bad_parameter_values_are_config_errors(corpus_files, tmp_path, capsys, command, flags):
+    # refused with exit 1 before any output is written
+    out = tmp_path / "out"
+    assert main([*small_argv(command, corpus_files, str(out)), *flags]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 def test_internal_error_exit_3(monkeypatch, capsys):
@@ -449,3 +496,38 @@ def test_selftest_passes(capsys):
     assert main(["selftest", "--trials", "6", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert out.strip() == "selftest: 6 random contexts checked, all routes agree"
+
+
+# ---------------------------------------------------------------------------
+# every accepted key reaches the code
+
+
+class RecordingConfig(dict):
+    """A config dict that remembers which keys were read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_every_command_key_is_read(corpus_files, tmp_path, monkeypatch, capsys, command):
+    # a key that is accepted but never read would only move the config hash;
+    # threads is the one key kept, inert, for old scripts
+    configs = []
+
+    def recording(*args, **kwargs):
+        configs.append(RecordingConfig(effective_config(*args, **kwargs)))
+        return configs[-1]
+
+    monkeypatch.setattr(cli, "effective_config", recording)
+    assert main(small_argv(command, corpus_files, str(tmp_path / "out"))) == 0
+    assert sorted(COMMAND_KEYS[command] - {"threads"} - configs[0].read) == []

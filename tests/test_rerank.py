@@ -9,7 +9,6 @@ from recipnn.ir_eval import Qrels, RunFile
 from recipnn.neighbors import RnnParams, rnn_scores
 from recipnn.rerank import (
     RankedList,
-    RerankParams,
     bench_latency,
     rerank_context,
     rerank_run,
@@ -56,8 +55,11 @@ def test_from_scored_assigns_ranks():
 
 
 def test_rerank_params_validation():
-    with pytest.raises(ConfigError):
-        RerankParams(n_context=0)
+    # refused up front, before the pass-through path could swallow them
+    c = corpus()
+    for n_context, top_k in ((0, None), (-5, None), (15, 0), (15, -3)):
+        with pytest.raises(ConfigError):
+            rerank_run(c.run, c.embeddings, rparams(), n_context, top_k=top_k)
 
 
 # --- rerank_context -----------------------------------------------------------
@@ -115,19 +117,22 @@ def corpus(seed=0, n_queries=6):
 def rparams(**kw):
     base = dict(k=6, k_exp=2, tau=0.0, lam=0.451)
     base.update(kw)
-    return RerankParams(rnn=RnnParams(**base), n_context=15)
+    return RnnParams(**base)
+
+
+N_CONTEXT = 15
 
 
 def test_rerank_run_matches_sequential_reference():
     c = corpus()
     params = rparams()
-    out = rerank_run(c.run, c.embeddings, params)
+    out = rerank_run(c.run, c.embeddings, params, N_CONTEXT)
     assert out.query_ids == c.run.query_ids
     for qid in c.run.query_ids:
         from recipnn.context import context_from_run
 
-        ctx = context_from_run(qid, c.run[qid].doc_ids, c.embeddings, params.n_context)
-        expect = rerank_context(ctx, params.rnn)
+        ctx = context_from_run(qid, c.run[qid].doc_ids, c.embeddings, N_CONTEXT)
+        expect = rerank_context(ctx, params)
         assert out[qid].entries == expect.entries
 
 
@@ -135,19 +140,8 @@ def test_rerank_run_single_candidate_unchanged():
     c = corpus()
     qid = c.run.query_ids[0]
     run = RunFile({qid: c.run[qid].truncated(1)})
-    out = rerank_run(run, c.embeddings, rparams())
+    out = rerank_run(run, c.embeddings, rparams(), N_CONTEXT)
     assert out[qid].doc_ids == run[qid].doc_ids
-
-
-def test_rerank_run_threads_equivalent():
-    c = corpus(n_queries=8)
-    params = rparams()
-    base = rerank_run(c.run, c.embeddings, params, threads=1)
-    for threads in (4, 8):
-        multi = rerank_run(c.run, c.embeddings, params, threads=threads)
-        assert multi.query_ids == base.query_ids
-        for qid in base.query_ids:
-            assert multi[qid].entries == base[qid].entries
 
 
 def test_rerank_run_missing_vectors_pass_through(caplog):
@@ -157,17 +151,17 @@ def test_rerank_run_missing_vectors_pass_through(caplog):
     keep = [(i, v) for i, v in c.embeddings if i != qid]
     store = EmbeddingMatrix([i for i, _ in keep], np.vstack([v for _, v in keep]))
     with caplog.at_level(logging.WARNING):
-        out = rerank_run(c.run, store, rparams())
+        out = rerank_run(c.run, store, rparams(), N_CONTEXT)
     assert out[qid].entries == c.run[qid].entries  # untouched
     assert any(qid in rec.getMessage() for rec in caplog.records)
 
     with pytest.raises(DataError):
-        rerank_run(c.run, store, rparams(), strict=True)
+        rerank_run(c.run, store, rparams(), N_CONTEXT, strict=True)
 
 
 def test_rerank_run_top_k_capped_per_query():
     c = corpus()
-    out = rerank_run(c.run, c.embeddings, rparams(), top_k=5)
+    out = rerank_run(c.run, c.embeddings, rparams(), N_CONTEXT, top_k=5)
     for qid in out.query_ids:
         assert len(out[qid]) == 5
 
@@ -181,7 +175,7 @@ def test_sweep_single_size_consistency():
     assert len(rows) == 1
     from recipnn.ir_eval import evaluate_metric
 
-    direct = evaluate_metric("mrr@10", rerank_run(c.run, c.embeddings, params), c.qrels)
+    direct = evaluate_metric("mrr@10", rerank_run(c.run, c.embeddings, params, 15), c.qrels)
     assert rows[0] == (15, direct)
 
 
@@ -200,6 +194,8 @@ def test_sweep_rejects_unsorted_sizes():
         sweep_context_size(c.run, c.embeddings, c.qrels, rparams(), [20, 10])
     with pytest.raises(ConfigError):
         sweep_context_size(c.run, c.embeddings, c.qrels, rparams(), [])
+    with pytest.raises(ConfigError):
+        sweep_context_size(c.run, c.embeddings, c.qrels, rparams(), [0, 5])
 
 
 # --- bench ------------------------------------------------------------------------

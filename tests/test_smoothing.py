@@ -270,13 +270,11 @@ def test_smooth_dataset_lambda_one_orders_by_geo_similarity_to_gt():
     assert checked > 0
 
 
-def test_smooth_dataset_threads_deterministic():
+def test_smooth_dataset_rejects_non_positive_context_size():
     c = corpus100()
-    params = sparams()
-    base = smooth_dataset(c.run, c.qrels, c.embeddings, params, n_context=20)
-    for threads in (4, 8):
-        multi = smooth_dataset(c.run, c.qrels, c.embeddings, params, n_context=20, threads=threads)
-        assert multi.label_sets == base.label_sets
+    for n_context in (0, -5):
+        with pytest.raises(ConfigError, match="n_context"):
+            smooth_dataset(c.run, c.qrels, c.embeddings, sparams(), n_context=n_context)
 
 
 def test_smooth_dataset_skips_and_strict():
