@@ -7,7 +7,7 @@ It ships its own TREC-style evaluation utilities so both applications can be
 verified end to end.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 import importlib
 

@@ -43,8 +43,8 @@ from .ir_eval import (check_tag, map_at_k, mrr_at_k, ndcg_at_k, parse_qrels, par
                       write_run)
 from .neighbors import WEIGHT_FNS, RnnParams, extended_reciprocal_set, rnn_scores
 from .oracle import extended_oracle, mixed_scores_oracle
-from .rerank import bench_latency, rerank_context, rerank_run, sweep_context_size
-from .smoothing import smooth_dataset, write_soft_labels
+from .rerank import bench_latency, check_depths, check_sweep, rerank_context, rerank_run, sweep_context_size
+from .smoothing import check_smooth_options, smooth_dataset, write_soft_labels
 from .synthetic import random_context
 
 _BENCH_SIZES = [50, 100, 200, 400]
@@ -117,6 +117,7 @@ def cmd_rerank(cfg: dict) -> None:
     check_tag(cfg["tag"])
     check_positive("cutoff", cfg["cutoff"])
     params = rnn_params_from(cfg)
+    check_depths(cfg["n_context"], cfg.get("top_k"))
     embeddings = load_embeddings(cfg["embeddings"])
     run = parse_run(cfg["run"])
     reranked = rerank_run(run, embeddings, params, cfg["n_context"],
@@ -133,6 +134,7 @@ def cmd_rerank(cfg: dict) -> None:
 
 def cmd_smooth(cfg: dict) -> None:
     params = smooth_params_from(cfg)
+    check_smooth_options(cfg["n_context"], cfg["mode"], cfg["epsilon"])
     embeddings = load_embeddings(cfg["embeddings"])
     run = parse_run(cfg["run"])
     qrels = parse_qrels(cfg["qrels"])
@@ -157,6 +159,7 @@ def cmd_eval(cfg: dict) -> None:
 
 def cmd_sweep(cfg: dict) -> None:
     params = rnn_params_from(cfg)
+    check_sweep(cfg["sizes"], cfg["metric"])
     embeddings = load_embeddings(cfg["embeddings"])
     run = parse_run(cfg["run"])
     qrels = parse_qrels(cfg["qrels"])
@@ -230,9 +233,12 @@ def cmd_selftest(cfg: dict) -> None:
             raise RuntimeError(f"selftest: extended sets diverge (trial {trial}, probe {probe}, "
                                f"k={k}, tau={tau:.3f})")
 
-        geo = rerank_context(ctx, RnnParams(k=k, k_exp=1, tau=0.0, lam=1.0, weight_fn="binary"))
-        if geo.doc_ids != list(ctx.candidate_ids):
-            raise RuntimeError(f"selftest: lambda=1 ordering differs from geometry (trial {trial})")
+        # lambda=1 gives back the candidate order, also among exact duplicates
+        dup_ctx = random_context(rng, n, dim, query_id=f"selftest-{trial}-duplicates", distinct=-(-n // 3))
+        for c in (ctx, dup_ctx):
+            geo = rerank_context(c, RnnParams(k=k, k_exp=1, tau=0.0, lam=1.0, weight_fn="binary"))
+            if geo.doc_ids != list(c.candidate_ids):
+                raise RuntimeError(f"selftest: lambda=1 ordering differs from geometry ({c.query_id})")
     print(f"selftest: {trials} random contexts checked, all routes agree")
 
 

@@ -17,9 +17,6 @@ import numpy as np
 from .embeddings import EmbeddingMatrix
 from .errors import DataError
 
-# tolerance used only for the symmetry sanity check in validate()
-_SYM_TOL = 1e-9
-
 
 def order_by_score(scores, ids: Sequence[str]) -> np.ndarray:
     """Positions of `scores` sorted by score descending, then id ascending.
@@ -45,20 +42,24 @@ def top_n(scores, ids: Sequence[str], n: int) -> np.ndarray:
     return cand[order_by_score(scores[cand], [ids[i] for i in cand])[:n]]
 
 
+def _row_scores(vecs: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
+    """<row, query> as one sum per row: unlike a BLAS mat-vec, equal rows score alike."""
+    return (vecs * query_vec).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class RankingContext:
     """A query and its candidates with all pairwise inner products.
 
     element_ids[0] is the query; element_ids[1:] are candidates in
-    `order_by_score` order of their geometric scores. geo_scores is aligned
-    with element_ids (geo_scores[0] = <x_q, x_q>) and sim_matrix[i][j] is the
-    inner product of elements i and j. Never mutated after construction;
-    constructing one with a non-finite similarity raises DataError.
+    `order_by_score` order of their geometric scores, which are row 0 of
+    sim_matrix (`geo_scores`); sim_matrix[i][j] is the inner product of
+    elements i and j. Never mutated after construction; constructing one
+    with a non-finite similarity raises DataError.
     """
 
     query_id: str
     element_ids: tuple[str, ...]
-    geo_scores: np.ndarray = field(repr=False)
     sim_matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -66,6 +67,11 @@ class RankingContext:
         # holds only for finite similarities
         if not np.isfinite(self.sim_matrix).all():
             raise DataError(f"non-finite similarities in context for query {self.query_id!r}")
+
+    @property
+    def geo_scores(self) -> np.ndarray:
+        """Geometric scores aligned with element_ids: the query row of sim_matrix."""
+        return self.sim_matrix[0]
 
     @property
     def size(self) -> int:
@@ -86,19 +92,6 @@ class RankingContext:
         except ValueError:
             raise DataError(f"id {element_id!r} not in context for query {self.query_id!r}") from None
 
-    def validate(self) -> None:
-        m = len(self.element_ids)
-        if m < 1:
-            raise DataError("empty context")
-        if len(set(self.element_ids)) != m:
-            raise DataError(f"duplicate element ids in context for query {self.query_id!r}")
-        if self.geo_scores.shape != (m,) or self.sim_matrix.shape != (m, m):
-            raise DataError(f"shape mismatch: {self.geo_scores.shape}, {self.sim_matrix.shape} for {m} elements")
-        if np.any(np.diff(self.geo_scores[1:]) > 0):
-            raise DataError(f"candidate geo scores not non-increasing for query {self.query_id!r}")
-        if not np.allclose(self.sim_matrix, self.sim_matrix.T, atol=_SYM_TOL, rtol=0.0):
-            raise DataError(f"similarity matrix not symmetric for query {self.query_id!r}")
-
 
 def build_context(
     query_id: str,
@@ -108,11 +101,12 @@ def build_context(
 ) -> RankingContext:
     """Assemble a context from raw vectors, sorting candidates into canonical order.
 
-    The geometric score of each candidate is recomputed as <query, doc>;
-    candidates are put in `order_by_score` order. Only what the input can
-    break is checked: dimensions and ids here, finiteness by `RankingContext`
-    itself; the shapes, order and symmetry that `RankingContext.validate`
-    covers hold by construction.
+    Each candidate's geometric score <query, doc> is one per-row sum; the
+    candidates are put in `order_by_score` order of it, and the same values
+    are the query row and column of the similarity matrix, so the kernel
+    reads the geometry that ordered them. The rest is one product `A @ A.T`,
+    which numpy returns exactly symmetric. Only what the input can break is
+    checked: dimensions and ids here, finiteness by `RankingContext`.
     """
     query_vec = np.asarray(query_vec, dtype=np.float64)
     doc_vecs = np.asarray(doc_vecs, dtype=np.float64)
@@ -126,18 +120,15 @@ def build_context(
     if len(unique_ids) != len(doc_ids):
         raise DataError(f"duplicate element ids in context for query {query_id!r}")
 
-    scores = doc_vecs @ query_vec
+    scores = _row_scores(doc_vecs, query_vec)
     order = order_by_score(scores, doc_ids)
 
     all_vecs = np.vstack([query_vec[None, :], doc_vecs[order]]) if len(doc_ids) else query_vec[None, :]
     sim = all_vecs @ all_vecs.T
-    sim = (sim + sim.T) / 2.0  # pin exact symmetry against BLAS rounding asymmetry
+    sim[0, 1:] = sim[1:, 0] = scores[order]
     return RankingContext(
         query_id=query_id,
         element_ids=(query_id, *(doc_ids[i] for i in order.tolist())),
-        # the scores that defined the order: sim[0] of the matrix product can
-        # round differently and break the order's ties between equal vectors
-        geo_scores=np.concatenate(([sim[0, 0]], scores[order])),
         sim_matrix=sim,
     )
 
@@ -169,7 +160,7 @@ def top_n_context(
         ids.remove(query_id)
         if not ids:
             raise DataError(f"pool contains only the query {query_id!r}")
-    chosen = top_n(vecs @ query_vec, ids, n)
+    chosen = top_n(_row_scores(vecs, query_vec), ids, n)
     return build_context(query_id, query_vec, [ids[i] for i in chosen.tolist()], vecs[chosen])
 
 

@@ -250,6 +250,10 @@ def _load_tsv(path: str | Path) -> EmbeddingMatrix:
 
 
 def _write_tsv(matrix: EmbeddingMatrix, path: str | Path) -> None:
+    for pos, eid in enumerate(matrix.ids):
+        if "\t" in eid or "\n" in eid or "\r" in eid:  # where the reader splits records and fields
+            raise DataError(f"id {eid!r} at position {pos} holds a tab or line break; "
+                            f"TSV cannot store it, use the binary format")
     with open(path, "w", encoding="utf-8") as fh:
         for eid, row in matrix:
             fh.write(eid)

@@ -364,81 +364,59 @@ def write_qrels(qrels: Qrels, path, header: str | None = None) -> None:
 # ---------------------------------------------------------------------------
 # metrics
 
-def _check_k(k: int) -> int:
+def _mean_over_queries(run: RunFile, qrels: Qrels, k: int, per_query) -> float:
+    """Mean of per_query(qid, top-k doc ids) over the queries run and qrels share."""
     k = int(k)
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    return k
-
-
-def _evaluated_queries(run: RunFile, qrels: Qrels) -> list[str]:
-    shared = [qid for qid in run.query_ids if qid in qrels]
-    if not shared:
+    queries = [qid for qid in run.query_ids if qid in qrels]
+    if not queries:
         raise DataError("run and qrels share no query ids")
-    return shared
+    total = 0.0
+    for qid in queries:
+        total += per_query(qid, run[qid]._ids[:k])
+    return total / len(queries)
 
 
 def mrr_at_k(run: RunFile, qrels: Qrels, k: int = 10, rel_threshold: int = 1) -> float:
     """Mean over queries of 1/rank of the first relevant doc in the top k."""
-    k = _check_k(k)
-    total = 0.0
-    queries = _evaluated_queries(run, qrels)
-    for qid in queries:
+    def reciprocal_rank(qid, top):
         grades = qrels.grades_for(qid)
-        for rank, did in enumerate(run[qid]._ids[:k], start=1):
-            if grades.get(did, 0) >= rel_threshold:
-                total += 1.0 / rank
-                break
-    return total / len(queries)
+        return next((1.0 / rank for rank, did in enumerate(top, start=1)
+                     if grades.get(did, 0) >= rel_threshold), 0.0)
+    return _mean_over_queries(run, qrels, k, reciprocal_rank)
 
 
 def ndcg_at_k(run: RunFile, qrels: Qrels, k: int = 10) -> float:
     """Linear-gain nDCG: DCG@k = sum grade_i/log2(i+1), ideal from all judged grades."""
-    k = _check_k(k)
-    total = 0.0
-    queries = _evaluated_queries(run, qrels)
-    for qid in queries:
+    def ndcg(qid, top):
         grades = qrels.grades_for(qid)
-        dcg = sum(grades.get(did, 0) / math.log2(rank + 1)
-                  for rank, did in enumerate(run[qid]._ids[:k], start=1))
-        ideal = sorted(grades.values(), reverse=True)[:k]
+        dcg = sum(grades.get(did, 0) / math.log2(rank + 1) for rank, did in enumerate(top, start=1))
+        ideal = sorted(grades.values(), reverse=True)[:int(k)]  # k is checked before the first call
         idcg = sum(g / math.log2(i + 2) for i, g in enumerate(ideal))
-        if idcg > 0:
-            total += dcg / idcg
-    return total / len(queries)
+        return dcg / idcg if idcg > 0 else 0.0
+    return _mean_over_queries(run, qrels, k, ndcg)
 
 
 def recall_at_k(run: RunFile, qrels: Qrels, k: int = 10, rel_threshold: int = 1) -> float:
     """Mean over queries of |relevant in top k| / |relevant|."""
-    k = _check_k(k)
-    total = 0.0
-    queries = _evaluated_queries(run, qrels)
-    for qid in queries:
+    def recall(qid, top):
         relevant = qrels.relevant_docs(qid, rel_threshold)
-        if not relevant:
-            continue
-        hit = sum(1 for did in run[qid]._ids[:k] if did in relevant)
-        total += hit / len(relevant)
-    return total / len(queries)
+        return sum(1 for did in top if did in relevant) / len(relevant) if relevant else 0.0
+    return _mean_over_queries(run, qrels, k, recall)
 
 
 def map_at_k(run: RunFile, qrels: Qrels, k: int = 10, rel_threshold: int = 1) -> float:
     """Mean average precision: sum of precision@i at relevant hits, over |relevant|."""
-    k = _check_k(k)
-    total = 0.0
-    queries = _evaluated_queries(run, qrels)
-    for qid in queries:
+    def average_precision(qid, top):
         relevant = qrels.relevant_docs(qid, rel_threshold)
-        if not relevant:
-            continue
-        hits = 0
-        precision_sum = 0.0
-        for rank, did in enumerate(run[qid]._ids[:k], start=1):
+        hits, precision_sum = 0, 0.0
+        for rank, did in enumerate(top, start=1):
             if did in relevant:
                 hits += 1
                 precision_sum += hits / rank
-        total += precision_sum / len(relevant)
-    return total / len(queries)
+        return precision_sum / len(relevant) if relevant else 0.0
+    return _mean_over_queries(run, qrels, k, average_precision)
 
 
 def kl_divergence(target, predicted) -> float:
@@ -473,8 +451,8 @@ _METRICS = {
 }
 
 
-def evaluate_metric(metric_id: str, run: RunFile, qrels: Qrels, rel_threshold: int = 1) -> float:
-    """Dispatch a `name@k` metric id, e.g. mrr@10, ndcg@20, recall@100, map@10."""
+def parse_metric_id(metric_id: str) -> tuple[str, int]:
+    """Split a `name@k` metric id into its name and positive cutoff; ConfigError otherwise."""
     parts = metric_id.strip().lower().split("@")
     if len(parts) != 2 or parts[0] not in _METRICS:
         raise ConfigError(f"unknown metric id {metric_id!r}; use one of "
@@ -484,6 +462,12 @@ def evaluate_metric(metric_id: str, run: RunFile, qrels: Qrels, rel_threshold: i
     except ValueError:
         raise ConfigError(f"metric id {metric_id!r} has non-integer cutoff") from None
     check_positive(f"cutoff of metric id {metric_id!r}", k)
-    if parts[0] == "ndcg":
+    return parts[0], k
+
+
+def evaluate_metric(metric_id: str, run: RunFile, qrels: Qrels, rel_threshold: int = 1) -> float:
+    """Dispatch a `name@k` metric id, e.g. mrr@10, ndcg@20, recall@100, map@10."""
+    name, k = parse_metric_id(metric_id)
+    if name == "ndcg":
         return ndcg_at_k(run, qrels, k)
-    return _METRICS[parts[0]](run, qrels, k, rel_threshold)
+    return _METRICS[name](run, qrels, k, rel_threshold)

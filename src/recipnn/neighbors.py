@@ -19,9 +19,8 @@ instead of sorting whole rows, so the set functions and `rnn_scores` agree
 on ties.
 
 Set sizes in the tau extension are counted on 64-bit bitsets (popcount of
-ANDed words), so no BLAS call is left in this module; per context only
-`build_context`'s products (the candidate scores and the similarity
-matrix) use BLAS.
+ANDed words), so this module makes no BLAS call; per context only
+`build_context`'s similarity product does.
 """
 
 from __future__ import annotations
@@ -37,9 +36,6 @@ from .errors import ConfigError, DataError, check_positive
 
 WEIGHT_FNS = ("neg_identity", "exp_neg", "binary")
 
-# guard added to (max - min) so constant similarity rows normalize to ~0
-# instead of dividing by zero
-_EPS_NORM = 1e-12
 # floor of the per-vector affine weight map; keeps every set member's weight
 # strictly positive so membership survives the min/max algebra
 _EPS_WEIGHT = 1e-6
@@ -218,10 +214,11 @@ def _extended_mask(order: np.ndarray, k: int, tau: float) -> np.ndarray:
 
 
 def _row_maxmin(sim: np.ndarray) -> np.ndarray:
-    """Per-row max-min normalization of similarities into [0, 1]."""
+    """Per-row max-min normalization into [0, 1]; a constant row maps to 0."""
     lo = sim.min(axis=1, keepdims=True)
-    hi = sim.max(axis=1, keepdims=True)
-    return (sim - lo) / (hi - lo + _EPS_NORM)
+    span = sim.max(axis=1, keepdims=True) - lo
+    s_hat = sim - lo  # exactly 0 on a constant row, which the division skips
+    return np.divide(s_hat, span, out=s_hat, where=span > 0)
 
 
 def _weight_matrix(s_hat: np.ndarray, ext: np.ndarray, weight_fn: str) -> np.ndarray:

@@ -18,9 +18,7 @@ import math
 from .context import RankingContext
 
 # written out here, not imported from the kernel, so the two routes share
-# no code: the guard added to every max-min span, and the floor of the
-# affine weight map
-_EPS_NORM = 1e-12
+# no code: the floor of the affine weight map
 _EPS_WEIGHT = 1e-6
 
 
@@ -66,10 +64,11 @@ def extended_oracle(sim_matrix, probe: int, k: int, tau: float) -> set[int]:
 
 
 def normalized_geo_row(sim_matrix, probe: int) -> list[float]:
-    """Scalar re-implementation of the per-row max-min normalization."""
+    """Scalar re-implementation of the per-row max-min normalization; a
+    constant row (zero span) maps to 0."""
     row = [float(x) for x in sim_matrix[probe]]
     lo, hi = min(row), max(row)
-    return [(x - lo) / (hi - lo + _EPS_NORM) for x in row]
+    return [(x - lo) / (hi - lo) if hi > lo else 0.0 for x in row]
 
 
 def connectivity_oracle(s_hat_row: list[float], members: set[int], weight_fn: str) -> list[float]:

@@ -14,11 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .context import RankingContext, build_context, context_from_run, order_by_score
+from .context import RankingContext, context_from_run, order_by_score
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError, check_positive
-from .ir_eval import RankedList, RunFile, evaluate_metric
+from .ir_eval import RankedList, RunFile, evaluate_metric, parse_metric_id
 from .neighbors import RnnParams, rnn_scores
+from .synthetic import random_context
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +59,13 @@ def _rerank_one(query_id: str, ranked: RankedList, embeddings: EmbeddingMatrix,
         return ranked
 
 
+def check_depths(n_context: int, top_k: int | None = None) -> None:
+    """ConfigError unless n_context, and top_k when given, are positive integers."""
+    check_positive("n_context", n_context)
+    if top_k is not None:
+        check_positive("top_k", top_k)
+
+
 def rerank_run(run, embeddings: EmbeddingMatrix, params: RnnParams, n_context: int,
                top_k: int | None = None, strict: bool = False):
     """Rerank every query of a run; returns a new RunFile.
@@ -71,11 +79,19 @@ def rerank_run(run, embeddings: EmbeddingMatrix, params: RnnParams, n_context: i
     depth, so such a query can keep more entries than a reranked one.
     strict=True raises instead. Queries run one after another.
     """
-    check_positive("n_context", n_context)
-    if top_k is not None:
-        check_positive("top_k", top_k)
+    check_depths(n_context, top_k)
     return RunFile({qid: _rerank_one(qid, run[qid], embeddings, params, n_context, top_k, strict)
                     for qid in run.query_ids})
+
+
+def check_sweep(sizes: Sequence[int], metric: str) -> list[int]:
+    """The sweep's sizes as ints; ConfigError unless they are ascending and positive and `metric` parses."""
+    sizes = [int(n) for n in sizes]
+    if not sizes or sizes != sorted(sizes):
+        raise ConfigError(f"sweep needs ascending context sizes, got {sizes}")
+    check_depths(sizes[0])
+    parse_metric_id(metric)
+    return sizes
 
 
 def sweep_context_size(run, embeddings: EmbeddingMatrix, qrels, params: RnnParams,
@@ -83,15 +99,12 @@ def sweep_context_size(run, embeddings: EmbeddingMatrix, qrels, params: RnnParam
                        rel_threshold: int = 1) -> list[tuple[int, float]]:
     """Evaluate the reranked run at each context size; rows of (N, metric value).
 
-    Sizes must be ascending. `metric` is a name@k id understood by the
-    evaluation module, e.g. mrr@10 or ndcg@20.
+    Sizes must be ascending and positive. `metric` is a name@k id understood
+    by the evaluation module, e.g. mrr@10 or ndcg@20. Both are checked
+    before any query is reranked.
     """
-    sizes = [int(n) for n in sizes]
-    if not sizes:
-        raise ConfigError("sweep needs at least one context size")
-    if sizes != sorted(sizes):
-        raise ConfigError(f"context sizes must be ascending, got {sizes}")
-    rows = []  # a non-positive size comes first, and rerank_run refuses it
+    sizes = check_sweep(sizes, metric)
+    rows = []
     for n in sizes:
         reranked = rerank_run(run, embeddings, params, n)
         rows.append((n, evaluate_metric(metric, reranked, qrels, rel_threshold=rel_threshold)))
@@ -115,12 +128,7 @@ def bench_latency(context_sizes: Sequence[int], trials: int, params: RnnParams,
         if n < 1:
             raise ConfigError(f"context sizes must be positive, got {n}")
         rng = np.random.default_rng([abs(int(seed)), n])
-        contexts = []
-        for _ in range(trials):
-            vecs = rng.standard_normal((n + 1, dim))
-            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-            doc_ids = [f"d{i:05d}" for i in range(n)]
-            contexts.append(build_context("bench-q", vecs[0], doc_ids, vecs[1:]))
+        contexts = [random_context(rng, n, dim, query_id="bench-q") for _ in range(trials)]
         for ctx in contexts[:2]:
             rerank_context(ctx, params)
         times_ms = []

@@ -190,8 +190,7 @@ def uniform_smooth(n: int, epsilon: float, gt_index: int | Sequence[int] = 0) ->
     """
     if not isinstance(n, int) or n < 2:
         raise DataError(f"uniform smoothing needs n >= 2, got {n!r}")
-    if not 0.0 <= epsilon < 1.0:
-        raise ConfigError(f"epsilon must lie in [0, 1), got {epsilon!r}")
+    check_smooth_options(None, "uniform", epsilon)
     gt = np.unique(gt_index)
     if gt.size == 0 or gt[0] < 0 or gt[-1] >= n:
         raise DataError(f"gt_index {gt_index} out of range for n={n}")
@@ -242,6 +241,16 @@ def _labels_for_query(query_id: str, doc_ids: Sequence[str], qrels, embeddings: 
     return SoftLabelSet(query_id, tuple(entries), frozenset(gt_all))
 
 
+def check_smooth_options(n_context: int | None, mode: str, epsilon: float) -> None:
+    """ConfigError unless n_context is None or positive, mode is known, and a uniform epsilon is in [0, 1)."""
+    if n_context is not None:
+        check_positive("n_context", n_context)
+    if mode not in SMOOTH_MODES:
+        raise ConfigError(f"mode must be one of {', '.join(SMOOTH_MODES)}; got {mode!r}")
+    if mode == "uniform" and not 0.0 <= epsilon < 1.0:
+        raise ConfigError(f"epsilon must lie in [0, 1), got {epsilon!r}")
+
+
 def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams,
                    n_context: int | None = None, mode: str = "eb", epsilon: float = 0.1,
                    rel_threshold: int = 1, strict: bool = False) -> SmoothResult:
@@ -255,10 +264,7 @@ def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams
     mode, where a value outside [0, 1) is a ConfigError. Queries run one after
     another in query-id order.
     """
-    if n_context is not None:
-        check_positive("n_context", n_context)
-    if mode not in SMOOTH_MODES:
-        raise ConfigError(f"mode must be one of {', '.join(SMOOTH_MODES)}; got {mode!r}")
+    check_smooth_options(n_context, mode, epsilon)
     label_sets, skipped = [], []
     for qid in run.query_ids:
         try:

@@ -31,9 +31,12 @@ def unit_vectors(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 
 
 def random_context(rng: np.random.Generator, n_candidates: int, dim: int,
-                   query_id: str = "q") -> RankingContext:
-    """A context of random unit vectors; candidates named c000, c001, ..."""
-    vecs = unit_vectors(rng, n_candidates + 1, dim)
+                   query_id: str = "q", distinct: int | None = None) -> RankingContext:
+    """A context of random unit vectors, candidates named c000, c001, ...; with
+    `distinct`, all are drawn from that many vectors, so duplicates abound."""
+    vecs = unit_vectors(rng, n_candidates + 1 if distinct is None else distinct, dim)
+    if distinct is not None:
+        vecs = vecs[rng.integers(0, distinct, size=n_candidates + 1)]
     ids = [f"c{i:03d}" for i in range(n_candidates)]
     return build_context(query_id, vecs[0], ids, vecs[1:])
 

@@ -134,6 +134,25 @@ def test_bad_parameter_values_are_config_errors(corpus_files, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("rerank", ["--top-k", "0"]),
+    ("rerank", ["--n-context", "0"]),
+    ("smooth", ["--n-context", "0"]),
+    ("smooth", ["--mode", "bogus"]),
+    ("smooth", ["--mode", "uniform", "--epsilon", "1.5"]),
+    ("sweep", ["--sizes", "0,5"]),
+    ("sweep", ["--metric", "mrr@0"]),
+    ("sweep", ["--metric", "foo@3"]),
+])
+def test_bad_parameters_refused_before_any_input_is_read(tmp_path, capsys, command, flags):
+    # none of the input files exists, so reading any of them would exit 2
+    absent = {name: str(tmp_path / f"absent.{name}") for name in ("emb", "run", "qrels")}
+    out = tmp_path / "out"
+    assert main([*small_argv(command, absent, str(out)), *flags]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
 def test_internal_error_exit_3(monkeypatch, capsys):
     def boom(cfg):
         raise RuntimeError("wires crossed")
@@ -480,6 +499,26 @@ def test_convert_round_trip_bytes(corpus_files, tmp_path, capsys):
     assert main(["convert", "--input", str(tsv), "--to", "binary",
                  "--output", str(back)]) == 0
     assert read_bytes(back) == read_bytes(corpus_files["emb"])
+
+
+@pytest.mark.parametrize("bad_id", ["a\tb", "a\nb", "a\rb"])
+def test_convert_to_tsv_refuses_ids_it_cannot_read_back(tmp_path, capsys, bad_id):
+    emb = tmp_path / "in.emb"
+    write_embeddings(EmbeddingMatrix(["ok", bad_id], np.eye(2, dtype=np.float32)), emb, fmt="binary")
+    out = tmp_path / "out.tsv"
+    assert main(["convert", "--input", str(emb), "--to", "tsv", "--output", str(out)]) == 2
+    assert "position 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_convert_to_tsv_round_trips_other_line_separators(tmp_path):
+    # U+0085, U+2028 and a vertical tab end lines for str.splitlines, not for the reader
+    ids = ["a\x85b", "a\u2028b", "a\x0bb"]
+    emb, tsv, back = tmp_path / "in.emb", tmp_path / "out.tsv", tmp_path / "back.emb"
+    write_embeddings(EmbeddingMatrix(ids, np.eye(3, dtype=np.float32)), emb, fmt="binary")
+    assert main(["convert", "--input", str(emb), "--to", "tsv", "--output", str(tsv)]) == 0
+    assert main(["convert", "--input", str(tsv), "--to", "binary", "--output", str(back)]) == 0
+    assert read_bytes(back) == read_bytes(emb)
 
 
 def test_convert_rejects_unknown_format(corpus_files, tmp_path, capsys):

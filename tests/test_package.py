@@ -2,7 +2,8 @@
 
 Each check runs in its own subprocess: the test process has numpy loaded
 already (conftest.py imports it), so only a fresh interpreter shows what an
-import loads and which environment it sees.
+import loads and which environment it sees, and only a fresh one honours a
+BLAS thread count set in its environment.
 """
 
 import os
@@ -10,6 +11,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import recipnn
 
@@ -61,3 +64,38 @@ def test_cli_import_pins_blas_threads_unless_set():
     assert run_fresh(show) == "1 1 1"
     assert run_fresh(show, OPENBLAS_NUM_THREADS="3") == "3 None None"
     assert run_fresh(show, OMP_NUM_THREADS="2") == "None 2 None"
+
+
+def test_pyproject_reads_the_package_version_without_importing_it():
+    pyproject = Path(SRC).parent / "pyproject.toml"
+    assert run_fresh(f"""
+        import sys
+        import warnings
+        from setuptools.config.pyprojecttoml import read_configuration
+        warnings.simplefilter("ignore")
+        config = read_configuration({str(pyproject)!r}, expand=True)
+        print(config["project"]["version"], "numpy" in sys.modules)
+    """) == f"{recipnn.__version__} False"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_context_geometry_is_exact_at_any_blas_thread_count(threads):
+    # build_context relies on numpy's A @ A.T being exactly symmetric (it is
+    # not symmetrised afterwards) and on one score per row for the query row
+    assert run_fresh("""
+        import numpy as np
+        from recipnn.context import build_context
+        rng = np.random.default_rng(9)
+        for m in (2, 17, 129, 401, 1001):
+            for dim in (2, 64, 768):
+                distinct = rng.standard_normal((max(1, m // 3), dim)).astype(np.float32)
+                picks = rng.integers(0, len(distinct), size=m - 1)
+                ctx = build_context("q", rng.standard_normal(dim), [f"d{i:04d}" for i in range(m - 1)],
+                                    distinct[picks])
+                sim = ctx.sim_matrix
+                assert np.array_equal(sim, sim.T), (m, dim)
+                which = picks[[int(d[1:]) for d in ctx.candidate_ids]]
+                for g in np.unique(which):
+                    assert len(set(ctx.geo_scores[1:][which == g].tolist())) == 1, (m, dim, g)
+        print("ok")
+    """, OPENBLAS_NUM_THREADS=threads) == "ok"
