@@ -6,16 +6,17 @@ explicit flags overriding both. Exit codes: 0 ok, 1 configuration error,
 2 data error (an input that cannot be read or an output that cannot be
 written included), 3 internal error. Output files begin with a '#'
 provenance header carrying the tool version and a hash of the effective
-parameters; file paths never influence output bytes. Every flag reaches the
-command's code except --threads, which rerank, smooth and sweep accept but
-ignore: queries run one after another.
+parameters; file paths and --threads never influence output bytes. Every
+flag reaches the command's code. --threads N runs the queries of rerank,
+smooth and sweep in N worker processes, forked after the inputs are loaded
+and capped at the CPUs this process may use (`parallel.map_queries`).
 
-BLAS runs on one thread. The work is single-threaded, and BLAS worker
-threads left spinning after each similarity product slowed the code that
-follows. Importing this module, before numpy is loaded, sets
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 when none of
-them is set; if the user set any of them, all three are left alone. Code
-that imports numpy before this module keeps its BLAS threading.
+BLAS runs on one thread in every process. Each process does its work on
+one thread, and BLAS worker threads left spinning after each similarity
+product slowed the code that follows. Importing this module, before numpy is
+loaded, sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1
+when none of them is set; if the user set any of them, all three are left
+alone. Code that imports numpy before this module keeps its BLAS threading.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ from .smoothing import check_smooth_options, smooth_dataset, write_soft_labels
 from .synthetic import random_context
 
 _BENCH_SIZES = [50, 100, 200, 400]
+# help text of the keys whose name alone does not say what they do
+_KEY_HELP = {"threads": "worker processes for the queries, capped at the available CPUs; "
+                        "output bytes do not depend on it"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,16 +64,16 @@ class _Parser(argparse.ArgumentParser):
 def _add_key_flags(sub: argparse.ArgumentParser, command: str) -> None:
     for key in sorted(COMMAND_KEYS[command]):
         flag = "--" + display_key(key)
-        required_note = " (required)" if key in REQUIRED_KEYS[command] else ""
+        help_text = _KEY_HELP.get(key, key) + (" (required)" if key in REQUIRED_KEYS[command] else "")
         tag = key_type(key)
         if tag == "bool":
             sub.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction,
-                             default=None, help=f"{key}{required_note}")
+                             default=None, help=help_text)
         elif tag in ("str", "path"):
-            sub.add_argument(flag, dest=key, type=str, default=None, help=f"{key}{required_note}")
+            sub.add_argument(flag, dest=key, type=str, default=None, help=help_text)
         else:  # numbers parse as in config files
             sub.add_argument(flag, dest=key, type=partial(coerce_value, key), default=None,
-                             metavar="N,N,..." if tag == "ints" else None, help=f"{key}{required_note}")
+                             metavar="N,N,..." if tag == "ints" else None, help=help_text)
 
 
 def _build_parser() -> _Parser:
@@ -118,10 +122,11 @@ def cmd_rerank(cfg: dict) -> None:
     check_positive("cutoff", cfg["cutoff"])
     params = rnn_params_from(cfg)
     check_depths(cfg["n_context"], cfg.get("top_k"))
+    check_positive("threads", cfg["threads"])
     embeddings = load_embeddings(cfg["embeddings"])
     run = parse_run(cfg["run"])
     reranked = rerank_run(run, embeddings, params, cfg["n_context"],
-                          top_k=cfg.get("top_k"), strict=cfg["strict"])
+                          top_k=cfg.get("top_k"), strict=cfg["strict"], workers=cfg["threads"])
     write_run(reranked, cfg["output"], tag=cfg["tag"], header=header_line(cfg, __version__))
     print(f"reranked {len(reranked)} queries -> {cfg['output']}")
     if cfg.get("qrels"):
@@ -135,13 +140,14 @@ def cmd_rerank(cfg: dict) -> None:
 def cmd_smooth(cfg: dict) -> None:
     params = smooth_params_from(cfg)
     check_smooth_options(cfg["n_context"], cfg["mode"], cfg["epsilon"])
+    check_positive("threads", cfg["threads"])
     embeddings = load_embeddings(cfg["embeddings"])
     run = parse_run(cfg["run"])
     qrels = parse_qrels(cfg["qrels"])
     result = smooth_dataset(run, qrels, embeddings, params,
                             n_context=cfg["n_context"], mode=cfg["mode"],
                             epsilon=cfg["epsilon"], rel_threshold=cfg["rel_threshold"],
-                            strict=cfg["strict"])
+                            strict=cfg["strict"], workers=cfg["threads"])
     write_soft_labels(result.label_sets, cfg["output"], header=header_line(cfg, __version__))
     print(f"smoothed {len(result.label_sets)} queries "
           f"({len(result.skipped)} skipped) -> {cfg['output']}")
@@ -160,11 +166,13 @@ def cmd_eval(cfg: dict) -> None:
 def cmd_sweep(cfg: dict) -> None:
     params = rnn_params_from(cfg)
     check_sweep(cfg["sizes"], cfg["metric"])
+    check_positive("threads", cfg["threads"])
     embeddings = load_embeddings(cfg["embeddings"])
     run = parse_run(cfg["run"])
     qrels = parse_qrels(cfg["qrels"])
     rows = sweep_context_size(run, embeddings, qrels, params, cfg["sizes"],
-                              metric=cfg["metric"], rel_threshold=cfg["rel_threshold"])
+                              metric=cfg["metric"], rel_threshold=cfg["rel_threshold"],
+                              workers=cfg["threads"])
     lines = [f"# {header_line(cfg, __version__)}", f"n,{cfg['metric']}"]
     lines += [f"{n},{value!r}" for n, value in rows]
     with open(cfg["output"], "w", encoding="utf-8") as fh:

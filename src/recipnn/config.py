@@ -7,9 +7,9 @@ rejected. The effective configuration (minus thread count and file paths)
 is hashed into output headers so artifacts record how they were produced.
 The defaults of the rNN and smoothing keys are the field defaults of
 `RnnParams` and `SmoothParams`. Every key a command accepts reaches its
-code, except `threads`: it is still accepted by rerank, smooth and sweep,
-for old config files and scripts, but has no effect, since every command
-runs its queries one after another.
+code. `threads`, read by rerank, smooth and sweep, is the number of worker
+processes their queries run in; it never changes output bytes, so it stays
+out of the hash.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ PRESETS: dict[str, dict[str, Any]] = {
     "coder-cocondenser-smooth": {**_CODER_COCO, "b": 1.525, "n_max": 32, "f_n": "stdbased"},
 }
 
-# keys that must not influence output bytes (the inert thread count) or that
+# keys that must not influence output bytes (the worker count) or that
 # name machine-local files; excluded from the provenance hash and header echo
 HASH_EXCLUDED = frozenset(("threads", "embeddings", "run", "qrels", "output", "input"))
 

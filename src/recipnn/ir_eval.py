@@ -94,6 +94,11 @@ class RankedList:
     def __setattr__(self, name, value):
         raise AttributeError(f"RankedList is immutable; cannot set {name!r}")
 
+    def __reduce__(self):
+        # rebuilt from its columns: restoring the slots one by one would go
+        # through __setattr__, and _of makes the unpickled scores read-only
+        return RankedList._of, (self.query_id, self._ids, self._scores)
+
     @property
     def doc_ids(self) -> list[str]:
         return list(self._ids)

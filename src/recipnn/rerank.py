@@ -19,6 +19,7 @@ from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError, check_positive
 from .ir_eval import RankedList, RunFile, evaluate_metric, parse_metric_id
 from .neighbors import RnnParams, rnn_scores
+from .parallel import map_queries
 from .synthetic import random_context
 
 logger = logging.getLogger(__name__)
@@ -67,7 +68,7 @@ def check_depths(n_context: int, top_k: int | None = None) -> None:
 
 
 def rerank_run(run, embeddings: EmbeddingMatrix, params: RnnParams, n_context: int,
-               top_k: int | None = None, strict: bool = False):
+               top_k: int | None = None, strict: bool = False, workers: int = 1):
     """Rerank every query of a run; returns a new RunFile.
 
     Per query, the top n_context candidates (the context size, independent of
@@ -77,11 +78,14 @@ def rerank_run(run, embeddings: EmbeddingMatrix, params: RnnParams, n_context: i
     Queries whose query or candidate vectors are missing from the store are
     warned about and passed through unchanged: original order and original
     depth, so such a query can keep more entries than a reranked one.
-    strict=True raises instead. Queries run one after another.
+    strict=True raises instead. Queries run in up to `workers` processes
+    (`parallel.map_queries`); the result does not depend on how many.
     """
     check_depths(n_context, top_k)
-    return RunFile({qid: _rerank_one(qid, run[qid], embeddings, params, n_context, top_k, strict)
-                    for qid in run.query_ids})
+    query_ids = run.query_ids
+    lists = map_queries(lambda qid: _rerank_one(qid, run[qid], embeddings, params, n_context, top_k, strict),
+                        query_ids, workers)
+    return RunFile(dict(zip(query_ids, lists)))
 
 
 def check_sweep(sizes: Sequence[int], metric: str) -> list[int]:
@@ -96,17 +100,18 @@ def check_sweep(sizes: Sequence[int], metric: str) -> list[int]:
 
 def sweep_context_size(run, embeddings: EmbeddingMatrix, qrels, params: RnnParams,
                        sizes: Sequence[int], metric: str = "mrr@10",
-                       rel_threshold: int = 1) -> list[tuple[int, float]]:
+                       rel_threshold: int = 1, workers: int = 1) -> list[tuple[int, float]]:
     """Evaluate the reranked run at each context size; rows of (N, metric value).
 
     Sizes must be ascending and positive. `metric` is a name@k id understood
     by the evaluation module, e.g. mrr@10 or ndcg@20. Both are checked
-    before any query is reranked.
+    before any query is reranked. Each size reranks in up to `workers`
+    processes, as `rerank_run`.
     """
     sizes = check_sweep(sizes, metric)
     rows = []
     for n in sizes:
-        reranked = rerank_run(run, embeddings, params, n)
+        reranked = rerank_run(run, embeddings, params, n, workers=workers)
         rows.append((n, evaluate_metric(metric, reranked, qrels, rel_threshold=rel_threshold)))
     return rows
 

@@ -24,6 +24,7 @@ from .context import RankingContext, context_from_run, order_by_score
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError, check_positive
 from .neighbors import RnnParams, rnn_scores
+from .parallel import map_queries
 from .textfile import numbered_lines, open_text
 
 logger = logging.getLogger(__name__)
@@ -253,7 +254,7 @@ def check_smooth_options(n_context: int | None, mode: str, epsilon: float) -> No
 
 def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams,
                    n_context: int | None = None, mode: str = "eb", epsilon: float = 0.1,
-                   rel_threshold: int = 1, strict: bool = False) -> SmoothResult:
+                   rel_threshold: int = 1, strict: bool = False, workers: int = 1) -> SmoothResult:
     """Produce one SoftLabelSet per run query; pure offline computation.
 
     Each query's context is its top n_context candidates (all of them when
@@ -261,20 +262,29 @@ def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams
     integer or None. Queries without a resolvable ground truth (or with
     unresolvable embeddings) are warned about and skipped unless strict. mode
     is one of eb | uniform | uniform-matched; epsilon only applies to uniform
-    mode, where a value outside [0, 1) is a ConfigError. Queries run one after
-    another in query-id order.
+    mode, where a value outside [0, 1) is a ConfigError. Queries run in up to
+    `workers` processes (`parallel.map_queries`); results, warnings and
+    skips keep query-id order whatever the count.
     """
     check_smooth_options(n_context, mode, epsilon)
-    label_sets, skipped = [], []
-    for qid in run.query_ids:
+
+    def labels_or_error(qid: str) -> SoftLabelSet | DataError:
         try:
-            label_sets.append(_labels_for_query(qid, run[qid].doc_ids, qrels, embeddings, params,
-                                                n_context, mode, epsilon, rel_threshold))
+            return _labels_for_query(qid, run[qid].doc_ids, qrels, embeddings, params,
+                                     n_context, mode, epsilon, rel_threshold)
         except DataError as exc:
             if strict:
                 raise
-            logger.warning("skipping query %s: %s", qid, exc)
-            skipped.append((qid, str(exc)))
+            return exc
+
+    query_ids = run.query_ids
+    label_sets, skipped = [], []
+    for qid, out in zip(query_ids, map_queries(labels_or_error, query_ids, workers)):
+        if isinstance(out, DataError):
+            logger.warning("skipping query %s: %s", qid, out)
+            skipped.append((qid, str(out)))
+        else:
+            label_sets.append(out)
     return SmoothResult(tuple(label_sets), tuple(skipped))
 
 

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import recipnn.cli as cli
-from recipnn import __version__
+from recipnn import __version__, parallel
 from recipnn.cli import main
 from recipnn.config import COMMAND_KEYS, config_hash, effective_config
 from recipnn.embeddings import EmbeddingMatrix, load_embeddings, write_embeddings
-from recipnn.ir_eval import parse_run, write_qrels, write_run
+from recipnn.ir_eval import RankedList, RunFile, parse_run, write_qrels, write_run
 from recipnn.smoothing import read_soft_labels
 from recipnn.synthetic import planted_corpus
 
@@ -143,6 +143,10 @@ def test_bad_parameter_values_are_config_errors(corpus_files, tmp_path, capsys, 
     ("sweep", ["--sizes", "0,5"]),
     ("sweep", ["--metric", "mrr@0"]),
     ("sweep", ["--metric", "foo@3"]),
+    ("rerank", ["--threads", "0"]),
+    ("rerank", ["--threads", "-3"]),
+    ("smooth", ["--threads", "0"]),
+    ("sweep", ["--threads", "-3"]),
 ])
 def test_bad_parameters_refused_before_any_input_is_read(tmp_path, capsys, command, flags):
     # none of the input files exists, so reading any of them would exit 2
@@ -307,6 +311,26 @@ def test_rerank_byte_identical_across_runs_and_threads(corpus_files, tmp_path):
                      "--threads", threads]) == 0
         blobs.append(read_bytes(out))
     assert all(blob == blobs[0] for blob in blobs)
+
+
+@pytest.mark.parametrize("command", ["rerank", "smooth"])
+def test_strict_data_error_from_workers_matches_inline(corpus_files, tmp_path, monkeypatch, capsys,
+                                                        command):
+    # two queries with neither vectors nor judgments, first and last in query
+    # order; the first one's error is reported, at any worker count
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
+    run = parse_run(corpus_files["run"])
+    scored = list(zip(run[run.query_ids[0]].doc_ids, run[run.query_ids[0]].scores.tolist()))
+    lists = {**run.lists, **{qid: RankedList.from_scored(qid, scored) for qid in ("0-none", "~none")}}
+    run_path = tmp_path / "with-missing.run"
+    write_run(RunFile(lists), run_path)
+    stderrs = []
+    for threads in ("1", "2"):
+        assert main([command, "--embeddings", corpus_files["emb"], "--run", str(run_path),
+                     "--qrels", corpus_files["qrels"], "--output", str(tmp_path / "out"),
+                     "--strict", "--threads", threads]) == 2
+        stderrs.append(capsys.readouterr().err)
+    assert "'0-none'" in stderrs[0] and stderrs[1] == stderrs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +583,7 @@ class RecordingConfig(dict):
 
 @pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
 def test_every_command_key_is_read(corpus_files, tmp_path, monkeypatch, capsys, command):
-    # a key that is accepted but never read would only move the config hash;
-    # threads is the one key kept, inert, for old scripts
+    # a key that is accepted but never read would only move the config hash
     configs = []
 
     def recording(*args, **kwargs):
@@ -569,4 +592,4 @@ def test_every_command_key_is_read(corpus_files, tmp_path, monkeypatch, capsys, 
 
     monkeypatch.setattr(cli, "effective_config", recording)
     assert main(small_argv(command, corpus_files, str(tmp_path / "out"))) == 0
-    assert sorted(COMMAND_KEYS[command] - {"threads"} - configs[0].read) == []
+    assert sorted(COMMAND_KEYS[command] - configs[0].read) == []

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from recipnn import parallel
 from recipnn.embeddings import EmbeddingMatrix
 from recipnn.errors import ConfigError, DataError
 from recipnn.ir_eval import Qrels, RunFile
@@ -157,6 +158,23 @@ def test_rerank_run_missing_vectors_pass_through(caplog):
 
     with pytest.raises(DataError):
         rerank_run(c.run, store, rparams(), N_CONTEXT, strict=True)
+
+
+def test_rerank_run_in_worker_processes_matches_inline(monkeypatch, caplog):
+    # the pass-through warning a worker logs reaches the parent's handlers
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
+    c = corpus()
+    qid = c.run.query_ids[2]
+    keep = [(i, v) for i, v in c.embeddings if i != qid]
+    store = EmbeddingMatrix([i for i, _ in keep], np.vstack([v for _, v in keep]))
+    outcomes = []
+    for workers in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            out = rerank_run(c.run, store, rparams(), N_CONTEXT, workers=workers)
+        outcomes.append((out.lists, [(rec.name, rec.levelno, rec.getMessage()) for rec in caplog.records]))
+    assert len(outcomes[0][1]) == 1 and qid in outcomes[0][1][0][2]
+    assert outcomes[1] == outcomes[0]
 
 
 def test_rerank_run_top_k_capped_per_query():

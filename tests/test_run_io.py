@@ -7,6 +7,7 @@ results and on the first error's `path:line` message.
 
 import io
 import math
+import pickle
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -195,6 +196,14 @@ def test_ranked_list_holds_columns(tmp_path):
             rl.scores[0] = 1.0
         with pytest.raises(AttributeError):
             rl.query_id = "other"
+
+
+def test_ranked_list_pickles_with_read_only_scores():
+    # worker processes send their reranked lists back to the parent pickled
+    for rl in (RankedList._of("q", ("a", "b"), np.array([2.0, 1.0])), RankedList("q", ())):
+        back = pickle.loads(pickle.dumps(rl))
+        assert back == rl and back.doc_ids == rl.doc_ids and back.scores.dtype == np.float64
+        assert not back.scores.flags.writeable
 
 
 # --- run tags -------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recipnn import parallel
 from recipnn.errors import ConfigError, DataError
 from recipnn.ir_eval import Qrels
 from recipnn.neighbors import RnnParams
@@ -286,6 +288,23 @@ def test_smooth_dataset_skips_and_strict():
     assert [qid for qid, _ in res.skipped] == [qids[0]]
     with pytest.raises(DataError):
         smooth_dataset(c.run, stripped, c.embeddings, sparams(), n_context=20, strict=True)
+
+
+def test_smooth_dataset_skips_alike_in_worker_processes(monkeypatch, caplog):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
+    c = corpus100()
+    qids = c.run.query_ids
+    unjudged = (qids[0], qids[7])
+    stripped = Qrels({qid: dict(c.qrels.grades_for(qid)) for qid in qids if qid not in unjudged})
+    outcomes = []
+    for workers in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            res = smooth_dataset(c.run, stripped, c.embeddings, sparams(), n_context=20, workers=workers)
+        outcomes.append((res, [rec.getMessage() for rec in caplog.records]))
+    assert [qid for qid, _ in outcomes[0][0].skipped] == list(unjudged)
+    assert len(outcomes[0][1]) == 2
+    assert outcomes[1] == outcomes[0]
 
 
 def test_smooth_dataset_injects_missing_gt():
