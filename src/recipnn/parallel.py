@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 from .errors import check_positive
 
-# contiguous query shards per worker: several even out queries of unequal cost
+# contiguous query shards per worker: several even out queries of unequal
+# cost and CPUs that other processes share
 _SHARDS_PER_WORKER = 4
 
 # (fn, query ids, record keeper) of the pool a worker was forked for; set
