@@ -14,10 +14,11 @@ import importlib
 # the submodule that defines each public name. Nothing is imported until a
 # name is first used, so `import recipnn` does not load numpy.
 _EXPORTS = {
-    "context": ("RankingContext", "build_context", "context_from_run", "top_n_context"),
+    "context": ("RankingContext", "build_context", "context_from_run"),
     "embeddings": ("EmbeddingMatrix", "load_embeddings", "write_embeddings"),
     "errors": ("ConfigError", "DataError", "RecipnnError"),
-    "neighbors": ("NeighborSet", "RnnParams", "extended_reciprocal_set", "nn_set", "reciprocal_set", "rnn_scores"),
+    "neighbors": ("NeighborSet", "RnnParams", "extended_reciprocal_set", "nn_set", "reciprocal_set", "rnn_scores",
+                  "rnn_scores_block"),
     "ir_eval": ("Qrels", "RankedList", "RunFile", "evaluate_metric", "kl_divergence", "map_at_k", "mrr_at_k",
                 "ndcg_at_k", "parse_qrels", "parse_run", "recall_at_k", "write_run"),
     "rerank": ("bench_latency", "rerank_context", "rerank_run", "sweep_context_size"),

@@ -42,7 +42,7 @@ from .embeddings import load_embeddings, write_embeddings
 from .errors import ConfigError, DataError, check_positive
 from .ir_eval import (check_tag, map_at_k, mrr_at_k, ndcg_at_k, parse_qrels, parse_run, recall_at_k,
                       write_run)
-from .neighbors import WEIGHT_FNS, RnnParams, extended_reciprocal_set, rnn_scores
+from .neighbors import WEIGHT_FNS, RnnParams, extended_reciprocal_set, rnn_scores, rnn_scores_block
 from .oracle import extended_oracle, mixed_scores_oracle
 from .rerank import bench_latency, check_depths, check_sweep, rerank_context, rerank_run, sweep_context_size
 from .smoothing import check_smooth_options, smooth_dataset, write_soft_labels
@@ -128,7 +128,8 @@ def cmd_rerank(cfg: dict) -> None:
     reranked = rerank_run(run, embeddings, params, cfg["n_context"],
                           top_k=cfg.get("top_k"), strict=cfg["strict"], workers=cfg["threads"])
     write_run(reranked, cfg["output"], tag=cfg["tag"], header=header_line(cfg, __version__))
-    print(f"reranked {len(reranked)} queries -> {cfg['output']}")
+    passed = sum(reranked[qid] is run[qid] for qid in run.query_ids)  # rerank_run passes such a list through as is
+    print(f"reranked {len(reranked) - passed} queries ({passed} passed through) -> {cfg['output']}")
     if cfg.get("qrels"):
         qrels = parse_qrels(cfg["qrels"])
         before = _standard_metrics(run, qrels, cfg["cutoff"], cfg["rel_threshold"])
@@ -240,6 +241,20 @@ def cmd_selftest(cfg: dict) -> None:
         if set(fast_set) != slow_set:
             raise RuntimeError(f"selftest: extended sets diverge (trial {trial}, probe {probe}, "
                                f"k={k}, tau={tau:.3f})")
+
+        # a block of three contexts of one size, with one or two probes each,
+        # scored in one kernel pass: every row against the oracle
+        block = [random_context(rng, n, dim, query_id=f"selftest-{trial}-block{b}") for b in range(3)]
+        block_probes = [rng.choice(ctx.size, size=int(rng.integers(1, 3)), replace=False).tolist() for _ in block]
+        params = RnnParams(k=k, k_exp=k_exp, tau=tau, lam=lam, weight_fn=WEIGHT_FNS[trial % len(WEIGHT_FNS)])
+        for c, probes, fast in zip(block, block_probes, rnn_scores_block(block, params, block_probes)):
+            slow = np.mean([mixed_scores_oracle(c, k, lam, tau, p, k_exp=k_exp, weight_fn=params.weight_fn)
+                            for p in probes], axis=0)
+            worst = float(np.max(np.abs(fast - slow)))
+            if worst > 1e-9:
+                raise RuntimeError(f"selftest: block scores diverge from oracle by {worst:.3e} (trial {trial}, "
+                                   f"{c.query_id}, n={n}, k={k}, k_exp={k_exp}, tau={tau:.3f}, "
+                                   f"{params.weight_fn}, probes={probes})")
 
         # lambda=1 gives back the candidate order, also among exact duplicates
         dup_ctx = random_context(rng, n, dim, query_id=f"selftest-{trial}-duplicates", distinct=-(-n // 3))

@@ -26,7 +26,7 @@ def order_by_score(scores, ids: Sequence[str]) -> np.ndarray:
     """
     by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)[by_id]
-    return by_id[np.argsort(-scores, kind="stable")]
+    return by_id[(-scores).argsort(kind="stable")]
 
 
 def top_n(scores, ids: Sequence[str], n: int) -> np.ndarray:
@@ -133,37 +133,6 @@ def build_context(
     )
 
 
-def top_n_context(
-    query_id: str,
-    query_vec: Sequence[float] | np.ndarray,
-    pool: EmbeddingMatrix,
-    n: int,
-) -> RankingContext:
-    """Exact top-N retrieval over `pool` by inner product, as a context.
-
-    A pool entry whose id equals `query_id` is excluded from the candidate
-    set (stores may hold query and document vectors side by side). If the
-    pool holds fewer than N eligible entries, all of them are used.
-    """
-    if n < 1:
-        raise DataError(f"context size must be >= 1, got {n}")
-    if len(pool) == 0:
-        raise DataError("empty embedding pool")
-    query_vec = np.asarray(query_vec, dtype=np.float64)
-    if query_vec.shape != (pool.dim,):
-        raise DataError(f"query dim {query_vec.shape} != pool dim {pool.dim}")
-
-    ids = pool.ids
-    vecs = pool.vectors.astype(np.float64)
-    if query_id in pool:
-        vecs = np.delete(vecs, pool.position(query_id), axis=0)
-        ids.remove(query_id)
-        if not ids:
-            raise DataError(f"pool contains only the query {query_id!r}")
-    chosen = top_n(_row_scores(vecs, query_vec), ids, n)
-    return build_context(query_id, query_vec, [ids[i] for i in chosen.tolist()], vecs[chosen])
-
-
 def context_from_run(
     query_id: str,
     doc_ids: Sequence[str],
@@ -181,8 +150,8 @@ def context_from_run(
     if n is not None and n < 1:
         raise DataError(f"context size must be >= 1, got {n}")
     take = list(doc_ids if n is None else doc_ids[:n])
-    missing = sorted(set(d for d in take if d not in embeddings))
-    if missing:
+    rows = embeddings.positions(take)
+    if None in rows:
+        missing = sorted({d for d, row in zip(take, rows) if row is None})
         raise DataError(f"embedding store missing candidate id(s): {', '.join(missing)}")
-    rows = [embeddings.position(d) for d in take]
     return build_context(query_id, embeddings.lookup(query_id), take, embeddings.vectors[rows])

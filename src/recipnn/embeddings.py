@@ -98,6 +98,10 @@ class EmbeddingMatrix:
         except KeyError:
             raise DataError(f"unknown embedding id {eid!r}") from None
 
+    def positions(self, eids: Iterable[str]) -> list[int | None]:
+        """The row of each id, None for an id the store lacks: one dict lookup per id."""
+        return list(map(self._index.get, eids))
+
     def __contains__(self, eid: str) -> bool:
         return eid in self._index
 

@@ -6,11 +6,17 @@ Everything here operates on integer indices into a context (query at index
 k-NN set (always containing the probe), its reciprocal set (mutual k-NN
 membership) and its tau-extended set (single-pass union of neighbours'
 smaller reciprocal sets that overlap the original set by at least 2/3).
-`rnn_scores` is the fused whole-context pipeline (pure numpy, no per-row
-Python loops) that the reranker and smoother build on: extended sets,
-weighted connectivity vectors, local expansion over each element's k_exp-NN,
-and a weighted Jaccard distance mixed with normalized geometric similarity.
-`oracle` recomputes all of it in scalar Python.
+`rnn_scores_block` is the fused pipeline (pure numpy, no per-row Python
+loops) that the reranker and smoother build on: extended sets, weighted
+connectivity vectors, local expansion over each element's k_exp-NN, and a
+weighted Jaccard distance mixed with normalized geometric similarity, for a
+block of equal-size contexts in one pass, each with its own probe list.
+Every stage takes one matrix or a stack of them (..., m, m) and is
+elementwise, row-wise or a reduction along rows, so a block gives each
+context the bytes it gets alone; `rnn_scores` is the block of one, whose
+stages run on its one matrix. `score_in_blocks` builds
+a list of queries' contexts one at a time and scores them in blocks of
+`block_budget(m)`. `oracle` recomputes all of it in scalar Python.
 
 All neighbour sets come from one selection, `_top_order(sim, n)`: the first
 n entries of every row's ordering (the row itself first, then similarity
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,6 +45,9 @@ WEIGHT_FNS = ("neg_identity", "exp_neg", "binary")
 # floor of the per-vector affine weight map; keeps every set member's weight
 # strictly positive so membership survives the min/max algebra
 _EPS_WEIGHT = 1e-6
+# similarity entries in one block of contexts scored together: 8 contexts
+# at m=64, one from m=129 on
+_BLOCK_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -128,9 +137,10 @@ def _set_args(probe: int, sim_matrix, k: int) -> tuple[np.ndarray, int, int]:
 
 
 def _top_order(sim: np.ndarray, n: int) -> np.ndarray:
-    """The first n entries of every row's neighbour ordering, as an (m, n) block.
+    """The first n entries of every row's neighbour ordering, as an (..., m, n) block.
 
-    Row i's ordering puts i itself first (its diagonal entry counts as +inf,
+    `sim` is one (m, m) matrix or a stack of them (..., m, m). Row i's
+    ordering puts i itself first (its diagonal entry counts as +inf,
     whatever the stored self-similarity), then the other indices by
     similarity descending, ties broken by index ascending: exactly the first
     n columns of a stable argsort of the negated +inf-diagonal matrix, found
@@ -139,29 +149,32 @@ def _top_order(sim: np.ndarray, n: int) -> np.ndarray:
     count over the tied entries keeps the lowest indices; a stable sort then
     orders the kept block. `sim` must be finite, so column 0 is the row itself.
     """
-    m = sim.shape[0]
+    m = sim.shape[-1]
     key = np.negative(sim)
-    key.reshape(-1)[::m + 1] = -np.inf
-    cut = np.partition(key, n - 1, axis=1)[:, n - 1:n]
+    key.reshape(-1, m * m)[:, ::m + 1] = -np.inf
+    cut = np.partition(key, n - 1, axis=-1)[..., n - 1:n]
     keep = key <= cut
-    if np.count_nonzero(keep) > m * n:
+    kept = keep.reshape(-1).nonzero()[0]  # flat positions, index ascending per row
+    if kept.size > keep.size // m * n:
+        rows, cut, keep = key.reshape(-1, m), cut.reshape(-1, 1), keep.reshape(-1, m)  # every row of the stack
         over = np.nonzero(np.count_nonzero(keep, axis=1) > n)[0]
-        sub, at = key[over], cut[over]
+        sub, at = rows[over], cut[over]
         below, tied = sub < at, sub == at
         room = n - np.count_nonzero(below, axis=1)[:, None]
         keep[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
-    kept = keep.reshape(-1).nonzero()[0].reshape(m, n)  # flat positions, index ascending per row
+        kept = keep.reshape(-1).nonzero()[0]
+    kept = kept.reshape(-1, n)
     by_key = key.take(kept).argsort(axis=1, kind="stable")
-    by_key += np.arange(0, m * n, n)[:, None]
-    return kept.take(by_key) % m
+    by_key += np.arange(0, kept.size, n)[:, None]
+    return (kept.take(by_key) % m).reshape(*sim.shape[:-1], n)
 
 
 def _reciprocal_mask(order: np.ndarray, k: int) -> np.ndarray:
     """Mutual k-NN membership, scattered from the first k columns of `order`."""
-    m = order.shape[0]
-    nn = np.zeros((m, m), dtype=bool)
-    nn.reshape(-1)[order[:, :k] + np.arange(0, m * m, m)[:, None]] = True
-    return nn & nn.T
+    m = order.shape[-2]
+    nn = np.zeros((*order.shape[:-1], m), dtype=bool)
+    nn.reshape(-1)[order[..., :k].reshape(-1, k) + np.arange(0, nn.size, m)[:, None]] = True
+    return nn & nn.mT
 
 
 def _round_half_up(x: float) -> int:
@@ -171,52 +184,58 @@ def _round_half_up(x: float) -> int:
 def _extended_mask(order: np.ndarray, k: int, tau: float) -> np.ndarray:
     """Boolean matrix whose row i is the tau-extended reciprocal set of i.
 
-    `order` is a `_top_order` block of at least k columns. Row i starts from
-    R(i, k); each member c whose smaller set R(c, tk), tk = round(tau*k),
-    overlaps the ORIGINAL R(i, k) in at least 2/3 of |R(c, tk)| gets its set
-    unioned in. Single pass; the overlap test is integer-exact
-    (3*|inter| >= 2*|R(c, tk)|).
+    `order` is a `_top_order` block of at least k columns, for one context
+    or a stack of them. Row i starts from R(i, k); each member c whose
+    smaller set R(c, tk), tk = round(tau*k), overlaps the ORIGINAL R(i, k)
+    in at least 2/3 of |R(c, tk)| gets its set unioned in. Single pass; the
+    overlap test is integer-exact (3*|inter| >= 2*|R(c, tk)|).
 
-    The sets are bitsets: every row of R(., k) and R(., tk) is packed into
-    W = ceil(m/64) uint64 words. The members of R(i, k) lie among i's first
-    k neighbours order[i, :k], so each row tests only those k candidates,
-    counting |R(i, k) & R(c, tk)| by popcount, and ORs the words of the
-    passing ones: O(m*k*m/64) integer work and no BLAS call. Both passes go
-    one word at a time, so no temporary holds more than k*m words.
+    The sets are bitsets: every row of R(., k) and R(., tk), of every
+    context, is packed into W = ceil(m/64) uint64 words. The members of
+    R(i, k) lie among i's first k neighbours order[i, :k], so each row tests
+    only those k candidates, counting |R(i, k) & R(c, tk)| by popcount, and
+    ORs the words of the passing ones: O(m*k*m/64) integer work per context
+    and no BLAS call. Both passes go one word at a time, so no temporary
+    holds more than k words per row.
     """
     tk = _round_half_up(tau * k)
     if tk < 1:
         return _reciprocal_mask(order, k)
-    m = order.shape[0]
+    m = order.shape[-2]
     r = _reciprocal_mask(order, k)
+    rows = r.size // m
     words = -(-m // 64)
-    packed = np.zeros((2, m, 8 * words), dtype=np.uint8)  # rows padded with zero bits to whole words
-    packed[0, :, :-(-m // 8)] = np.packbits(r, axis=1, bitorder="little")
-    packed[1, :, :-(-m // 8)] = np.packbits(_reciprocal_mask(order, tk), axis=1, bitorder="little")
-    # r_bits[w, i] and rt_bits[w, i]: word w of R(i, k) and of R(i, tk); words
-    # first, so every elementwise step below runs along m
-    r_bits, rt_bits = np.ascontiguousarray(packed.view(np.uint64).transpose(0, 2, 1))
-    cand = np.ascontiguousarray(order[:, :k].T)  # cand[j, i]: the j-th neighbour of i
-    inter = np.zeros((k, m), dtype=np.intp)      # inter[j, i] = |R(i, k) & R(cand[j, i], tk)|
+    packed = np.zeros((2, *r.shape[:-1], 8 * words), dtype=np.uint8)  # rows padded with zero bits to whole words
+    packed[0, ..., :-(-m // 8)] = np.packbits(r, axis=-1, bitorder="little")
+    packed[1, ..., :-(-m // 8)] = np.packbits(_reciprocal_mask(order, tk), axis=-1, bitorder="little")
+    # r_bits[w, g] and rt_bits[w, g]: word w of R(g, k) and of R(g, tk) for
+    # row g of the stack; words first, so every elementwise step runs along the rows
+    r_bits, rt_bits = np.ascontiguousarray(packed.view(np.uint64).reshape(2, rows, words).transpose(0, 2, 1))
+    cand = np.ascontiguousarray(order[..., :k].reshape(rows, k).T)  # cand[j, g]: the j-th neighbour of g
+    # the same neighbours as rows of the stack: past the first context, a
+    # context's rows start at a multiple of m
+    at = cand if rows == m else cand + np.arange(0, rows, m).repeat(m)
+    inter = np.zeros((k, rows), dtype=np.intp)  # inter[j, g] = |R(g, k) & R(at[j, g], tk)|
     for r_word, rt_word in zip(r_bits, rt_bits):
-        got = rt_word.take(cand)
+        got = rt_word.take(at)
         got &= r_word
         inter += np.bitwise_count(got)
-    # cand[0, i] is i itself and R(i, tk) lies inside R(i, k), so inter[0, i] = |R(i, tk)|;
-    # r read at row i, column cand[j, i] says whether cand[j, i] is in R(i, k)
-    passing = r.reshape(-1).take(cand + np.arange(0, m * m, m)) & (3 * inter >= 2 * inter[0].take(cand))
+    # at[0, g] is g itself and R(g, tk) lies inside R(g, k), so inter[0, g] = |R(g, tk)|;
+    # r read at row g, column cand[j, g] says whether cand[j, g] is in R(g, k)
+    passing = r.reshape(-1).take(cand + np.arange(0, rows * m, m)) & (3 * inter >= 2 * inter[0].take(at))
     union = r_bits.copy()
     for rt_word, union_word in zip(rt_bits, union):
-        got = rt_word.take(cand)
-        got *= passing                           # zero the words of candidates that fail
+        got = rt_word.take(at)
+        got *= passing                          # zero the words of candidates that fail
         union_word |= np.bitwise_or.reduce(got, axis=0)
-    return np.unpackbits(np.ascontiguousarray(union.T).view(np.uint8), axis=1, count=m, bitorder="little").view(bool)
+    bits = np.unpackbits(np.ascontiguousarray(union.T).view(np.uint8), axis=1, count=m, bitorder="little")
+    return bits.view(bool).reshape(r.shape)
 
 
 def _row_maxmin(sim: np.ndarray) -> np.ndarray:
     """Per-row max-min normalization into [0, 1]; a constant row maps to 0."""
-    lo = sim.min(axis=1, keepdims=True)
-    span = sim.max(axis=1, keepdims=True) - lo
+    lo = np.minimum.reduce(sim, axis=-1, keepdims=True)
+    span = np.maximum.reduce(sim, axis=-1, keepdims=True) - lo
     s_hat = sim - lo  # exactly 0 on a constant row, which the division skips
     return np.divide(s_hat, span, out=s_hat, where=span > 0)
 
@@ -239,33 +258,73 @@ def _weight_matrix(s_hat: np.ndarray, ext: np.ndarray, weight_fn: str) -> np.nda
         raw = np.exp(-d)
     else:
         raise ConfigError(f"unknown weight_fn {weight_fn!r}")
-    lo = np.where(ext, raw, np.inf).min(axis=1, keepdims=True)
-    hi = np.where(ext, raw, -np.inf).max(axis=1, keepdims=True)
-    span = hi - lo
-    safe = np.where(span > 0, span, 1.0)
-    scaled = np.where(span > 0, (raw - lo) / safe, 1.0)
+    lo = np.minimum.reduce(np.where(ext, raw, np.inf), axis=-1, keepdims=True)
+    span = np.maximum.reduce(np.where(ext, raw, -np.inf), axis=-1, keepdims=True) - lo
+    scaled = np.divide(raw - lo, span, out=np.ones_like(raw), where=span > 0)  # a zero span maps to 1
     w = _EPS_WEIGHT + (1.0 - _EPS_WEIGHT) * scaled
     return np.where(ext, w, 0.0)
 
 
 def _expand_matrix(weights: np.ndarray, order: np.ndarray, k_exp: int) -> np.ndarray:
-    """Replace each row with the mean of its k_exp nearest rows (self first)."""
+    """Replace each row with the mean of its k_exp nearest rows (self first).
+
+    A running sum over the gathered rows, then one division: the bytes of
+    `weights[order[:, :k_exp]].mean(axis=1)` without its (m, k_exp, m)
+    temporary. `weights` and `order` may be stacks of contexts.
+    """
     if k_exp == 1:
         return weights
-    return weights[order[:, :k_exp]].mean(axis=1)
+    m = weights.shape[-1]
+    rows = weights.reshape(-1, m)
+    near = order[..., :k_exp]
+    if len(rows) > m:  # the rows of a later context in the stack start at a multiple of m
+        near = near + np.arange(0, len(rows), m).reshape(*order.shape[:-2], 1, 1)
+    out = rows[near[..., 0]]
+    for j in range(1, k_exp):
+        out += rows[near[..., j]]
+    out /= k_exp
+    return out
 
 
-def _jaccard_against(weights: np.ndarray, probe: int) -> np.ndarray:
-    """Jaccard distance of the probe's row against every row.
+def _jaccard(weights: np.ndarray, vp: np.ndarray) -> np.ndarray:
+    """Jaccard distance of the row `vp` against every row of `weights` (broadcast).
 
     sum-of-max is strictly positive for every pair: each row retains
     positive mass on its own index (weight floor, then averaging with
     itself during expansion), so the ratio is always defined.
     """
-    vp = weights[probe]
-    mins = np.minimum(weights, vp).sum(axis=1)
-    maxs = np.maximum(weights, vp).sum(axis=1)
+    mins = np.add.reduce(np.minimum(weights, vp), axis=-1)
+    maxs = np.add.reduce(np.maximum(weights, vp), axis=-1)
     return 1.0 - mins / maxs
+
+
+def _mixed_rows(s_hat: np.ndarray, weights: np.ndarray, probes: Sequence[Sequence[int]], lam: float) -> np.ndarray:
+    """Each context's mean over its probes p of lam*s_hat[p] + (1 - lam)*(1 - Jaccard(p, .)).
+
+    `s_hat` and `weights` are (B, m, m) stacks and `probes[b]` lists the
+    probes of context b. Each context's rows are summed in its probe order
+    and divided by its probe count, as one context at a time. The sum starts
+    from the first probe's row: no mixed value is -0.0, so adding it to zero
+    would change no bit.
+    """
+    def mixed(at: list[int], p: list[int]) -> np.ndarray:
+        if len(at) < len(probes):  # only the contexts with a probe in this slot
+            s_p, w_p, w = s_hat[at, p], weights[at, p], weights[at]
+        elif p.count(p[0]) == len(p):  # one probe index in every context, as the query when reranking
+            s_p, w_p, w = s_hat[:, p[0]], weights[:, p[0]], weights
+        else:
+            s_p, w_p, w = s_hat[at, p], weights[at, p], weights
+        return lam * s_p + (1.0 - lam) * (1.0 - _jaccard(w, w_p[:, None]))
+
+    every = list(range(len(probes)))
+    acc = mixed(every, [own[0] for own in probes])
+    most = max(map(len, probes))
+    for slot in range(1, most):
+        at = [b for b in every if len(probes[b]) > slot]
+        acc[at] += mixed(at, [probes[b][slot] for b in at])
+    if most > 1:
+        acc /= [[len(own)] for own in probes]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +377,89 @@ def rnn_scores(context: RankingContext, params: RnnParams, probe: int | Sequence
     context.element_ids[1:] (the query row is dropped). `probe` may also be
     a nonempty sequence of indices: the neighbourhood is still built once,
     and the result is the mean of the probes' mixed-similarity rows, summed
-    in the given order. Deterministic for fixed inputs.
+    in the given order. Deterministic for fixed inputs; the block of one of
+    `rnn_scores_block`.
     """
-    m = context.size
-    probes = [_check_probe(p, m) for p in np.atleast_1d(probe)]
-    if not probes:
+    probes = [probe] if isinstance(probe, (int, np.integer)) else list(probe)
+    return rnn_scores_block([context], params, [probes])[0]
+
+
+def rnn_scores_block(contexts: Sequence[RankingContext], params: RnnParams,
+                     probes: Sequence[Sequence[int]]) -> np.ndarray:
+    """`rnn_scores` of equal-size contexts in one kernel pass; one row per context.
+
+    probes[b] is the nonempty probe list of contexts[b]. Every stage is
+    elementwise, row-wise or a reduction along rows, so each row has the
+    bytes that `rnn_scores(contexts[b], params, probes[b])` gives alone.
+    """
+    m = contexts[0].size
+    if any(c.size != m for c in contexts) or len(probes) != len(contexts):
+        raise DataError("a block needs one probe list per context and contexts of one size")
+    probes = [[_check_probe(p, m) for p in own] for own in probes]
+    if not all(probes):
         raise DataError("rnn_scores needs at least one probe index")
     params.validate_for(m)
     if m == 1:
-        return np.zeros(0, dtype=np.float64)
-    sim = context.sim_matrix
+        return np.zeros((len(contexts), 0), dtype=np.float64)
+    # a block of one stays one matrix: the stages run faster on 2-D arrays
+    sim = contexts[0].sim_matrix if len(contexts) == 1 else np.stack([c.sim_matrix for c in contexts])
     order = _top_order(sim, max(params.k, params.k_exp))
     ext = _extended_mask(order, params.k, params.tau)
     s_hat = _row_maxmin(sim)
     weights = _expand_matrix(_weight_matrix(s_hat, ext, params.weight_fn), order, params.k_exp)
-    acc = np.zeros(m, dtype=np.float64)
-    for p in probes:
-        acc += params.lam * s_hat[p] + (1.0 - params.lam) * (1.0 - _jaccard_against(weights, p))
-    return (acc / len(probes))[1:]
+    if len(contexts) == 1:  # the mixture takes the contexts along a leading axis
+        s_hat, weights = s_hat[None], weights[None]
+    return _mixed_rows(s_hat, weights, probes, params.lam)[:, 1:]
+
+
+def block_budget(m: int) -> int:
+    """Contexts of size m scored in one kernel pass: about 2**15 similarity entries a block."""
+    return max(1, _BLOCK_ENTRIES // (m * m))
+
+
+def score_in_blocks(query_ids: Sequence[str], build: Callable, finish: Callable,
+                    params: RnnParams, strict: bool = False) -> list:
+    """[finish(context, probes, scores) for each query], scored a block at a time.
+
+    build(query_id) returns the query's (context, probes). Contexts are
+    built one at a time, in query order, and wait in one bucket per size;
+    a bucket that holds `block_budget(size)` contexts, and every bucket at
+    the end, is scored by one `rnn_scores_block` call under
+    `params.clamped(size)`. finish gets each context's row. A DataError
+    from build or finish is that query's result; with strict=True, building
+    stops at the first one, the queries before it are finished, and the
+    first error in query order is raised.
+    """
+    results: list = [None] * len(query_ids)
+    buckets: dict[int, list] = {}
+
+    def score(size: int) -> None:
+        jobs = buckets.pop(size)
+        rows = rnn_scores_block([c for _, c, _ in jobs], params.clamped(size), [p for _, _, p in jobs])
+        for (pos, context, probes), row in zip(jobs, rows):
+            try:
+                results[pos] = finish(context, probes, row)
+            except DataError as exc:
+                results[pos] = exc
+
+    for pos, query_id in enumerate(query_ids):
+        try:
+            context, probes = build(query_id)
+        except DataError as exc:
+            results[pos] = exc
+            if strict:
+                break
+            continue
+        bucket = buckets.setdefault(context.size, [])
+        bucket.append((pos, context, probes))
+        if len(bucket) == block_budget(context.size):
+            score(context.size)
+            if strict and any(isinstance(results[at], DataError) for at, _, _ in bucket):
+                break
+    for size in list(buckets):
+        score(size)
+    if strict:
+        first = next((r for r in results if isinstance(r, DataError)), None)
+        if first is not None:
+            raise first
+    return results

@@ -1,13 +1,16 @@
 """Per-query work over worker processes: the one route behind --threads.
 
 Every query is scored inside its own ranking context, so queries are
-independent and `map_queries` may run them in any process. With one worker
-they run inline, one after another. With more, worker processes are forked
-after the caller has loaded its inputs: they inherit the embeddings, the run
-and the per-query function itself, none of which is pickled. Only each
-query's result, and any log record its call emitted, comes back; the parent
-puts results back in query order and emits the records in that order, so
-output bytes and log lines do not depend on the worker count.
+independent and `map_queries` may run them in any process. The caller's
+function takes a contiguous list of query ids and returns one result per
+id, so it can score their contexts in blocks (`neighbors.score_in_blocks`).
+With one worker it gets every query at once, inline. With more, worker
+processes are forked after the caller has loaded its inputs: they inherit
+the embeddings, the run and the function itself, none of which is pickled,
+and each call gets one contiguous shard. Only the results, and any log
+record the call emitted, come back; the parent puts results back in query
+order and emits the records in that order, so output bytes and log lines
+do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -55,12 +58,14 @@ def worker_count(threads: int, n_queries: int, cpus: int) -> int:
 
 
 def map_queries(fn: Callable, query_ids: Sequence[str], workers: int = 1) -> list:
-    """[fn(q) for q in query_ids], computed by up to `workers` processes.
+    """fn(query_ids), computed over contiguous shards by up to `workers` processes.
 
-    `workers` must be a positive integer; it is capped by `worker_count`.
-    Where the fork start method is unavailable the queries run inline. The
-    first exception in query order is raised, as inline; a worker that dies
-    raises BrokenProcessPool.
+    fn maps a list of query ids to a list of as many results; the shards'
+    results are joined in query order. `workers` must be a positive integer;
+    it is capped by `worker_count`. Where the fork start method is
+    unavailable the queries run inline. The exception of the first shard
+    that raises, in query order, is raised; a worker that dies raises
+    BrokenProcessPool.
     """
     check_positive("workers", workers)
     query_ids = list(query_ids)
@@ -70,7 +75,7 @@ def map_queries(fn: Callable, query_ids: Sequence[str], workers: int = 1) -> lis
         if "fork" not in multiprocessing.get_all_start_methods():
             n = 1
     if n == 1:
-        return [fn(q) for q in query_ids]
+        return fn(query_ids)
     from concurrent.futures import ProcessPoolExecutor
     step = -(-len(query_ids) // (n * _SHARDS_PER_WORKER))
     starts = range(0, len(query_ids), step)
@@ -97,4 +102,4 @@ def _start_worker(fn: Callable, query_ids: list[str]) -> None:
 def _run_shard(start: int, stop: int) -> tuple[list, list[logging.LogRecord]]:
     fn, query_ids, keeper = _job
     keeper.records = records = []
-    return [fn(q) for q in query_ids[start:stop]], records
+    return fn(query_ids[start:stop]), records

@@ -18,7 +18,7 @@ from .context import RankingContext, context_from_run, order_by_score
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError, check_positive
 from .ir_eval import RankedList, RunFile, evaluate_metric, parse_metric_id
-from .neighbors import RnnParams, rnn_scores
+from .neighbors import RnnParams, rnn_scores, score_in_blocks
 from .parallel import map_queries
 from .synthetic import random_context
 
@@ -40,24 +40,15 @@ def rerank_context(context: RankingContext, params: RnnParams, top_k: int | None
         top_k = n
     if not 1 <= top_k <= n:
         raise DataError(f"top_k={top_k} out of range [1, {n}] for query {context.query_id!r}")
-    scores = rnn_scores(context, params.clamped(context.size))
+    return _ranked(context, rnn_scores(context, params.clamped(context.size)), top_k)
+
+
+def _ranked(context: RankingContext, scores: np.ndarray, top_k: int | None) -> RankedList:
+    """The context's candidates sorted by `scores` (`order_by_score`), cut to top_k."""
     ids = context.candidate_ids
     order = order_by_score(scores, ids)[:top_k]
     # candidate ids are unique and the order is by score, so the list needs no check
     return RankedList._of(context.query_id, tuple([ids[i] for i in order.tolist()]), scores[order])
-
-
-def _rerank_one(query_id: str, ranked: RankedList, embeddings: EmbeddingMatrix,
-                params: RnnParams, n_context: int, top_k: int | None, strict: bool) -> RankedList:
-    try:
-        ctx = context_from_run(query_id, ranked.doc_ids, embeddings, n_context)
-        depth = None if top_k is None else min(top_k, ctx.n_candidates)
-        return rerank_context(ctx, params, top_k=depth)
-    except DataError as exc:
-        if strict:
-            raise
-        logger.warning("query %s left in original order: %s", query_id, exc)
-        return ranked
 
 
 def check_depths(n_context: int, top_k: int | None = None) -> None:
@@ -76,16 +67,30 @@ def rerank_run(run, embeddings: EmbeddingMatrix, params: RnnParams, n_context: i
     is smaller; deeper run entries are dropped. n_context and top_k must be
     positive integers (top_k may be None), else ConfigError before any query.
     Queries whose query or candidate vectors are missing from the store are
-    warned about and passed through unchanged: original order and original
-    depth, so such a query can keep more entries than a reranked one.
-    strict=True raises instead. Queries run in up to `workers` processes
-    (`parallel.map_queries`); the result does not depend on how many.
+    warned about and passed through unchanged: the run's own RankedList, in
+    original order and at original depth, so such a query can keep more
+    entries than a reranked one. strict=True raises instead. Contexts are
+    scored in blocks of equal size (`neighbors.score_in_blocks`), in up to
+    `workers` processes (`parallel.map_queries`); the result does not depend
+    on either.
     """
     check_depths(n_context, top_k)
+
+    def build(query_id: str) -> tuple[RankingContext, list[int]]:
+        return context_from_run(query_id, run[query_id].doc_ids, embeddings, n_context), [0]
+
+    def finish(context: RankingContext, probes: list[int], scores: np.ndarray) -> RankedList:
+        return _ranked(context, scores, top_k)
+
     query_ids = run.query_ids
-    lists = map_queries(lambda qid: _rerank_one(qid, run[qid], embeddings, params, n_context, top_k, strict),
-                        query_ids, workers)
-    return RunFile(dict(zip(query_ids, lists)))
+    lists = {}
+    for qid, ranked in zip(query_ids, map_queries(
+            lambda ids: score_in_blocks(ids, build, finish, params, strict), query_ids, workers)):
+        if isinstance(ranked, DataError):
+            logger.warning("query %s left in original order: %s", qid, ranked)
+            ranked = run[qid]
+        lists[qid] = ranked
+    return RunFile(lists)
 
 
 def check_sweep(sizes: Sequence[int], metric: str) -> list[int]:

@@ -23,7 +23,7 @@ import numpy as np
 from .context import RankingContext, context_from_run, order_by_score
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError, check_positive
-from .neighbors import RnnParams, rnn_scores
+from .neighbors import RnnParams, rnn_scores, score_in_blocks
 from .parallel import map_queries
 from .textfile import numbered_lines, open_text
 
@@ -90,6 +90,16 @@ class SoftLabelSet:
         if order_by_score(probs, ids).tolist() != list(range(len(ids))):
             raise DataError(f"query {self.query_id!r}: labels not sorted by prob desc, id asc")
 
+    @classmethod
+    def _of(cls, query_id: str, entries: tuple[tuple[str, float], ...], gt_ids: frozenset[str]) -> "SoftLabelSet":
+        """Wrap entries the caller guarantees: (str, float) pairs with unique
+        ids, finite non-negative probabilities summing to 1, sorted by
+        probability descending, then id. No check, no copy."""
+        labels = cls.__new__(cls)
+        for name, value in (("query_id", query_id), ("entries", entries), ("gt_ids", gt_ids)):
+            object.__setattr__(labels, name, value)
+        return labels
+
     @property
     def support(self) -> int:
         """Number of entries with strictly positive mass."""
@@ -144,11 +154,15 @@ def mean_gt_similarity(context: RankingContext, gt_ids, params: SmoothParams) ->
     context.element_ids[1:]. All gt_ids must already be present in the
     context (the dataset pipeline injects them).
     """
+    return rnn_scores(context, params.rnn.clamped(context.size), probe=_gt_probes(context, gt_ids))
+
+
+def _gt_probes(context: RankingContext, gt_ids) -> list[int]:
+    """Context indices of the ground-truth docs, in id order."""
     gt_ids = sorted(set(gt_ids))
     if not gt_ids:
         raise DataError(f"query {context.query_id!r}: empty ground-truth set")
-    probes = [context.index_of(g) for g in gt_ids]  # raises for unresolvable ids
-    return rnn_scores(context, params.rnn.clamped(context.size), probe=probes)
+    return [context.index_of(g) for g in gt_ids]  # raises for unresolvable ids
 
 
 def transform_scores(r_gt, gt_flags, params: SmoothParams) -> np.ndarray:
@@ -205,9 +219,10 @@ def uniform_smooth(n: int, epsilon: float, gt_index: int | Sequence[int] = 0) ->
 # ---------------------------------------------------------------------------
 # dataset pipeline
 
-def _labels_for_query(query_id: str, doc_ids: Sequence[str], qrels, embeddings: EmbeddingMatrix,
-                      params: SmoothParams, n_context: int | None, mode: str,
-                      epsilon: float, rel_threshold: int) -> SoftLabelSet:
+def _gt_context(query_id: str, doc_ids: Sequence[str], qrels, embeddings: EmbeddingMatrix,
+                params: SmoothParams, n_context: int | None,
+                rel_threshold: int) -> tuple[RankingContext, list[int]]:
+    """A query's context, with missing ground truth injected, and its ground-truth probes."""
     gt_all = qrels.relevant_docs(query_id, rel_threshold)
     if not gt_all:
         raise DataError(f"query {query_id!r} has no positive judgment")
@@ -219,12 +234,17 @@ def _labels_for_query(query_id: str, doc_ids: Sequence[str], qrels, embeddings: 
                             f"and injection disabled: {', '.join(missing_gt)}")
         docs = docs + missing_gt
     context = context_from_run(query_id, docs, embeddings, None)
-    cand_ids = list(context.candidate_ids)
-    n = len(cand_ids)
+    n = context.n_candidates
     if n < 2:
         raise DataError(f"query {query_id!r}: need at least 2 candidates, got {n}")
+    return context, _gt_probes(context, gt_all)
 
-    r_gt = mean_gt_similarity(context, gt_all, params)
+
+def _labels(context: RankingContext, probes: list[int], r_gt: np.ndarray, params: SmoothParams,
+            mode: str, epsilon: float) -> SoftLabelSet:
+    """The query's label set from r_gt, the mean similarity of its candidates to the ground truth at `probes`."""
+    gt_all = frozenset(context.element_ids[p] for p in probes)
+    cand_ids = context.candidate_ids
     order = order_by_score(r_gt, cand_ids)
     ids_sorted = [cand_ids[i] for i in order.tolist()]
     flags_sorted = np.array([d in gt_all for d in ids_sorted])
@@ -236,10 +256,12 @@ def _labels_for_query(query_id: str, doc_ids: Sequence[str], qrels, embeddings: 
         probs = softmax(r_prime)
     if mode != "eb":
         eps = epsilon if mode == "uniform" else float(probs[~flags_sorted].sum())
-        probs = uniform_smooth(n, eps, np.nonzero(flags_sorted)[0])
+        probs = uniform_smooth(len(cand_ids), eps, np.nonzero(flags_sorted)[0])
 
-    entries = [(ids_sorted[i], probs[i]) for i in order_by_score(probs, ids_sorted).tolist()]
-    return SoftLabelSet(query_id, tuple(entries), frozenset(gt_all))
+    # built sorted, unique, finite and normalised, so the set needs no check
+    probs = probs.tolist()
+    entries = tuple([(ids_sorted[i], probs[i]) for i in order_by_score(probs, ids_sorted).tolist()])
+    return SoftLabelSet._of(context.query_id, entries, gt_all)
 
 
 def check_smooth_options(n_context: int | None, mode: str, epsilon: float) -> None:
@@ -262,24 +284,23 @@ def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams
     integer or None. Queries without a resolvable ground truth (or with
     unresolvable embeddings) are warned about and skipped unless strict. mode
     is one of eb | uniform | uniform-matched; epsilon only applies to uniform
-    mode, where a value outside [0, 1) is a ConfigError. Queries run in up to
+    mode, where a value outside [0, 1) is a ConfigError. Contexts are scored
+    in blocks of equal size (`neighbors.score_in_blocks`), in up to
     `workers` processes (`parallel.map_queries`); results, warnings and
-    skips keep query-id order whatever the count.
+    skips keep query-id order whatever the block or worker count.
     """
     check_smooth_options(n_context, mode, epsilon)
 
-    def labels_or_error(qid: str) -> SoftLabelSet | DataError:
-        try:
-            return _labels_for_query(qid, run[qid].doc_ids, qrels, embeddings, params,
-                                     n_context, mode, epsilon, rel_threshold)
-        except DataError as exc:
-            if strict:
-                raise
-            return exc
+    def build(qid: str) -> tuple[RankingContext, list[int]]:
+        return _gt_context(qid, run[qid].doc_ids, qrels, embeddings, params, n_context, rel_threshold)
+
+    def finish(context: RankingContext, probes: list[int], r_gt: np.ndarray) -> SoftLabelSet:
+        return _labels(context, probes, r_gt, params, mode, epsilon)
 
     query_ids = run.query_ids
     label_sets, skipped = [], []
-    for qid, out in zip(query_ids, map_queries(labels_or_error, query_ids, workers)):
+    for qid, out in zip(query_ids, map_queries(
+            lambda ids: score_in_blocks(ids, build, finish, params.rnn, strict), query_ids, workers)):
         if isinstance(out, DataError):
             logger.warning("skipping query %s: %s", qid, out)
             skipped.append((qid, str(out)))

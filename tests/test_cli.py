@@ -259,12 +259,26 @@ def test_rerank_end_to_end(corpus_files, tmp_path, capsys):
                  "--run", corpus_files["run"], "--output", str(out),
                  "--k", "6", "--n-context", "15"])
     assert code == 0
-    assert capsys.readouterr().out.splitlines()[0] == f"reranked 6 queries -> {out}"
+    assert capsys.readouterr().out.splitlines()[0] == f"reranked 6 queries (0 passed through) -> {out}"
     reranked = parse_run(out)
     original = parse_run(corpus_files["run"])
     assert reranked.query_ids == original.query_ids
     for qid in reranked.query_ids:
         assert sorted(reranked[qid].doc_ids) == sorted(original[qid].doc_ids)
+
+
+def test_rerank_summary_counts_a_query_without_a_vector_as_passed_through(tmp_path, capsys, caplog):
+    corpus = planted_corpus(seed=7, n_queries=6, n_distractors=60, depth=15)
+    stuck = corpus.run.query_ids[3]
+    keep = [i for i in corpus.embeddings.ids if i != stuck]
+    emb, run = str(tmp_path / "v.emb"), str(tmp_path / "b.run")
+    write_embeddings(EmbeddingMatrix(keep, np.vstack([corpus.embeddings.lookup(i) for i in keep])), emb)
+    write_run(corpus.run, run, tag="base")
+    out = tmp_path / "r.run"
+    assert main(["rerank", "--embeddings", emb, "--run", run, "--output", str(out), "--n-context", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"reranked 5 queries (1 passed through) -> {out}"
+    assert [stuck in rec.getMessage() for rec in caplog.records] == [True]
+    assert parse_run(out)[stuck].doc_ids == corpus.run[stuck].doc_ids
 
 
 def test_pass_through_query_keeps_full_depth(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from recipnn.context import build_context, context_from_run, top_n, top_n_context
+from recipnn.context import build_context, context_from_run, top_n
 from recipnn.embeddings import EmbeddingMatrix
 from recipnn.errors import DataError
 from recipnn.synthetic import unit_vectors
@@ -71,27 +71,6 @@ def make_pool(n, dim, seed):
     return EmbeddingMatrix(ids, unit_vectors(rng, n, dim).astype(np.float32))
 
 
-def test_top_n_self_match():
-    pool = make_pool(16, 4, seed=1)
-    qid, qvec = "d007", pool.lookup("d007").astype(np.float64)
-    ctx = top_n_context("probe", qvec, pool, 1)
-    assert ctx.candidate_ids == ("d007",)
-
-
-def test_top_n_exhaustive():
-    pool = make_pool(8, 4, seed=2)
-    ctx = top_n_context("probe", pool.lookup("d000").astype(np.float64), pool, 50)
-    assert ctx.n_candidates == 8
-    assert sorted(ctx.candidate_ids) == pool.ids
-
-
-def test_top_n_excludes_pool_entry_sharing_query_id():
-    pool = make_pool(8, 4, seed=3)
-    ctx = top_n_context("d001", pool.lookup("d001").astype(np.float64), pool, 8)
-    assert "d001" not in ctx.candidate_ids
-    assert ctx.n_candidates == 7
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=64),
@@ -103,12 +82,10 @@ def test_top_n_matches_full_sort_oracle(n, dim, top, seed):
     pool = make_pool(n, dim, seed)
     rng = np.random.default_rng(seed + 1)
     qvec = unit_vectors(rng, 1, dim)[0]
-    ctx = top_n_context("q", qvec, pool, top)
-
     scores = pool.vectors.astype(np.float64) @ qvec
-    oracle = sorted(zip(pool.ids, scores), key=lambda t: (-t[1], t[0]))[:top]
-    assert list(ctx.candidate_ids) == [i for i, _ in oracle]
-    np.testing.assert_allclose(ctx.geo_scores[1:], [s for _, s in oracle], atol=1e-12)
+    ids = pool.ids
+    expect = sorted(range(n), key=lambda i: (-scores[i], ids[i]))[:top]
+    assert top_n(scores, ids, top).tolist() == expect
 
 
 def make_store_with_query(n, dim, seed):
@@ -159,23 +136,6 @@ def test_top_n_matches_full_sort_with_ties_across_the_cut(grid, n, seed):
     ids = [f"d{p:02d}" for p in np.random.default_rng(seed).permutation(len(grid))]
     expect = sorted(range(len(grid)), key=lambda i: (-scores[i], ids[i]))[:n]
     assert top_n(scores, ids, n).tolist() == expect
-
-
-def test_top_n_context_with_tied_pool_vectors():
-    # 30 entries drawn from 4 distinct integer vectors: exact score ties
-    # straddle every cut
-    rng = np.random.default_rng(5)
-    grid = rng.integers(-2, 3, size=(4, 3)).astype(np.float32)
-    ids = [f"d{i:02d}" for i in rng.permutation(30)]
-    vecs = grid[rng.integers(0, 4, size=30)]
-    pool = EmbeddingMatrix(ids, vecs)
-    qvec = np.array([1.0, 2.0, -1.0])
-    scores = vecs.astype(np.float64) @ qvec
-    for n in range(1, 31):
-        ctx = top_n_context("q", qvec, pool, n)
-        expect = sorted(range(30), key=lambda i: (-scores[i], ids[i]))[:n]
-        assert list(ctx.candidate_ids) == [ids[i] for i in expect]
-        np.testing.assert_array_equal(ctx.geo_scores[1:], scores[expect])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from recipnn import neighbors
 from recipnn.context import RankingContext, build_context
 from recipnn.errors import ConfigError, DataError
 from recipnn.neighbors import (
@@ -13,9 +14,11 @@ from recipnn.neighbors import (
     nn_set,
     reciprocal_set,
     rnn_scores,
+    rnn_scores_block,
+    score_in_blocks,
     _expand_matrix,
     _extended_mask,
-    _jaccard_against,
+    _jaccard,
     _reciprocal_mask,
     _row_maxmin,
     _top_order,
@@ -282,10 +285,10 @@ def test_jaccard_symmetry_and_range(seed, n):
     if b.max() == 0.0:
         b[-1] = 0.5
     pair = np.array([a, b])
-    d_ab = _jaccard_against(pair, 0)[1]
-    assert d_ab == _jaccard_against(pair, 1)[0]
+    d_ab = _jaccard(pair, pair[0])[1]
+    assert d_ab == _jaccard(pair, pair[1])[0]
     assert 0.0 <= d_ab <= 1.0
-    assert _jaccard_against(pair, 0)[0] == 0.0
+    assert _jaccard(pair, pair[0])[0] == 0.0
     assert jaccard_oracle(a.tolist(), b.tolist()) == pytest.approx(d_ab, abs=1e-12)
 
 
@@ -619,3 +622,91 @@ def test_hand_built_context_rejects_non_finite_similarities(bad):
     with pytest.raises(DataError, match="non-finite"):
         RankingContext("q", ("q", *(f"c{i}" for i in range(5))), sim)
 
+
+
+# ---------------------------------------------------------------------------
+# blocks: one kernel pass over a stack of equal-size contexts
+
+@tied_seeds
+@pytest.mark.parametrize("weight_fn", WEIGHT_FNS)
+def test_block_rows_are_the_bytes_of_one_context_at_a_time(seed, weight_fn):
+    # exact ties and duplicate vectors; one- and two-probe contexts side by side
+    block = [tied_context(seed + 10 * b) for b in range(4)]
+    probes = [[0], [3, 1], [0], [7, 2]]
+    for p in (RnnParams(k=6, k_exp=3, tau=0.5, lam=0.451, weight_fn=weight_fn),
+              RnnParams(k=3, k_exp=1, tau=0.0, lam=0.2, weight_fn=weight_fn),
+              RnnParams(k=16, k_exp=16, tau=1.0, lam=0.0, weight_fn=weight_fn)):
+        rows = rnn_scores_block(block, p, probes)
+        assert rows.shape == (4, 15)
+        for ctx, own, row in zip(block, probes, rows):
+            assert row.tobytes() == rnn_scores(ctx, p, probe=own).tobytes()
+
+
+@pytest.mark.parametrize("m", [40, 64, 65, 130])
+def test_block_rows_match_beyond_one_bitset_word(m):
+    # several contexts whose sets span one or more 64-bit words, tau extension on
+    rng = np.random.default_rng(m)
+    block = [random_context(rng, m - 1, 8, distinct=m // 3 if b % 2 else None) for b in range(3)]
+    probes = [[0], [0, m - 1], [5]]
+    p = RnnParams(k=19, k_exp=8, tau=0.5, lam=0.2)
+    for ctx, own, row in zip(block, probes, rnn_scores_block(block, p, probes)):
+        assert row.tobytes() == rnn_scores(ctx, p, probe=own).tobytes()
+
+
+def test_block_refuses_mixed_sizes_and_empty_probe_lists():
+    a, b = tied_context(0), tied_context(1, n=9)
+    p = RnnParams(k=3)
+    with pytest.raises(DataError, match="one size"):
+        rnn_scores_block([a, b], p, [[0], [0]])
+    with pytest.raises(DataError, match="one size"):
+        rnn_scores_block([a], p, [[0], [0]])
+    with pytest.raises(DataError, match="at least one probe"):
+        rnn_scores_block([a, tied_context(2)], p, [[0], []])
+
+
+def _sized_jobs(sizes):
+    """build/finish for score_in_blocks over contexts of the given sizes; None stands for a DataError."""
+    contexts = {f"q{i}": (None if n is None else tied_context(i, n=n - 1)) for i, n in enumerate(sizes)}
+
+    def build(qid):
+        if contexts[qid] is None:
+            raise DataError(f"no context for {qid}")
+        return contexts[qid], [0, 1] if int(qid[1:]) % 3 == 0 else [0]
+
+    def finish(context, probes, row):
+        return context, probes, row.tobytes()
+
+    return list(contexts), contexts, build, finish
+
+
+@pytest.mark.parametrize("budget", [None, 1, 3])
+def test_score_in_blocks_keeps_query_order_across_sizes(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(neighbors, "block_budget", lambda m: budget)
+    sizes = [5, 8, 5, None, 8, 5, 5, 12, 5, 8, 2, 5]
+    qids, contexts, build, finish = _sized_jobs(sizes)
+    p = RnnParams(k=4, k_exp=3, tau=0.5)
+    out = score_in_blocks(qids, build, finish, p)
+    for qid, got in zip(qids, out):
+        ctx = contexts[qid]
+        if ctx is None:
+            assert isinstance(got, DataError) and qid in str(got)
+            continue
+        probes = build(qid)[1]
+        assert got == (ctx, probes, rnn_scores(ctx, p.clamped(ctx.size), probe=probes).tobytes())
+
+
+@pytest.mark.parametrize("budget", [1, 3])
+def test_score_in_blocks_strict_raises_the_first_error_in_query_order(monkeypatch, budget):
+    monkeypatch.setattr(neighbors, "block_budget", lambda m: budget)
+    qids, contexts, build, _ = _sized_jobs([5, 8, 5, None, 8, None])
+
+    def finish(context, probes, row):  # the second query fails only once it is scored
+        if context is contexts["q1"]:
+            raise DataError("q1 failed late")
+        return row
+
+    with pytest.raises(DataError, match="q1 failed late"):
+        score_in_blocks(qids, build, finish, RnnParams(k=4), strict=True)
+    out = score_in_blocks(qids, build, finish, RnnParams(k=4))
+    assert [type(r).__name__ for r in out] == ["ndarray", "DataError", "ndarray", "DataError", "ndarray", "DataError"]

@@ -34,7 +34,7 @@ def test_worker_count_is_capped_by_cpus_and_queries():
 def test_non_positive_worker_count_is_refused():
     for workers in (0, -3):
         with pytest.raises(ConfigError, match="workers"):
-            map_queries(str, ["a"], workers)
+            map_queries(list, ["a"], workers)
 
 
 def test_two_workers_run_outside_the_parent_and_keep_query_order(four_cpus):
@@ -43,14 +43,25 @@ def test_two_workers_run_outside_the_parent_and_keep_query_order(four_cpus):
         return query_id, os.getpid()
 
     query_ids = [f"q{i:02d}" for i in range(40)]
-    out = map_queries(where, query_ids, workers=2)
+    out = map_queries(lambda shard: [where(q) for q in shard], query_ids, workers=2)
     assert [q for q, _ in out] == query_ids
     pids = {pid for _, pid in out}
     assert os.getpid() not in pids and len(pids) >= 2
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_call_gets_one_contiguous_shard(four_cpus, workers):
+    # the shard function sees whole runs of consecutive ids, so it can
+    # score their contexts in blocks; one worker gets every id at once
+    query_ids = [f"q{i:02d}" for i in range(30)]
+    out = map_queries(lambda shard: [tuple(shard)] * len(shard), query_ids, workers)
+    shards = list(dict.fromkeys(out))
+    assert [q for shard in shards for q in shard] == query_ids
+    assert len(shards) == (1 if workers == 1 else 8)
+
+
 def test_one_worker_runs_inline():
-    assert map_queries(lambda q: (q, os.getpid()), ["a", "b"], workers=1) == \
+    assert map_queries(lambda shard: [(q, os.getpid()) for q in shard], ["a", "b"], workers=1) == \
         [("a", os.getpid()), ("b", os.getpid())]
 
 
@@ -64,10 +75,10 @@ def test_a_worker_that_dies_is_an_error_not_a_hang():
         parallel.available_cpus = lambda: 4
         parent = os.getpid()
 
-        def die_in_a_worker(query_id):
-            if os.getpid() != parent and query_id == 7:
+        def die_in_a_worker(shard):
+            if os.getpid() != parent and 7 in shard:
                 os._exit(1)
-            return query_id
+            return shard
 
         try:
             parallel.map_queries(die_in_a_worker, list(range(20)), workers=2)

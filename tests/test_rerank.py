@@ -3,7 +3,8 @@ import logging
 import numpy as np
 import pytest
 
-from recipnn import parallel
+from recipnn import neighbors, parallel
+from recipnn.context import context_from_run
 from recipnn.embeddings import EmbeddingMatrix
 from recipnn.errors import ConfigError, DataError
 from recipnn.ir_eval import Qrels, RunFile
@@ -161,7 +162,7 @@ def test_rerank_run_missing_vectors_pass_through(caplog):
 
 
 def test_rerank_run_in_worker_processes_matches_inline(monkeypatch, caplog):
-    # the pass-through warning a worker logs reaches the parent's handlers
+    # a query passed through in a worker is warned about once, as inline
     monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
     c = corpus()
     qid = c.run.query_ids[2]
@@ -175,6 +176,66 @@ def test_rerank_run_in_worker_processes_matches_inline(monkeypatch, caplog):
         outcomes.append((out.lists, [(rec.name, rec.levelno, rec.getMessage()) for rec in caplog.records]))
     assert len(outcomes[0][1]) == 1 and qid in outcomes[0][1][0][2]
     assert outcomes[1] == outcomes[0]
+
+
+def _without_vectors(store, drop):
+    keep = [(i, v) for i, v in store if i not in drop]
+    return EmbeddingMatrix([i for i, _ in keep], np.vstack([v for _, v in keep]))
+
+
+def _one_at_a_time(run, store, params, n_context, top_k=None):
+    """rerank_run's result computed one query at a time through rerank_context."""
+    lists = {}
+    for qid in run.query_ids:
+        try:
+            ctx = context_from_run(qid, run[qid].doc_ids, store, n_context)
+            lists[qid] = rerank_context(ctx, params, None if top_k is None else min(top_k, ctx.n_candidates))
+        except DataError:
+            lists[qid] = run[qid]
+    return lists
+
+
+@pytest.mark.parametrize("budget", [None, 1, 3])
+def test_rerank_run_blocks_match_one_query_at_a_time(monkeypatch, budget):
+    # short run lists give contexts of four sizes in one shard, and a query
+    # without its vector is passed through in the middle of them
+    if budget is not None:
+        monkeypatch.setattr(neighbors, "block_budget", lambda m: budget)
+    c = corpus(n_queries=14)
+    run = RunFile({qid: c.run[qid].truncated(3 + 4 * (i % 4)) for i, qid in enumerate(c.run.query_ids)})
+    store = _without_vectors(c.embeddings, {run.query_ids[5]})
+    for params, top_k in ((rparams(), None), (rparams(k=4, k_exp=3, tau=0.5), 5)):
+        out = rerank_run(run, store, params, N_CONTEXT, top_k=top_k)
+        expect = _one_at_a_time(run, store, params, N_CONTEXT, top_k)
+        assert out[run.query_ids[5]] is run[run.query_ids[5]]
+        for qid in run.query_ids:
+            assert out[qid].doc_ids == expect[qid].doc_ids
+            assert out[qid].scores.tobytes() == expect[qid].scores.tobytes()
+
+
+def test_rerank_run_blocks_with_tied_vectors():
+    # every candidate vector drawn from three: exact ties and duplicates in every context
+    c = corpus(n_queries=10)
+    ids = c.embeddings.ids
+    pool = c.embeddings.vectors[:3]
+    store = EmbeddingMatrix(ids, pool[np.arange(len(ids)) % 3])
+    out = rerank_run(c.run, store, rparams(tau=0.5), N_CONTEXT)
+    expect = _one_at_a_time(c.run, store, rparams(tau=0.5), N_CONTEXT)
+    for qid in c.run.query_ids:
+        assert out[qid].doc_ids == expect[qid].doc_ids
+        assert out[qid].scores.tobytes() == expect[qid].scores.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rerank_run_strict_raises_the_first_error_in_query_order(monkeypatch, workers):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
+    monkeypatch.setattr(neighbors, "block_budget", lambda m: 3)
+    c = corpus(n_queries=12)
+    qids = c.run.query_ids
+    first = c.run[qids[4]].doc_ids[2]  # a candidate of the fifth query, then the tenth query itself
+    store = _without_vectors(c.embeddings, {first, qids[9]})
+    with pytest.raises(DataError, match=first):
+        rerank_run(c.run, store, rparams(), N_CONTEXT, strict=True, workers=workers)
 
 
 def test_rerank_run_top_k_capped_per_query():

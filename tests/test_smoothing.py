@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recipnn import parallel
+from recipnn import neighbors, parallel, smoothing
 from recipnn.errors import ConfigError, DataError
-from recipnn.ir_eval import Qrels
+from recipnn.ir_eval import Qrels, RunFile
 from recipnn.neighbors import RnnParams
 from recipnn.oracle import mixed_scores_oracle
 from recipnn.smoothing import (
@@ -305,6 +305,63 @@ def test_smooth_dataset_skips_alike_in_worker_processes(monkeypatch, caplog):
     assert [qid for qid, _ in outcomes[0][0].skipped] == list(unjudged)
     assert len(outcomes[0][1]) == 2
     assert outcomes[1] == outcomes[0]
+
+
+def _labels_one_at_a_time(run, qrels, store, params, n_context, mode="eb", epsilon=0.1):
+    """smooth_dataset's label sets computed one query at a time through mean_gt_similarity."""
+    out = {}
+    for qid in run.query_ids:
+        try:
+            ctx, probes = smoothing._gt_context(qid, run[qid].doc_ids, qrels, store, params, n_context, 1)
+            r_gt = mean_gt_similarity(ctx, qrels.relevant_docs(qid), params)
+            out[qid] = smoothing._labels(ctx, probes, r_gt, params, mode, epsilon)
+        except DataError:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("budget", [None, 1, 3])
+def test_smooth_dataset_blocks_match_one_query_at_a_time(monkeypatch, budget):
+    # run lists cut to several depths, with ground truth injected where it
+    # fell off: contexts of mixed sizes, one- and two-probe queries (every
+    # third query has two judged positives) in the same blocks, and an
+    # unjudged query skipped in the middle of them
+    if budget is not None:
+        monkeypatch.setattr(neighbors, "block_budget", lambda m: budget)
+    c = corpus100()
+    qids = c.run.query_ids
+    run = RunFile({qid: c.run[qid].truncated(4 + 5 * (i % 3)) for i, qid in enumerate(qids)})
+    qrels = Qrels({qid: dict(c.qrels.grades_for(qid)) for qid in qids if qid != qids[4]})
+    params = sparams(rnn=RnnParams(k=6, k_exp=3, tau=0.5, lam=0.451))
+    for mode in ("eb", "uniform-matched"):
+        res = smooth_dataset(run, qrels, c.embeddings, params, mode=mode)
+        expect = _labels_one_at_a_time(run, qrels, c.embeddings, params, None, mode)
+        assert [qid for qid, _ in res.skipped] == [qids[4]]
+        assert {ls.query_id: ls for ls in res.label_sets} == expect
+        assert any(len(ls.gt_ids) == 2 for ls in res.label_sets)
+
+
+@pytest.mark.parametrize("mode", ["eb", "uniform", "uniform-matched"])
+def test_trusted_label_sets_pass_the_validating_constructor(mode):
+    c = corpus100()
+    res = smooth_dataset(c.run, c.qrels, c.embeddings, sparams(), n_context=20, mode=mode, epsilon=0.2)
+    assert res.label_sets
+    for ls in res.label_sets:
+        again = SoftLabelSet(ls.query_id, ls.entries, ls.gt_ids)
+        assert again == ls
+        assert all(type(d) is str and type(p) is float for d, p in ls.entries)
+        assert isinstance(ls.gt_ids, frozenset)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_smooth_dataset_strict_raises_the_first_error_in_query_order(monkeypatch, workers):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
+    monkeypatch.setattr(neighbors, "block_budget", lambda m: 3)
+    c = corpus100()
+    qids = c.run.query_ids
+    qrels = Qrels({qid: dict(c.qrels.grades_for(qid)) for qid in qids if qid not in (qids[5], qids[9])})
+    with pytest.raises(DataError, match=repr(qids[5])):
+        smooth_dataset(c.run, qrels, c.embeddings, sparams(), n_context=20, strict=True, workers=workers)
 
 
 def test_smooth_dataset_injects_missing_gt():
