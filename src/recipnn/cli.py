@@ -30,7 +30,9 @@ if not any(var in os.environ for var in _BLAS_THREAD_VARS):
 import argparse
 import logging
 import sys
+import time
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +49,8 @@ from .oracle import extended_oracle, mixed_scores_oracle
 from .rerank import bench_latency, check_depths, check_sweep, rerank_context, rerank_run, sweep_context_size
 from .smoothing import check_smooth_options, smooth_dataset, write_soft_labels
 from .synthetic import random_context
+
+logger = logging.getLogger(__name__)
 
 _BENCH_SIZES = [50, 100, 200, 400]
 # help text of the keys whose name alone does not say what they do
@@ -95,9 +99,48 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--preset", default=None, help="named parameter preset")
-        p.add_argument("--verbose", action="store_true", help="log per-query details")
+        p.add_argument("--verbose", action="store_true",
+                       help="log input sizes, query counts and stage seconds to stderr (INFO)")
         _add_key_flags(p, command)
     return parser
+
+
+def _timed(fn: Callable, *args, **kwargs) -> tuple[object, float]:
+    """fn(*args, **kwargs) and the seconds it took."""
+    start = time.perf_counter()
+    return fn(*args, **kwargs), time.perf_counter() - start
+
+
+# readers and writers that log, at INFO, what they moved and the seconds it took
+
+def _read_embeddings(path):
+    embeddings, seconds = _timed(load_embeddings, path)
+    logger.info("loaded %d vectors of dim %d from %s in %.3f s", len(embeddings), embeddings.dim, path, seconds)
+    return embeddings
+
+
+def _read_run(path):
+    run, seconds = _timed(parse_run, path)
+    logger.info("parsed %d queries, %d run lines from %s in %.3f s",
+                len(run), sum(len(run[qid]) for qid in run.query_ids), path, seconds)
+    return run
+
+
+def _read_qrels(path):
+    qrels, seconds = _timed(parse_qrels, path)
+    logger.info("parsed judgments for %d queries from %s in %.3f s", len(qrels.query_ids), path, seconds)
+    return qrels
+
+
+def _write(write: Callable, *args, **kwargs) -> None:
+    """write(value, path, ...), with the seconds it took logged at INFO."""
+    _, seconds = _timed(write, *args, **kwargs)
+    logger.info("wrote %s in %.3f s", args[1], seconds)
+
+
+def _write_text(text: str, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _metric_table(rows: list[tuple[str, list[float]]], columns: list[str]) -> str:
@@ -123,15 +166,16 @@ def cmd_rerank(cfg: dict) -> None:
     params = rnn_params_from(cfg)
     check_depths(cfg["n_context"], cfg.get("top_k"))
     check_positive("threads", cfg["threads"])
-    embeddings = load_embeddings(cfg["embeddings"])
-    run = parse_run(cfg["run"])
-    reranked = rerank_run(run, embeddings, params, cfg["n_context"],
-                          top_k=cfg.get("top_k"), strict=cfg["strict"], workers=cfg["threads"])
-    write_run(reranked, cfg["output"], tag=cfg["tag"], header=header_line(cfg, __version__))
+    embeddings = _read_embeddings(cfg["embeddings"])
+    run = _read_run(cfg["run"])
+    reranked, seconds = _timed(rerank_run, run, embeddings, params, cfg["n_context"],
+                               top_k=cfg.get("top_k"), strict=cfg["strict"], workers=cfg["threads"])
     passed = sum(reranked[qid] is run[qid] for qid in run.query_ids)  # rerank_run passes such a list through as is
+    logger.info("scored %d queries (%d passed through) in %.3f s", len(reranked) - passed, passed, seconds)
+    _write(write_run, reranked, cfg["output"], tag=cfg["tag"], header=header_line(cfg, __version__))
     print(f"reranked {len(reranked) - passed} queries ({passed} passed through) -> {cfg['output']}")
     if cfg.get("qrels"):
-        qrels = parse_qrels(cfg["qrels"])
+        qrels = _read_qrels(cfg["qrels"])
         before = _standard_metrics(run, qrels, cfg["cutoff"], cfg["rel_threshold"])
         after = _standard_metrics(reranked, qrels, cfg["cutoff"], cfg["rel_threshold"])
         rows = [(name, [b, a]) for (name, b), (_, a) in zip(before, after)]
@@ -142,14 +186,15 @@ def cmd_smooth(cfg: dict) -> None:
     params = smooth_params_from(cfg)
     check_smooth_options(cfg["n_context"], cfg["mode"], cfg["epsilon"])
     check_positive("threads", cfg["threads"])
-    embeddings = load_embeddings(cfg["embeddings"])
-    run = parse_run(cfg["run"])
-    qrels = parse_qrels(cfg["qrels"])
-    result = smooth_dataset(run, qrels, embeddings, params,
-                            n_context=cfg["n_context"], mode=cfg["mode"],
-                            epsilon=cfg["epsilon"], rel_threshold=cfg["rel_threshold"],
-                            strict=cfg["strict"], workers=cfg["threads"])
-    write_soft_labels(result.label_sets, cfg["output"], header=header_line(cfg, __version__))
+    embeddings = _read_embeddings(cfg["embeddings"])
+    run = _read_run(cfg["run"])
+    qrels = _read_qrels(cfg["qrels"])
+    result, seconds = _timed(smooth_dataset, run, qrels, embeddings, params,
+                             n_context=cfg["n_context"], mode=cfg["mode"],
+                             epsilon=cfg["epsilon"], rel_threshold=cfg["rel_threshold"],
+                             strict=cfg["strict"], workers=cfg["threads"])
+    logger.info("scored %d queries (%d skipped) in %.3f s", len(result.label_sets), len(result.skipped), seconds)
+    _write(write_soft_labels, result.label_sets, cfg["output"], header=header_line(cfg, __version__))
     print(f"smoothed {len(result.label_sets)} queries "
           f"({len(result.skipped)} skipped) -> {cfg['output']}")
     print(f"mean ground-truth mass: {result.mean_gt_mass:.6f}")
@@ -157,8 +202,8 @@ def cmd_smooth(cfg: dict) -> None:
 
 def cmd_eval(cfg: dict) -> None:
     check_positive("cutoff", cfg["cutoff"])
-    run = parse_run(cfg["run"])
-    qrels = parse_qrels(cfg["qrels"])
+    run = _read_run(cfg["run"])
+    qrels = _read_qrels(cfg["qrels"])
     rows = [(name, [value]) for name, value
             in _standard_metrics(run, qrels, cfg["cutoff"], cfg["rel_threshold"])]
     print(_metric_table(rows, ["value"]))
@@ -168,16 +213,15 @@ def cmd_sweep(cfg: dict) -> None:
     params = rnn_params_from(cfg)
     check_sweep(cfg["sizes"], cfg["metric"])
     check_positive("threads", cfg["threads"])
-    embeddings = load_embeddings(cfg["embeddings"])
-    run = parse_run(cfg["run"])
-    qrels = parse_qrels(cfg["qrels"])
-    rows = sweep_context_size(run, embeddings, qrels, params, cfg["sizes"],
-                              metric=cfg["metric"], rel_threshold=cfg["rel_threshold"],
-                              workers=cfg["threads"])
+    embeddings = _read_embeddings(cfg["embeddings"])
+    run = _read_run(cfg["run"])
+    qrels = _read_qrels(cfg["qrels"])
+    rows, seconds = _timed(sweep_context_size, run, embeddings, qrels, params, cfg["sizes"],
+                           metric=cfg["metric"], rel_threshold=cfg["rel_threshold"], workers=cfg["threads"])
+    logger.info("scored %d queries at %d context sizes in %.3f s", len(run), len(rows), seconds)
     lines = [f"# {header_line(cfg, __version__)}", f"n,{cfg['metric']}"]
     lines += [f"{n},{value!r}" for n, value in rows]
-    with open(cfg["output"], "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(_write_text, "\n".join(lines) + "\n", cfg["output"])
     print(f"swept {len(rows)} context sizes -> {cfg['output']}")
 
 
@@ -189,8 +233,7 @@ def cmd_bench(cfg: dict) -> None:
     lines += [f"{n},{mean:.3f},{p95:.3f}" for n, mean, p95 in rows]
     text = "\n".join(lines) + "\n"
     if cfg.get("output"):
-        with open(cfg["output"], "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(_write_text, text, cfg["output"])
         print(f"benchmarked {len(rows)} context sizes -> {cfg['output']}")
     else:
         print(text, end="")

@@ -2,9 +2,11 @@
 
 A context bundles the query (always position 0), the candidates in
 `order_by_score` order (geometric score descending, ties broken by id
-ascending), and the dense (N+1) x (N+1) matrix of pairwise inner products
-that all reciprocal-neighbor math runs on. Retrieval is exact brute force —
-at the scales this package targets no ANN index is warranted.
+ascending), each candidate's position in id order (`id_ranks`, the tie
+key of every later ordering of the same candidates), and the dense
+(N+1) x (N+1) matrix of pairwise inner products that all
+reciprocal-neighbor math runs on. Retrieval is exact brute force — at the
+scales this package targets no ANN index is warranted.
 """
 
 from __future__ import annotations
@@ -18,15 +20,23 @@ from .embeddings import EmbeddingMatrix
 from .errors import DataError
 
 
-def order_by_score(scores, ids: Sequence[str]) -> np.ndarray:
+def id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Each id's position in id order (ids must be unique)."""
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
+def order_by_score(scores, ranks) -> np.ndarray:
     """Positions of `scores` sorted by score descending, then id ascending.
 
-    The package's one candidate order (contexts, reranked lists, soft labels,
-    synthetic runs), so equal scores always resolve alike, byte for byte.
+    `ranks` gives each entry's position in id order (`id_ranks`). `scores`
+    and `ranks` are one row or a (B, n) stack of rows, each sorted on its
+    own. The package's one candidate order (contexts, reranked lists, soft
+    labels, synthetic runs), so equal scores always resolve alike, byte for
+    byte; NaN sorts last.
     """
-    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
-    scores = np.asarray(scores, dtype=np.float64)[by_id]
-    return by_id[(-scores).argsort(kind="stable")]
+    return np.lexsort((ranks, np.negative(scores, dtype=np.float64)), axis=-1)
 
 
 def top_n(scores, ids: Sequence[str], n: int) -> np.ndarray:
@@ -39,7 +49,7 @@ def top_n(scores, ids: Sequence[str], n: int) -> np.ndarray:
         cand = np.nonzero(scores >= scores[cut].min())[0]
     else:
         cand = np.arange(len(scores))
-    return cand[order_by_score(scores[cand], [ids[i] for i in cand])[:n]]
+    return cand[order_by_score(scores[cand], id_ranks([ids[i] for i in cand]))[:n]]
 
 
 def _row_scores(vecs: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
@@ -54,19 +64,24 @@ class RankingContext:
     element_ids[0] is the query; element_ids[1:] are candidates in
     `order_by_score` order of their geometric scores, which are row 0 of
     sim_matrix (`geo_scores`); sim_matrix[i][j] is the inner product of
-    elements i and j. Never mutated after construction; constructing one
+    elements i and j. id_ranks[j] is the position of candidate
+    element_ids[j + 1] in id order among the candidates, computed from the
+    ids when not given. Never mutated after construction; constructing one
     with a non-finite similarity raises DataError.
     """
 
     query_id: str
     element_ids: tuple[str, ...]
     sim_matrix: np.ndarray = field(repr=False)
+    id_ranks: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the neighbour kernel ranks each element first in its own row, which
         # holds only for finite similarities
         if not np.isfinite(self.sim_matrix).all():
             raise DataError(f"non-finite similarities in context for query {self.query_id!r}")
+        if self.id_ranks is None:
+            object.__setattr__(self, "id_ranks", id_ranks(self.element_ids[1:]))
 
     @property
     def geo_scores(self) -> np.ndarray:
@@ -104,9 +119,11 @@ def build_context(
     Each candidate's geometric score <query, doc> is one per-row sum; the
     candidates are put in `order_by_score` order of it, and the same values
     are the query row and column of the similarity matrix, so the kernel
-    reads the geometry that ordered them. The rest is one product `A @ A.T`,
-    which numpy returns exactly symmetric. Only what the input can break is
-    checked: dimensions and ids here, finiteness by `RankingContext`.
+    reads the geometry that ordered them. The id order that breaks their
+    ties is kept as the context's `id_ranks`. The rest is one product
+    `A @ A.T`, which numpy returns exactly symmetric. Only what the input
+    can break is checked: dimensions and ids here, finiteness by
+    `RankingContext`.
     """
     query_vec = np.asarray(query_vec, dtype=np.float64)
     doc_vecs = np.asarray(doc_vecs, dtype=np.float64)
@@ -121,7 +138,8 @@ def build_context(
         raise DataError(f"duplicate element ids in context for query {query_id!r}")
 
     scores = _row_scores(doc_vecs, query_vec)
-    order = order_by_score(scores, doc_ids)
+    ranks = id_ranks(doc_ids)
+    order = order_by_score(scores, ranks)
 
     all_vecs = np.vstack([query_vec[None, :], doc_vecs[order]]) if len(doc_ids) else query_vec[None, :]
     sim = all_vecs @ all_vecs.T
@@ -130,6 +148,7 @@ def build_context(
         query_id=query_id,
         element_ids=(query_id, *(doc_ids[i] for i in order.tolist())),
         sim_matrix=sim,
+        id_ranks=ranks[order],
     )
 
 

@@ -345,13 +345,15 @@ def write_run(run: RunFile, path, tag: str = "recipnn", header: str | None = Non
     """Write rank-consistent, score-sorted TREC run lines, queries in id order."""
     check_tag(tag)
     _check_ids({qid: ranked._ids for qid, ranked in run.lists.items()})
+    ranks = [str(rank) for rank in range(1, 1 + max((len(run[qid]) for qid in run.query_ids), default=0))]
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"# {header}\n")
         for qid in run.query_ids:
-            ranked, head, tail = run[qid], f"{qid} Q0 ", f" {tag}\n"
-            fh.write("".join([f"{head}{did} {rank} {score!r}{tail}" for rank, (did, score)
-                              in enumerate(zip(ranked._ids, ranked._scores.tolist()), start=1)]))
+            ranked = run[qid]
+            if ranked._ids:  # each line "qid Q0 doc rank score tag": the fields in the middle joined per line
+                fh.write(f"{qid} Q0 " + f" {tag}\n{qid} Q0 ".join(
+                    map(" ".join, zip(ranked._ids, ranks, map(repr, ranked._scores.tolist())))) + f" {tag}\n")
 
 
 def write_qrels(qrels: Qrels, path, header: str | None = None) -> None:

@@ -15,8 +15,9 @@ Every stage takes one matrix or a stack of them (..., m, m) and is
 elementwise, row-wise or a reduction along rows, so a block gives each
 context the bytes it gets alone; `rnn_scores` is the block of one, whose
 stages run on its one matrix. `score_in_blocks` builds
-a list of queries' contexts one at a time and scores them in blocks of
-`block_budget(m)`. `oracle` recomputes all of it in scalar Python.
+a list of queries' contexts one at a time, scores them in blocks of
+`block_budget(m)` and hands each block's rows to the caller's finishing
+step in one call. `oracle` recomputes all of it in scalar Python.
 
 All neighbour sets come from one selection, `_top_order(sim, n)`: the first
 n entries of every row's ordering (the row itself first, then similarity
@@ -419,28 +420,38 @@ def block_budget(m: int) -> int:
 
 def score_in_blocks(query_ids: Sequence[str], build: Callable, finish: Callable,
                     params: RnnParams, strict: bool = False) -> list:
-    """[finish(context, probes, scores) for each query], scored a block at a time.
+    """One result or DataError per query: contexts scored and finished a block at a time.
 
     build(query_id) returns the query's (context, probes). Contexts are
     built one at a time, in query order, and wait in one bucket per size;
     a bucket that holds `block_budget(size)` contexts, and every bucket at
     the end, is scored by one `rnn_scores_block` call under
-    `params.clamped(size)`. finish gets each context's row. A DataError
-    from build or finish is that query's result; with strict=True, building
-    stops at the first one, the queries before it are finished, and the
-    first error in query order is raised.
+    `params.clamped(size)`, then finished by one call
+    finish(contexts, probes, rows), which returns one result per context
+    from the block's (B, size - 1) score rows. A DataError from build is
+    that query's result. A DataError from finish sends the block through
+    finish again as blocks of one, so it becomes the result of the queries
+    that raise it alone. With strict=True, building stops at the first
+    error, the queries before it are finished, and the first error in query
+    order is raised.
     """
     results: list = [None] * len(query_ids)
     buckets: dict[int, list] = {}
 
+    def finished(contexts: list, probes: list, rows: np.ndarray) -> list:
+        try:
+            return finish(contexts, probes, rows)
+        except DataError as exc:
+            if len(contexts) == 1:
+                return [exc]
+            return [finished(contexts[b:b + 1], probes[b:b + 1], rows[b:b + 1])[0] for b in range(len(contexts))]
+
     def score(size: int) -> None:
         jobs = buckets.pop(size)
-        rows = rnn_scores_block([c for _, c, _ in jobs], params.clamped(size), [p for _, _, p in jobs])
-        for (pos, context, probes), row in zip(jobs, rows):
-            try:
-                results[pos] = finish(context, probes, row)
-            except DataError as exc:
-                results[pos] = exc
+        contexts, probes = [c for _, c, _ in jobs], [p for _, _, p in jobs]
+        rows = rnn_scores_block(contexts, params.clamped(size), probes)
+        for (pos, _, _), result in zip(jobs, finished(contexts, probes, rows)):
+            results[pos] = result
 
     for pos, query_id in enumerate(query_ids):
         try:

@@ -7,8 +7,10 @@ element's k_exp nearest neighbours, the weighted Jaccard distance and the
 lambda mixture (Zhong et al.'s weighted k-reciprocal encoding with local
 query expansion, as this package adapts it). Nothing is imported from
 `neighbors` and no numpy vectorization is used, so the fast pipeline is
-validated against an independently written route. Used by the test suite
-and the `selftest` CLI command. Cubic or worse; only for small contexts.
+validated against an independently written route. `soft_labels_oracle`
+carries the route on through the smoothing equations, importing nothing
+from `smoothing`. Used by the test suite and the `selftest` CLI command.
+Cubic or worse; only for small contexts.
 """
 
 from __future__ import annotations
@@ -128,3 +130,50 @@ def ranked_ids_oracle(context: RankingContext, k: int, lam: float,
     ids = list(context.candidate_ids)
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
     return [ids[i] for i in order]
+
+
+def soft_labels_oracle(context: RankingContext, gt_ids, *, k: int, lam: float, tau: float = 0.0, k_exp: int = 1,
+                       weight_fn: str = "binary", b: float = 1.0, n_max: int = 32, f_n: str = "maxmin",
+                       mode: str = "eb", epsilon: float = 0.1) -> list[tuple[str, float]]:
+    """A query's soft labels over its context's candidates, as smooth_dataset makes them.
+
+    From the paper's equations, one candidate d at a time. r(d) is the mean
+    over the ground-truth docs g (in id order) of the mixed similarity
+    s*(g, d) of `mixed_scores_oracle`, with k and k_exp cut to the context
+    size. Candidates rank by r descending, ties by id. f_n(r) is
+    (r - min)/(max - min) for maxmin and (r - min)/sigma (population sigma)
+    for stdbased; a constant r normalizes to zeros. r'(d) is b*f_n(r(d)) for
+    ground truth, -inf for another candidate ranked beyond n_max, else
+    f_n(r(d)); the eb labels are softmax(r'). uniform gives each ground-truth
+    doc (1 - epsilon)/|gt| and every other candidate epsilon/(n - |gt|);
+    uniform-matched does the same with epsilon set to the eb labels' mass
+    off the ground truth. Returns (doc id, probability) pairs ordered by
+    probability descending, then id.
+    """
+    m = context.size
+    ids = list(context.candidate_ids)
+    gt = sorted(set(gt_ids))
+    rows = [mixed_scores_oracle(context, min(k, m), lam, tau, context.element_ids.index(g),
+                                k_exp=min(k_exp, m), weight_fn=weight_fn) for g in gt]
+    r = [sum(column) / len(rows) for column in zip(*rows)]
+    n = len(r)
+    rank = {i: pos for pos, i in enumerate(sorted(range(n), key=lambda i: (-r[i], ids[i])), start=1)}
+    lo = min(r)
+    if f_n == "maxmin":
+        spread = max(r) - lo
+    else:
+        mean = sum(r) / n
+        spread = math.sqrt(sum((x - mean) ** 2 for x in r) / n)
+    normed = [(x - lo) / spread if spread > 0 else 0.0 for x in r]
+    is_gt = [d in gt for d in ids]
+
+    if mode in ("eb", "uniform-matched"):
+        r_prime = [b * normed[i] if is_gt[i] else -math.inf if rank[i] > n_max else normed[i] for i in range(n)]
+        top = max(x for x in r_prime if x > -math.inf)
+        e = [math.exp(x - top) if x > -math.inf else 0.0 for x in r_prime]
+        probs = [x / sum(e) for x in e]
+    if mode != "eb":
+        eps = epsilon if mode == "uniform" else sum(p for p, g in zip(probs, is_gt) if not g)
+        n_gt = sum(is_gt)
+        probs = [(1.0 - eps) / n_gt if g else eps / (n - n_gt) for g in is_gt]
+    return sorted(zip(ids, probs), key=lambda entry: (-entry[1], entry[0]))

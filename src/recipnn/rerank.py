@@ -40,15 +40,22 @@ def rerank_context(context: RankingContext, params: RnnParams, top_k: int | None
         top_k = n
     if not 1 <= top_k <= n:
         raise DataError(f"top_k={top_k} out of range [1, {n}] for query {context.query_id!r}")
-    return _ranked(context, rnn_scores(context, params.clamped(context.size)), top_k)
+    return _ranked([context], rnn_scores(context, params.clamped(context.size))[None], top_k)[0]
 
 
-def _ranked(context: RankingContext, scores: np.ndarray, top_k: int | None) -> RankedList:
-    """The context's candidates sorted by `scores` (`order_by_score`), cut to top_k."""
-    ids = context.candidate_ids
-    order = order_by_score(scores, ids)[:top_k]
-    # candidate ids are unique and the order is by score, so the list needs no check
-    return RankedList._of(context.query_id, tuple([ids[i] for i in order.tolist()]), scores[order])
+def _ranked(contexts: Sequence[RankingContext], rows: np.ndarray, top_k: int | None) -> list[RankedList]:
+    """Each context's candidates sorted by its row of `rows` (`order_by_score`), cut to top_k.
+
+    One sort for the block: rows[b] scores the candidates of contexts[b],
+    whose `id_ranks` break ties.
+    """
+    order = order_by_score(rows, np.array([c.id_ranks for c in contexts]))[:, :top_k]
+    lists = []
+    for context, at, row in zip(contexts, order, rows):
+        ids = context.candidate_ids
+        # candidate ids are unique and the order is by score, so the list needs no check
+        lists.append(RankedList._of(context.query_id, tuple([ids[i] for i in at.tolist()]), row[at]))
+    return lists
 
 
 def check_depths(n_context: int, top_k: int | None = None) -> None:
@@ -70,17 +77,17 @@ def rerank_run(run, embeddings: EmbeddingMatrix, params: RnnParams, n_context: i
     warned about and passed through unchanged: the run's own RankedList, in
     original order and at original depth, so such a query can keep more
     entries than a reranked one. strict=True raises instead. Contexts are
-    scored in blocks of equal size (`neighbors.score_in_blocks`), in up to
-    `workers` processes (`parallel.map_queries`); the result does not depend
-    on either.
+    scored and sorted in blocks of equal size (`neighbors.score_in_blocks`),
+    in up to `workers` processes (`parallel.map_queries`); the result does
+    not depend on either.
     """
     check_depths(n_context, top_k)
 
     def build(query_id: str) -> tuple[RankingContext, list[int]]:
         return context_from_run(query_id, run[query_id].doc_ids, embeddings, n_context), [0]
 
-    def finish(context: RankingContext, probes: list[int], scores: np.ndarray) -> RankedList:
-        return _ranked(context, scores, top_k)
+    def finish(contexts: list[RankingContext], probes: list[list[int]], rows: np.ndarray) -> list[RankedList]:
+        return _ranked(contexts, rows, top_k)
 
     query_ids = run.query_ids
     lists = {}
@@ -118,6 +125,8 @@ def sweep_context_size(run, embeddings: EmbeddingMatrix, qrels, params: RnnParam
     for n in sizes:
         reranked = rerank_run(run, embeddings, params, n, workers=workers)
         rows.append((n, evaluate_metric(metric, reranked, qrels, rel_threshold=rel_threshold)))
+        logger.info("context size %d: %s %r, %d queries passed through", n, metric, rows[-1][1],
+                    sum(reranked[qid] is run[qid] for qid in run.query_ids))
     return rows
 
 

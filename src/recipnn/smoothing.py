@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .context import RankingContext, context_from_run, order_by_score
+from .context import RankingContext, context_from_run, id_ranks, order_by_score
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError, check_positive
 from .neighbors import RnnParams, rnn_scores, score_in_blocks
@@ -87,7 +87,7 @@ class SoftLabelSet:
             raise DataError(f"query {self.query_id!r}: negative target probability")
         if abs(probs.sum() - 1.0) > _SUM_TOL:
             raise DataError(f"query {self.query_id!r}: targets sum to {probs.sum()!r}")
-        if order_by_score(probs, ids).tolist() != list(range(len(ids))):
+        if order_by_score(probs, id_ranks(ids)).tolist() != list(range(len(ids))):
             raise DataError(f"query {self.query_id!r}: labels not sorted by prob desc, id asc")
 
     @classmethod
@@ -128,22 +128,23 @@ class SmoothResult:
 def normalize_scores(scores, f_n: str = "maxmin") -> np.ndarray:
     """maxmin: (s - min)/(max - min). stdbased: (s - min)/sigma, population sigma.
 
-    A constant vector normalizes to all zeros with a RuntimeWarning; vectors
-    shorter than 2 are an error.
+    `scores` is one vector or a stack of them, each normalized along the
+    last axis on its own. A constant vector normalizes to all zeros with a
+    RuntimeWarning; vectors shorter than 2 are an error.
     """
     if f_n not in NORMALIZERS:
         raise ConfigError(f"f_n must be one of {', '.join(NORMALIZERS)}; got {f_n!r}")
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size < 2:
+    if s.ndim < 1 or s.shape[-1] < 2:
         raise DataError(f"normalization needs a 1-D vector of length >= 2, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise DataError("scores must be finite")
-    lo = s.min()
-    denom = (s.max() - lo) if f_n == "maxmin" else float(s.std())
-    if denom == 0.0:
+    lo = s.min(axis=-1, keepdims=True)
+    denom = (s.max(axis=-1, keepdims=True) - lo) if f_n == "maxmin" else s.std(axis=-1, keepdims=True)
+    constant = denom == 0.0
+    if constant.any():
         warnings.warn("constant score vector normalizes to all zeros", RuntimeWarning, stacklevel=2)
-        return np.zeros_like(s)
-    return (s - lo) / denom
+    return np.divide(s - lo, denom, out=np.zeros_like(s), where=~constant)
 
 
 def mean_gt_similarity(context: RankingContext, gt_ids, params: SmoothParams) -> np.ndarray:
@@ -168,52 +169,65 @@ def _gt_probes(context: RankingContext, gt_ids) -> list[int]:
 def transform_scores(r_gt, gt_flags, params: SmoothParams) -> np.ndarray:
     """Boost/cut normalized scores; input must be sorted descending by score.
 
-    Position i (1-based) in the given order is the cut-off rank. Cases, in
-    precedence order: ground truth -> b * f_n(score); rank beyond n_max ->
-    -inf; otherwise f_n(score). A ground-truth doc beyond n_max is therefore
-    boosted, not cut.
+    `r_gt` and `gt_flags` are one vector or a stack of them, one row per
+    query. Position i (1-based) along the last axis is the cut-off rank.
+    Cases, in precedence order: ground truth -> b * f_n(score); rank beyond
+    n_max -> -inf; otherwise f_n(score). A ground-truth doc beyond n_max is
+    therefore boosted, not cut.
     """
     r = np.asarray(r_gt, dtype=np.float64)
     flags = np.asarray(gt_flags, dtype=bool)
-    if r.shape != flags.shape or r.ndim != 1:
+    if r.shape != flags.shape or r.ndim < 1:
         raise DataError(f"score/flag vectors misaligned: {r.shape} vs {flags.shape}")
     normed = normalize_scores(r, params.f_n)
-    ranks = np.arange(1, r.size + 1)
-    out = np.where(flags, params.b * normed, np.where(ranks > params.n_max, -np.inf, normed))
-    return out
+    ranks = np.arange(1, r.shape[-1] + 1)
+    return np.where(flags, params.b * normed, np.where(ranks > params.n_max, -np.inf, normed))
 
 
 def softmax(r_prime) -> np.ndarray:
-    """Stable softmax; -inf entries map to exactly zero probability."""
+    """Stable softmax along the last axis; -inf entries map to exactly zero probability."""
     r = np.asarray(r_prime, dtype=np.float64)
-    if r.ndim != 1 or r.size == 0:
+    if r.ndim < 1 or r.shape[-1] == 0:
         raise DataError(f"softmax needs a nonempty 1-D vector, got shape {r.shape}")
     if np.any(np.isnan(r)) or np.any(r == np.inf):
         raise DataError("softmax input must be finite or -inf")
-    finite = r[np.isfinite(r)]
-    if finite.size == 0:
+    top = r.max(axis=-1, keepdims=True)  # the largest finite entry: no entry is NaN or +inf
+    if np.any(top == -np.inf):
         raise DataError("softmax input has no finite entry")
-    e = np.exp(r - finite.max())
-    return e / e.sum()
+    e = np.exp(r - top)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def uniform_smooth(n: int, epsilon: float, gt_index: int | Sequence[int] = 0) -> np.ndarray:
+def uniform_smooth(n: int, epsilon, gt_index: int | Sequence[int] | np.ndarray = 0) -> np.ndarray:
     """Move mass epsilon off the ground truth, split evenly over the rest.
 
-    gt_index is one ground-truth position or several; each ground-truth
-    entry keeps (1 - epsilon)/|gt| and every other entry gets epsilon/(n - |gt|).
+    gt_index is one ground-truth position or several; or a boolean
+    (..., n) stack of ground-truth flags, one distribution per row, with
+    epsilon one value or one per row. Each ground-truth entry keeps
+    (1 - epsilon)/|gt| and every other entry gets epsilon/(n - |gt|).
     """
     if not isinstance(n, int) or n < 2:
         raise DataError(f"uniform smoothing needs n >= 2, got {n!r}")
-    check_smooth_options(None, "uniform", epsilon)
-    gt = np.unique(gt_index)
-    if gt.size == 0 or gt[0] < 0 or gt[-1] >= n:
-        raise DataError(f"gt_index {gt_index} out of range for n={n}")
-    if gt.size == n:
+    eps = np.asarray(epsilon, dtype=np.float64)
+    if not np.all((0.0 <= eps) & (eps < 1.0)):
+        raise ConfigError(f"epsilon must lie in [0, 1), got {epsilon!r}")
+    if isinstance(gt_index, np.ndarray) and gt_index.dtype == bool:
+        flags = gt_index
+        if flags.shape[-1:] != (n,):
+            raise DataError(f"ground-truth flags of shape {flags.shape} for n={n}")
+    else:
+        gt = np.unique(gt_index)
+        if gt.size == 0 or gt[0] < 0 or gt[-1] >= n:
+            raise DataError(f"gt_index {gt_index} out of range for n={n}")
+        flags = np.zeros(n, dtype=bool)
+        flags[gt] = True
+    n_gt = np.count_nonzero(flags, axis=-1, keepdims=True)
+    if np.any(n_gt == 0):
+        raise DataError("no ground-truth entry to keep mass on")
+    if np.any(n_gt == n):
         raise DataError("no non-ground-truth entry to spread mass over")
-    out = np.full(n, epsilon / (n - gt.size), dtype=np.float64)
-    out[gt] = (1.0 - epsilon) / gt.size
-    return out
+    eps = eps[..., None]
+    return np.where(flags, (1.0 - eps) / n_gt, eps / (n - n_gt))
 
 
 # ---------------------------------------------------------------------------
@@ -240,28 +254,48 @@ def _gt_context(query_id: str, doc_ids: Sequence[str], qrels, embeddings: Embedd
     return context, _gt_probes(context, gt_all)
 
 
-def _labels(context: RankingContext, probes: list[int], r_gt: np.ndarray, params: SmoothParams,
-            mode: str, epsilon: float) -> SoftLabelSet:
-    """The query's label set from r_gt, the mean similarity of its candidates to the ground truth at `probes`."""
-    gt_all = frozenset(context.element_ids[p] for p in probes)
-    cand_ids = context.candidate_ids
-    order = order_by_score(r_gt, cand_ids)
-    ids_sorted = [cand_ids[i] for i in order.tolist()]
-    flags_sorted = np.array([d in gt_all for d in ids_sorted])
+def _take_rows(values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """values[b, at[b]] for each row b of a (B, n) stack: `np.take_along_axis` at less cost."""
+    if len(values) > 1:  # row b starts at flat position b * n
+        at = at + np.arange(0, values.size, values.shape[-1])[:, None]
+    return values.take(at)
+
+
+def _label_sets(contexts: Sequence[RankingContext], probes: Sequence[Sequence[int]], r_gt: np.ndarray,
+                params: SmoothParams, mode: str, epsilon: float) -> list[SoftLabelSet]:
+    """The label sets of a block of equal-size contexts, from their r_gt rows.
+
+    r_gt[b] is the mean similarity of the candidates of contexts[b] to its
+    ground truth at probes[b]. Every step runs on the whole (B, n) block:
+    the order by r_gt, the boost and cut, the softmax, the uniform mass and
+    the final order by probability; only the uniform-matched mass is summed
+    row by row, over each row's off-ground-truth entries alone.
+    """
+    ranks = np.array([c.id_ranks for c in contexts])
+    flags = np.zeros(r_gt.shape, dtype=bool)
+    for row, own in zip(flags, probes):
+        row[[p - 1 for p in own]] = True  # probes index the context, whose element 0 is the query
+    order = order_by_score(r_gt, ranks)
+    flags = _take_rows(flags, order)
 
     if mode == "eb" or mode == "uniform-matched":
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # constant r'' is handled, not fatal
-            r_prime = transform_scores(r_gt[order], flags_sorted, params)
+            r_prime = transform_scores(_take_rows(r_gt, order), flags, params)
         probs = softmax(r_prime)
     if mode != "eb":
-        eps = epsilon if mode == "uniform" else float(probs[~flags_sorted].sum())
-        probs = uniform_smooth(len(cand_ids), eps, np.nonzero(flags_sorted)[0])
+        eps = epsilon if mode == "uniform" else [row[~off].sum() for row, off in zip(probs, flags)]
+        probs = uniform_smooth(r_gt.shape[-1], eps, flags)
 
-    # built sorted, unique, finite and normalised, so the set needs no check
-    probs = probs.tolist()
-    entries = tuple([(ids_sorted[i], probs[i]) for i in order_by_score(probs, ids_sorted).tolist()])
-    return SoftLabelSet._of(context.query_id, entries, gt_all)
+    by_prob = order_by_score(probs, _take_rows(ranks, order))
+    label_sets = []
+    for context, own, at, p in zip(contexts, probes, _take_rows(order, by_prob).tolist(),
+                                   _take_rows(probs, by_prob).tolist()):
+        ids = context.candidate_ids
+        # built sorted, unique, finite and normalised, so the set needs no check
+        label_sets.append(SoftLabelSet._of(context.query_id, tuple(zip([ids[i] for i in at], p)),
+                                           frozenset(context.element_ids[q] for q in own)))
+    return label_sets
 
 
 def check_smooth_options(n_context: int | None, mode: str, epsilon: float) -> None:
@@ -285,17 +319,17 @@ def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams
     unresolvable embeddings) are warned about and skipped unless strict. mode
     is one of eb | uniform | uniform-matched; epsilon only applies to uniform
     mode, where a value outside [0, 1) is a ConfigError. Contexts are scored
-    in blocks of equal size (`neighbors.score_in_blocks`), in up to
-    `workers` processes (`parallel.map_queries`); results, warnings and
-    skips keep query-id order whatever the block or worker count.
+    and labelled in blocks of equal size (`neighbors.score_in_blocks`), in
+    up to `workers` processes (`parallel.map_queries`); results, warnings
+    and skips keep query-id order whatever the block or worker count.
     """
     check_smooth_options(n_context, mode, epsilon)
 
     def build(qid: str) -> tuple[RankingContext, list[int]]:
         return _gt_context(qid, run[qid].doc_ids, qrels, embeddings, params, n_context, rel_threshold)
 
-    def finish(context: RankingContext, probes: list[int], r_gt: np.ndarray) -> SoftLabelSet:
-        return _labels(context, probes, r_gt, params, mode, epsilon)
+    def finish(contexts: list[RankingContext], probes: list[list[int]], r_gt: np.ndarray) -> list[SoftLabelSet]:
+        return _label_sets(contexts, probes, r_gt, params, mode, epsilon)
 
     query_ids = run.query_ids
     label_sets, skipped = [], []

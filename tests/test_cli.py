@@ -1,11 +1,14 @@
 """End-to-end tests for the command line interface.
 
 Every command is invoked in-process through ``main(argv)`` so that exit
-codes, stdout and stderr can be asserted exactly.  Output files are
+codes, stdout and stderr can be asserted exactly; only the ``--verbose``
+check starts fresh processes, whose logging the test's own does not mask.  Output files are
 compared byte-for-byte across repeated invocations and worker counts.
 """
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -325,6 +328,37 @@ def test_rerank_byte_identical_across_runs_and_threads(corpus_files, tmp_path):
                      "--threads", threads]) == 0
         blobs.append(read_bytes(out))
     assert all(blob == blobs[0] for blob in blobs)
+
+
+@pytest.mark.parametrize("command,scored", [("rerank", "scored 6 queries (0 passed through) in "),
+                                             ("smooth", "scored 6 queries (0 skipped) in "),
+                                             ("sweep", "scored 6 queries at 2 context sizes in ")])
+def test_verbose_logs_stages_without_changing_outputs(corpus_files, tmp_path, command, scored):
+    # a fresh process per run: --verbose sets the level of the root logger,
+    # which the test process's own log capture would mask
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    runs = {}
+    for threads in ("1", "2"):
+        for verbose in ((), ("--verbose",)):
+            done = subprocess.run([sys.executable, "-m", "recipnn", *small_argv(command, corpus_files, str(out)),
+                                   "--threads", threads, *verbose],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            runs[threads, bool(verbose)] = (read_bytes(out), done.stdout, done.stderr.splitlines())
+    assert len({(blob, stdout) for blob, stdout, _ in runs.values()}) == 1
+    for (threads, verbose), (_, _, log) in runs.items():
+        if not verbose:
+            assert log == []
+            continue
+        assert all(line.startswith("INFO recipnn.") for line in log), log
+        text = "\n".join(log)
+        assert f"loaded {len(load_embeddings(corpus_files['emb']))} vectors of dim " in text
+        assert "parsed 6 queries, 90 run lines from " in text and "parsed judgments for " in text
+        assert scored in text
+        assert f"wrote {out} in " in text
 
 
 @pytest.mark.parametrize("command", ["rerank", "smooth"])

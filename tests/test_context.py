@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from recipnn.context import build_context, context_from_run, top_n
+from recipnn.context import RankingContext, build_context, context_from_run, id_ranks, order_by_score, top_n
 from recipnn.embeddings import EmbeddingMatrix
 from recipnn.errors import DataError
 from recipnn.synthetic import unit_vectors
@@ -144,3 +144,38 @@ def test_build_context_rejects_non_finite_vectors(bad):
     docs[1, 2] = bad
     with pytest.raises(DataError, match="non-finite"):
         build_context("q", np.ones(3), ["a", "b", "c"], docs)
+
+
+_SCORE_POOL = (np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 0.5, 5e-324)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    picks=st.lists(st.lists(st.integers(min_value=0, max_value=len(_SCORE_POOL) - 1), min_size=7, max_size=7),
+                   min_size=1, max_size=5),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_order_by_score_over_a_stack_equals_each_row_and_the_sort_by_score_then_id(picks, seed):
+    # NaN, signed zeros, infinities and ties in every row; each row with its own ids
+    scores = np.array([[_SCORE_POOL[i] for i in row] for row in picks])
+    rng = np.random.default_rng(seed)
+    ids = [[f"d{p:02d}" for p in rng.permutation(20)[:7]] for _ in picks]
+    ranks = np.stack([id_ranks(row_ids) for row_ids in ids])
+    stacked = order_by_score(scores, ranks)
+    for row, row_ids, row_ranks, got in zip(scores, ids, ranks, stacked):
+        assert got.tolist() == order_by_score(row, row_ranks).tolist()
+        # NaN last, then score descending (-0.0 ties 0.0), then id ascending
+        key = lambda i: (bool(np.isnan(row[i])), 0.0 if np.isnan(row[i]) else -row[i], row_ids[i])  # noqa: E731
+        assert got.tolist() == sorted(range(len(row)), key=key)
+
+
+def test_id_ranks_of_a_built_context_match_a_directly_built_one():
+    rng = np.random.default_rng(11)
+    vecs = unit_vectors(rng, 9, 4)
+    vecs[5] = vecs[2]  # a tie that the ids break
+    built = build_context("q", vecs[0], ["k", "b", "x", "a", "m", "c", "z", "e"], vecs[1:])
+    direct = RankingContext(built.query_id, built.element_ids, built.sim_matrix)
+    assert built.id_ranks.tolist() == direct.id_ranks.tolist()
+    candidates = built.candidate_ids
+    assert [candidates[i] for i in np.argsort(built.id_ranks)] == sorted(candidates)
+    assert build_context("q", vecs[0], [], np.empty((0, 4))).id_ranks.tolist() == []

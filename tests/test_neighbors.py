@@ -673,8 +673,9 @@ def _sized_jobs(sizes):
             raise DataError(f"no context for {qid}")
         return contexts[qid], [0, 1] if int(qid[1:]) % 3 == 0 else [0]
 
-    def finish(context, probes, row):
-        return context, probes, row.tobytes()
+    def finish(block, probes, rows):
+        assert rows.shape == (len(block), block[0].n_candidates)
+        return [(context, own, row.tobytes()) for context, own, row in zip(block, probes, rows)]
 
     return list(contexts), contexts, build, finish
 
@@ -701,10 +702,10 @@ def test_score_in_blocks_strict_raises_the_first_error_in_query_order(monkeypatc
     monkeypatch.setattr(neighbors, "block_budget", lambda m: budget)
     qids, contexts, build, _ = _sized_jobs([5, 8, 5, None, 8, None])
 
-    def finish(context, probes, row):  # the second query fails only once it is scored
-        if context is contexts["q1"]:
+    def finish(block, probes, rows):  # the second query fails only once it is scored, with its whole block
+        if any(context is contexts["q1"] for context in block):
             raise DataError("q1 failed late")
-        return row
+        return list(rows)
 
     with pytest.raises(DataError, match="q1 failed late"):
         score_in_blocks(qids, build, finish, RnnParams(k=4), strict=True)

@@ -7,7 +7,7 @@ from recipnn import neighbors, parallel
 from recipnn.context import context_from_run
 from recipnn.embeddings import EmbeddingMatrix
 from recipnn.errors import ConfigError, DataError
-from recipnn.ir_eval import Qrels, RunFile
+from recipnn.ir_eval import Qrels, RunFile, evaluate_metric
 from recipnn.neighbors import RnnParams, rnn_scores
 from recipnn.rerank import (
     RankedList,
@@ -198,19 +198,27 @@ def _one_at_a_time(run, store, params, n_context, top_k=None):
 @pytest.mark.parametrize("budget", [None, 1, 3])
 def test_rerank_run_blocks_match_one_query_at_a_time(monkeypatch, budget):
     # short run lists give contexts of four sizes in one shard, and a query
-    # without its vector is passed through in the middle of them
+    # without its vector is passed through in the middle of them; inline and
+    # in two worker processes, and through the sweep
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
     if budget is not None:
         monkeypatch.setattr(neighbors, "block_budget", lambda m: budget)
     c = corpus(n_queries=14)
     run = RunFile({qid: c.run[qid].truncated(3 + 4 * (i % 4)) for i, qid in enumerate(c.run.query_ids)})
     store = _without_vectors(c.embeddings, {run.query_ids[5]})
     for params, top_k in ((rparams(), None), (rparams(k=4, k_exp=3, tau=0.5), 5)):
-        out = rerank_run(run, store, params, N_CONTEXT, top_k=top_k)
         expect = _one_at_a_time(run, store, params, N_CONTEXT, top_k)
-        assert out[run.query_ids[5]] is run[run.query_ids[5]]
-        for qid in run.query_ids:
-            assert out[qid].doc_ids == expect[qid].doc_ids
-            assert out[qid].scores.tobytes() == expect[qid].scores.tobytes()
+        for workers in (1, 2):
+            out = rerank_run(run, store, params, N_CONTEXT, top_k=top_k, workers=workers)
+            assert out[run.query_ids[5]] is run[run.query_ids[5]]
+            for qid in run.query_ids:
+                assert out[qid].doc_ids == expect[qid].doc_ids
+                assert out[qid].scores.tobytes() == expect[qid].scores.tobytes()
+        sizes = [4, N_CONTEXT]
+        swept = [(n, evaluate_metric("ndcg@5", RunFile(_one_at_a_time(run, store, params, n)), c.qrels))
+                 for n in sizes]
+        for workers in (1, 2):
+            assert sweep_context_size(run, store, c.qrels, params, sizes, "ndcg@5", workers=workers) == swept
 
 
 def test_rerank_run_blocks_with_tied_vectors():

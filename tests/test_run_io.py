@@ -216,6 +216,22 @@ def test_write_run_refuses_tags_that_split(tmp_path, tag):
     assert not (tmp_path / "out.run").exists()
 
 
+def test_write_run_bytes_equal_one_formatted_line_per_entry(tmp_path):
+    # scores whose repr is exponent notation, a signed zero or a long integer
+    # part; an empty list; and one list far longer than the others, so the
+    # rank strings built for the file run past every short list
+    edge = [1e16, 123456789.0, 1e-300, 5e-324, 0.0, -0.0, -2.5]
+    lists = {"q1": RankedList.from_scored("q1", [(f"d{i}", s) for i, s in enumerate(edge)]),
+             "q2": RankedList.from_scored("q2", []),
+             "q3": RankedList.from_scored("q3", [(f"e{i}", -i / 7) for i in range(1500)]),
+             "q4": RankedList.from_scored("q4", [("only", -0.0)])}
+    write_run(RunFile(lists), tmp_path / "r.run", tag="t1", header="h")
+    expect = "# h\n" + "".join(f"{qid} Q0 {did} {rank} {score!r} t1\n" for qid in sorted(lists)
+                               for did, score, rank in lists[qid].entries)
+    assert (tmp_path / "r.run").read_bytes() == expect.encode()
+    assert "d5 6 -0.0 t1\n" in expect and "d3 4 5e-324 t1\n" in expect and "e1499 1500 " in expect
+
+
 @pytest.mark.parametrize("tag", ["", "my run"])
 def test_rerank_rejects_bad_tag_before_reading_input(tmp_path, capsys, tag):
     out = tmp_path / "out.run"

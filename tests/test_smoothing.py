@@ -3,15 +3,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recipnn import neighbors, parallel, smoothing
+from recipnn.context import context_from_run
+from recipnn.embeddings import EmbeddingMatrix
 from recipnn.errors import ConfigError, DataError
-from recipnn.ir_eval import Qrels, RunFile
-from recipnn.neighbors import RnnParams
-from recipnn.oracle import mixed_scores_oracle
+from recipnn.ir_eval import Qrels, RankedList, RunFile
+from recipnn.neighbors import WEIGHT_FNS, RnnParams
+from recipnn.oracle import mixed_scores_oracle, soft_labels_oracle
 from recipnn.smoothing import (
+    NORMALIZERS,
+    SMOOTH_MODES,
     SmoothParams,
     SoftLabelSet,
     mean_gt_similarity,
@@ -23,7 +27,7 @@ from recipnn.smoothing import (
     uniform_smooth,
     write_soft_labels,
 )
-from recipnn.synthetic import smoothing_corpus
+from recipnn.synthetic import smoothing_corpus, unit_vectors
 
 
 # --- params / containers -------------------------------------------------------
@@ -314,7 +318,7 @@ def _labels_one_at_a_time(run, qrels, store, params, n_context, mode="eb", epsil
         try:
             ctx, probes = smoothing._gt_context(qid, run[qid].doc_ids, qrels, store, params, n_context, 1)
             r_gt = mean_gt_similarity(ctx, qrels.relevant_docs(qid), params)
-            out[qid] = smoothing._labels(ctx, probes, r_gt, params, mode, epsilon)
+            out[qid] = smoothing._label_sets([ctx], [probes], r_gt[None], params, mode, epsilon)[0]
         except DataError:
             pass
     return out
@@ -324,21 +328,33 @@ def _labels_one_at_a_time(run, qrels, store, params, n_context, mode="eb", epsil
 def test_smooth_dataset_blocks_match_one_query_at_a_time(monkeypatch, budget):
     # run lists cut to several depths, with ground truth injected where it
     # fell off: contexts of mixed sizes, one- and two-probe queries (every
-    # third query has two judged positives) in the same blocks, and an
-    # unjudged query skipped in the middle of them
+    # third query has two judged positives) in the same blocks, an unjudged
+    # query skipped in the middle of them, and a query whose context is one
+    # vector throughout, so that its r_gt row is constant; every mode and
+    # normalization, inline and in two worker processes
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
     if budget is not None:
         monkeypatch.setattr(neighbors, "block_budget", lambda m: budget)
     c = corpus100()
     qids = c.run.query_ids
     run = RunFile({qid: c.run[qid].truncated(4 + 5 * (i % 3)) for i, qid in enumerate(qids)})
     qrels = Qrels({qid: dict(c.qrels.grades_for(qid)) for qid in qids if qid != qids[4]})
-    params = sparams(rnn=RnnParams(k=6, k_exp=3, tau=0.5, lam=0.451))
-    for mode in ("eb", "uniform-matched"):
-        res = smooth_dataset(run, qrels, c.embeddings, params, mode=mode)
-        expect = _labels_one_at_a_time(run, qrels, c.embeddings, params, None, mode)
-        assert [qid for qid, _ in res.skipped] == [qids[4]]
-        assert {ls.query_id: ls for ls in res.label_sets} == expect
-        assert any(len(ls.gt_ids) == 2 for ls in res.label_sets)
+    flat = qids[6]
+    one_vector = set(run[flat].doc_ids) | qrels.relevant_docs(flat)
+    vectors = c.embeddings.vectors.copy()
+    vectors[[i for i, d in enumerate(c.embeddings.ids) if d in one_vector]] = np.eye(vectors.shape[1])[0]
+    store = EmbeddingMatrix(c.embeddings.ids, vectors)
+    for f_n in NORMALIZERS:
+        params = sparams(rnn=RnnParams(k=6, k_exp=3, tau=0.5, lam=0.451), f_n=f_n)
+        context, _ = smoothing._gt_context(flat, run[flat].doc_ids, qrels, store, params, None, 1)
+        assert np.ptp(mean_gt_similarity(context, qrels.relevant_docs(flat), params)) == 0.0
+        for mode in SMOOTH_MODES:
+            expect = _labels_one_at_a_time(run, qrels, store, params, None, mode, epsilon=0.2)
+            for workers in (1, 2):
+                res = smooth_dataset(run, qrels, store, params, mode=mode, epsilon=0.2, workers=workers)
+                assert [qid for qid, _ in res.skipped] == [qids[4]]
+                assert {ls.query_id: ls for ls in res.label_sets} == expect
+                assert any(len(ls.gt_ids) == 2 for ls in res.label_sets)
 
 
 @pytest.mark.parametrize("mode", ["eb", "uniform", "uniform-matched"])
@@ -404,6 +420,66 @@ def test_smooth_dataset_rejects_unknown_mode():
     c = corpus100()
     with pytest.raises(ConfigError):
         smooth_dataset(c.run, c.qrels, c.embeddings, sparams(), mode="laplace")
+
+
+# --- against the scalar oracle ---------------------------------------------------------------
+
+def _oracle_inputs(seed: int, pool: int | None, n_docs: int = 12, dim: int = 3):
+    """Three queries over n_docs docs, each with a run of a random depth and one or two judged docs
+    anywhere among the docs, so some lie beyond the run or beyond the context. pool=None draws
+    unit vectors; a pool of small integer vectors makes every inner product exact and ties exact."""
+    rng = np.random.default_rng(seed)
+    if pool is None:
+        vecs = unit_vectors(rng, n_docs + 3, dim)
+    else:
+        vecs = rng.integers(-2, 3, size=(pool, dim)).astype(np.float64)[rng.integers(0, pool, size=n_docs + 3)]
+    docs = [f"d{i:02d}" for i in range(n_docs)]
+    store = EmbeddingMatrix(docs + ["q0", "q1", "q2"], vecs)
+    lists, judged = {}, {}
+    for q in ("q0", "q1", "q2"):
+        ranked = [docs[i] for i in rng.permutation(n_docs)[:int(rng.integers(1, n_docs + 1))]]
+        lists[q] = RankedList.from_scored(q, [(d, float(-i)) for i, d in enumerate(ranked)])
+        judged[q] = {docs[i]: 1 for i in rng.choice(n_docs, size=int(rng.integers(1, 3)), replace=False)}
+    return RunFile(lists), Qrels(judged), store
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pool=st.one_of(st.none(), st.integers(1, 4)),
+       n_context=st.integers(1, 10), k=st.integers(1, 14), k_exp=st.integers(1, 4),
+       tau=st.sampled_from([0.0, 0.5, 1.0]), lam=st.floats(0.0, 1.0), weight_fn=st.sampled_from(WEIGHT_FNS),
+       b=st.sampled_from([1.0, 1.5, 4.0]), n_max=st.integers(1, 6), f_n=st.sampled_from(NORMALIZERS),
+       mode=st.sampled_from(SMOOTH_MODES))
+@example(seed=3, pool=1, n_context=10, k=14, k_exp=1, tau=0.0, lam=0.3, weight_fn="binary",
+         b=1.5, n_max=2, f_n="stdbased", mode="eb")  # one vector for all: a constant r_gt
+def test_smooth_dataset_matches_soft_labels_oracle(seed, pool, n_context, k, k_exp, tau, lam, weight_fn, b,
+                                                   n_max, f_n, mode):
+    if pool is None:
+        # continuous geometry: lam > 0 keeps the geometric term from leaving ties to summation order
+        lam = max(lam, 0.05)
+    else:
+        # integer geometry and 0/1 connectivity: both routes compute the same r_gt bit for bit,
+        # so exact ties (also at the n_max cut) must resolve alike
+        weight_fn, k_exp = "binary", 1
+    run, qrels, store = _oracle_inputs(seed, pool)
+    params = SmoothParams(rnn=RnnParams(k=k, k_exp=k_exp, tau=tau, lam=lam, weight_fn=weight_fn),
+                          b=b, n_max=n_max, f_n=f_n)
+    res = smooth_dataset(run, qrels, store, params, n_context=n_context, mode=mode, epsilon=0.2)
+    got = {ls.query_id: ls for ls in res.label_sets}
+    for qid in run.query_ids:
+        gt = qrels.relevant_docs(qid)
+        docs = run[qid].doc_ids[:n_context]
+        context = context_from_run(qid, docs + sorted(gt - set(docs)), store)
+        if context.n_candidates < 2 or (mode != "eb" and set(context.candidate_ids) <= gt):
+            assert qid not in got
+            continue
+        expect = soft_labels_oracle(context, gt, k=k, lam=lam, tau=tau, k_exp=k_exp, weight_fn=weight_fn,
+                                    b=b, n_max=n_max, f_n=f_n, mode=mode, epsilon=0.2)
+        entries = got[qid].entries
+        assert [d for d, _ in entries] == [d for d, _ in expect]
+        assert [p > 0 for _, p in entries] == [p > 0 for _, p in expect]
+        assert max(abs(p - q) for (_, p), (_, q) in zip(entries, expect)) <= 1e-9
+        assert got[qid].gt_ids == gt
+    assert len(got) + len(res.skipped) == len(run.query_ids)
 
 
 # --- file I/O ---------------------------------------------------------------------------------
