@@ -50,6 +50,11 @@ from .rerank import bench_latency, check_depths, check_sweep, rerank_context, re
 from .smoothing import check_smooth_options, smooth_dataset, write_soft_labels
 from .synthetic import random_context
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 logger = logging.getLogger(__name__)
 
 _BENCH_SIZES = [50, 100, 200, 400]
@@ -100,7 +105,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--preset", default=None, help="named parameter preset")
         p.add_argument("--verbose", action="store_true",
-                       help="log input sizes, query counts and stage seconds to stderr (INFO)")
+                       help="log input sizes, query counts, stage seconds and peak RSS to stderr (INFO)")
         _add_key_flags(p, command)
     return parser
 
@@ -136,6 +141,26 @@ def _write(write: Callable, *args, **kwargs) -> None:
     """write(value, path, ...), with the seconds it took logged at INFO."""
     _, seconds = _timed(write, *args, **kwargs)
     logger.info("wrote %s in %.3f s", args[1], seconds)
+
+
+def _peak_rss_mb() -> tuple[float, float]:
+    """Peak RSS in MB of this process, and of the largest child process it
+    has waited for (since the process started, before its exec included)."""
+    scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes on macOS, in KiB on Linux
+    own, children = (resource.getrusage(who).ru_maxrss * scale / 2**20
+                     for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return own, children
+
+
+def _log_peak_rss(children_before: float) -> None:
+    """Log, at INFO, the peak RSS of this process and, when worker processes
+    ran, of the largest of them. A worker starts with this process's loaded
+    inputs, so it raises the children's peak above any earlier child's."""
+    own, children = _peak_rss_mb()
+    if children > children_before:
+        logger.info("peak RSS %.1f MB, largest worker process %.1f MB", own, children)
+    else:
+        logger.info("peak RSS %.1f MB", own)
 
 
 def _write_text(text: str, path) -> None:
@@ -327,7 +352,11 @@ def main(argv=None) -> int:
         file_values = parse_config_file(args.config) if args.config else None
         flag_values = {key: getattr(args, key, None) for key in COMMAND_KEYS[args.command]}
         cfg = effective_config(args.command, args.preset, file_values, flag_values)
+        peak_logged = resource is not None and args.command in ("rerank", "smooth", "sweep")
+        children_before = _peak_rss_mb()[1] if peak_logged else 0.0
         _COMMANDS[args.command](cfg)
+        if peak_logged:
+            _log_peak_rss(children_before)
         return 0
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)

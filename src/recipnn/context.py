@@ -123,7 +123,8 @@ def build_context(
     ties is kept as the context's `id_ranks`. The rest is one product
     `A @ A.T`, which numpy returns exactly symmetric. Only what the input
     can break is checked: dimensions and ids here, finiteness by
-    `RankingContext`.
+    `RankingContext`, so vectors with inf or NaN, or products that
+    overflow, raise DataError without a numpy RuntimeWarning.
     """
     query_vec = np.asarray(query_vec, dtype=np.float64)
     doc_vecs = np.asarray(doc_vecs, dtype=np.float64)
@@ -137,12 +138,13 @@ def build_context(
     if len(unique_ids) != len(doc_ids):
         raise DataError(f"duplicate element ids in context for query {query_id!r}")
 
-    scores = _row_scores(doc_vecs, query_vec)
     ranks = id_ranks(doc_ids)
-    order = order_by_score(scores, ranks)
-
-    all_vecs = np.vstack([query_vec[None, :], doc_vecs[order]]) if len(doc_ids) else query_vec[None, :]
-    sim = all_vecs @ all_vecs.T
+    # a non-finite or overflowing product is refused by RankingContext, not warned about
+    with np.errstate(invalid="ignore", over="ignore"):
+        scores = _row_scores(doc_vecs, query_vec)
+        order = order_by_score(scores, ranks)
+        all_vecs = np.vstack([query_vec[None, :], doc_vecs[order]]) if len(doc_ids) else query_vec[None, :]
+        sim = all_vecs @ all_vecs.T
     sim[0, 1:] = sim[1:, 0] = scores[order]
     return RankingContext(
         query_id=query_id,

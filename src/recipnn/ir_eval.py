@@ -191,8 +191,10 @@ def parse_qrels(path) -> Qrels:
     return Qrels(judgments)
 
 
-# bytes read at a time; each chunk is cut after its last line end
-_READ_BYTES = 1 << 18
+# bytes read at a time; each chunk is cut after its last line end. Its
+# temporaries, the UTF-32 text and int64 marks (12 bytes per byte read) and
+# the tokens, stay near 1 MB at this size
+_READ_BYTES = 1 << 16
 # per code point: 0 inside a field, 1 whitespace as str.split() sees it,
 # 2 line feed; no code point above U+3000 is whitespace, so larger ones are
 # clipped to the last entry, which is 0
@@ -216,10 +218,11 @@ def _line_chunks(fh) -> Iterable[bytes]:
         yield tail
 
 
-def _run_blocks(chunk: bytes) -> list[tuple[str, list[str], np.ndarray]]:
+def _run_blocks(chunk: bytes, shared: dict[str, str]) -> list[tuple[str, list[str], np.ndarray]]:
     """A chunk of whole run lines as (qid, doc ids, scores) blocks of
-    consecutive lines of one query, in file order. Raises _BadLine when a
-    line breaks a rule or a byte is not UTF-8."""
+    consecutive lines of one query, in file order. Each doc id is the one
+    `shared` str object for its value: the first occurrence, added when new.
+    Raises _BadLine when a line breaks a rule or a byte is not UTF-8."""
     if b"\r" in chunk:  # universal newlines, as text mode reads them
         chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
@@ -244,6 +247,7 @@ def _run_blocks(chunk: bytes) -> list[tuple[str, list[str], np.ndarray]]:
     if not (counts[data] == 6).all():
         raise _BadLine
     qids, dids = tokens[0::6], tokens[2::6]
+    dids = list(map(shared.setdefault, dids, dids))
     try:
         deque(map(int, tokens[3::6]), maxlen=0)
         scores = np.fromiter(map(float, tokens[4::6]), dtype=np.float64, count=len(qids))
@@ -289,9 +293,11 @@ def parse_run(path) -> RunFile:
     ties keep file order), not from the rank column, so files with a stale
     rank column still load. The rank column is validated as an integer only.
     The file is read in chunks, and each check runs on whole columns; only
-    when one fails are the lines walked to report the first bad one.
+    when one fails are the lines walked to report the first bad one. Equal
+    doc ids share one str object across the file, whatever their query.
     """
     blocks: dict[str, list[tuple[list[str], np.ndarray]]] = {}
+    shared: dict[str, str] = {}  # one str per distinct doc id, shared by every query naming it
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -299,7 +305,7 @@ def parse_run(path) -> RunFile:
     with fh:
         try:
             for chunk in _line_chunks(fh):
-                for qid, dids, scores in _run_blocks(chunk):
+                for qid, dids, scores in _run_blocks(chunk, shared):
                     blocks.setdefault(qid, []).append((dids, scores))
         except _BadLine:
             raise _first_bad_line(path) from None

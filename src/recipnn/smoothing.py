@@ -16,6 +16,7 @@ import json
 import logging
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,51 +64,88 @@ class SmoothParams:
             raise ConfigError(f"f_n must be one of {', '.join(NORMALIZERS)}; got {self.f_n!r}")
 
 
-@dataclass(frozen=True)
 class SoftLabelSet:
-    """One query's target distribution over candidate documents."""
+    """One query's target distribution over candidate documents.
 
-    query_id: str
-    entries: tuple[tuple[str, float], ...]
-    gt_ids: frozenset[str]
+    `doc_ids` and `probs` are the columns it holds: a tuple of str and a
+    read-only float64 array, sorted by probability descending, then id.
+    `entries`, the (doc_id, probability) pairs, is built from them on
+    demand. Immutable.
+    """
 
-    def __post_init__(self) -> None:
-        entries = tuple((str(d), float(p)) for d, p in self.entries)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "gt_ids", frozenset(self.gt_ids))
+    __slots__ = ("query_id", "gt_ids", "_ids", "_probs")
+
+    def __init__(self, query_id: str, entries: Iterable[Sequence], gt_ids: Iterable[str]) -> None:
+        entries = tuple(entries)
         if not entries:
-            raise DataError(f"query {self.query_id!r}: empty label set")
-        ids = [d for d, _ in entries]
+            raise DataError(f"query {query_id!r}: empty label set")
+        # column-wise coercion: every entry must be a (doc_id, probability) pair
+        ids, probs = zip(*entries, strict=True)
+        ids, probs = tuple(map(str, ids)), np.array(tuple(map(float, probs)), dtype=np.float64)
         if len(set(ids)) != len(ids):
-            raise DataError(f"query {self.query_id!r}: duplicate doc ids in labels")
-        probs = np.array([p for _, p in entries])
+            raise DataError(f"query {query_id!r}: duplicate doc ids in labels")
         if not np.isfinite(probs).all():
-            raise DataError(f"query {self.query_id!r}: non-finite target probability")
+            raise DataError(f"query {query_id!r}: non-finite target probability")
         if probs.min() < 0:
-            raise DataError(f"query {self.query_id!r}: negative target probability")
+            raise DataError(f"query {query_id!r}: negative target probability")
         if abs(probs.sum() - 1.0) > _SUM_TOL:
-            raise DataError(f"query {self.query_id!r}: targets sum to {probs.sum()!r}")
+            raise DataError(f"query {query_id!r}: targets sum to {probs.sum()!r}")
         if order_by_score(probs, id_ranks(ids)).tolist() != list(range(len(ids))):
-            raise DataError(f"query {self.query_id!r}: labels not sorted by prob desc, id asc")
+            raise DataError(f"query {query_id!r}: labels not sorted by prob desc, id asc")
+        self._hold(query_id, ids, probs, frozenset(gt_ids))
+
+    def _hold(self, query_id: str, ids: tuple[str, ...], probs: np.ndarray, gt_ids: frozenset[str]) -> None:
+        probs.setflags(write=False)
+        for name, value in (("query_id", query_id), ("_ids", ids), ("_probs", probs), ("gt_ids", gt_ids)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _of(cls, query_id: str, entries: tuple[tuple[str, float], ...], gt_ids: frozenset[str]) -> "SoftLabelSet":
-        """Wrap entries the caller guarantees: (str, float) pairs with unique
-        ids, finite non-negative probabilities summing to 1, sorted by
+    def _of(cls, query_id: str, ids: tuple[str, ...], probs: np.ndarray, gt_ids: frozenset[str]) -> "SoftLabelSet":
+        """Wrap columns the caller guarantees: unique str ids and finite
+        non-negative float64 probabilities summing to 1, sorted by
         probability descending, then id. No check, no copy."""
         labels = cls.__new__(cls)
-        for name, value in (("query_id", query_id), ("entries", entries), ("gt_ids", gt_ids)):
-            object.__setattr__(labels, name, value)
+        labels._hold(query_id, ids, probs, gt_ids)
         return labels
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SoftLabelSet is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        # rebuilt from its columns, as RankedList is: _of makes the unpickled
+        # probabilities read-only
+        return SoftLabelSet._of, (self.query_id, self._ids, self._probs, self.gt_ids)
+
+    @property
+    def doc_ids(self) -> tuple[str, ...]:
+        return self._ids
+
+    @property
+    def probs(self) -> np.ndarray:
+        return self._probs
+
+    @property
+    def entries(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(self._ids, self._probs.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SoftLabelSet):
+            return NotImplemented
+        return (self.query_id, self._ids, self.gt_ids) == (other.query_id, other._ids, other.gt_ids) and \
+            np.array_equal(self._probs, other._probs)
+
+    def __repr__(self) -> str:
+        return f"SoftLabelSet(query_id={self.query_id!r}, entries={self.entries!r}, gt_ids={self.gt_ids!r})"
 
     @property
     def support(self) -> int:
         """Number of entries with strictly positive mass."""
-        return sum(1 for _, p in self.entries if p > 0)
+        return int(np.count_nonzero(self._probs > 0))
 
     @property
     def gt_mass(self) -> float:
-        return float(sum(p for d, p in self.entries if d in self.gt_ids))
+        """The ground truth's probabilities, summed in entry order."""
+        return float(sum(compress(self._probs.tolist(), map(self.gt_ids.__contains__, self._ids))))
 
 
 @dataclass(frozen=True)
@@ -269,7 +307,8 @@ def _label_sets(contexts: Sequence[RankingContext], probes: Sequence[Sequence[in
     ground truth at probes[b]. Every step runs on the whole (B, n) block:
     the order by r_gt, the boost and cut, the softmax, the uniform mass and
     the final order by probability; only the uniform-matched mass is summed
-    row by row, over each row's off-ground-truth entries alone.
+    row by row, over each row's off-ground-truth entries alone. Set b holds
+    row b of the block's ordered probability array.
     """
     ranks = np.array([c.id_ranks for c in contexts])
     flags = np.zeros(r_gt.shape, dtype=bool)
@@ -290,10 +329,10 @@ def _label_sets(contexts: Sequence[RankingContext], probes: Sequence[Sequence[in
     by_prob = order_by_score(probs, _take_rows(ranks, order))
     label_sets = []
     for context, own, at, p in zip(contexts, probes, _take_rows(order, by_prob).tolist(),
-                                   _take_rows(probs, by_prob).tolist()):
+                                   _take_rows(probs, by_prob)):
         ids = context.candidate_ids
         # built sorted, unique, finite and normalised, so the set needs no check
-        label_sets.append(SoftLabelSet._of(context.query_id, tuple(zip([ids[i] for i in at], p)),
+        label_sets.append(SoftLabelSet._of(context.query_id, tuple([ids[i] for i in at]), p,
                                            frozenset(context.element_ids[q] for q in own)))
     return label_sets
 
@@ -357,7 +396,7 @@ def write_soft_labels(label_sets: Iterable[SoftLabelSet], path, header: str | No
         obj = {
             "qid": ls.query_id,
             "gt": sorted(ls.gt_ids),
-            "labels": [[d, p] for d, p in ls.entries if p >= _PROB_FLOOR],
+            "labels": [[d, p] for d, p in zip(ls.doc_ids, ls.probs.tolist()) if p >= _PROB_FLOOR],
         }
         lines.append(json.dumps(obj, separators=(",", ":")))
     with open(path, "w", encoding="utf-8") as fh:
@@ -377,9 +416,7 @@ def read_soft_labels(path) -> list[SoftLabelSet]:
                 continue
             try:
                 obj = json.loads(line)
-                out.append(SoftLabelSet(obj["qid"],
-                                        tuple((d, p) for d, p in obj["labels"]),
-                                        frozenset(obj["gt"])))
+                out.append(SoftLabelSet(obj["qid"], obj["labels"], obj["gt"]))
             except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
                 raise DataError(f"{path}:{lineno}: bad soft-label line: {exc}") from None
     return out

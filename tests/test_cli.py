@@ -7,6 +7,7 @@ compared byte-for-byte across repeated invocations and worker counts.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -359,6 +360,10 @@ def test_verbose_logs_stages_without_changing_outputs(corpus_files, tmp_path, co
         assert "parsed 6 queries, 90 run lines from " in text and "parsed judgments for " in text
         assert scored in text
         assert f"wrote {out} in " in text
+        # the last line gives the peak RSS, and the largest worker's when workers ran
+        workers = r", largest worker process \d+\.\d MB" if threads == "2" and parallel.available_cpus() > 1 else ""
+        assert re.fullmatch(r"INFO recipnn\.cli: peak RSS \d+\.\d MB" + workers, log[-1]), log
+        assert sum("peak RSS" in line for line in log) == 1
 
 
 @pytest.mark.parametrize("command", ["rerank", "smooth"])

@@ -146,6 +146,14 @@ def test_build_context_rejects_non_finite_vectors(bad):
         build_context("q", np.ones(3), ["a", "b", "c"], docs)
 
 
+def test_build_context_rejects_overflowing_products():
+    # finite vectors whose inner products overflow: a DataError, no numpy warning
+    docs = np.eye(3)
+    docs[1, 2] = 1e200
+    with pytest.raises(DataError, match="non-finite"):
+        build_context("q", np.ones(3), ["a", "b", "c"], docs)
+
+
 _SCORE_POOL = (np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 0.5, 5e-324)
 
 

@@ -206,6 +206,17 @@ def test_ranked_list_pickles_with_read_only_scores():
         assert not back.scores.flags.writeable
 
 
+@pytest.mark.parametrize("chunk", [1, ir_eval._READ_BYTES])
+def test_parse_run_shares_one_str_per_doc_id(tmp_path, chunk):
+    # at a read of 1 byte every line is a chunk of its own
+    path = tmp_path / "r.run"
+    path.write_text("q1 Q0 d1 1 0.5 t\nq1 Q0 d2 2 0.25 t\nq2 Q0 d2 1 0.5 t\nq3 Q0 d1 1 0.5 t\n")
+    with mock.patch.object(ir_eval, "_READ_BYTES", chunk):
+        run = parse_run(path)
+    (d1, d2), (d2_again,), (d1_again,) = (run[qid].doc_ids for qid in ("q1", "q2", "q3"))
+    assert (d1, d2) == ("d1", "d2") and d1_again is d1 and d2_again is d2
+
+
 # --- run tags -------------------------------------------------------------------
 
 @pytest.mark.parametrize("tag", ["", "my run", "a\tb", "x\xa0y", " lead"])

@@ -1,5 +1,6 @@
 import logging
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -51,6 +52,32 @@ def test_soft_label_set_invariants():
         SoftLabelSet("q", (("a", 0.5), ("a", 0.5)), frozenset({"a"}))
     with pytest.raises(DataError, match="negative"):
         SoftLabelSet("q", (("a", 1.1), ("b", -0.1)), frozenset({"a"}))
+
+
+def test_soft_label_set_holds_columns():
+    checked = SoftLabelSet("q", [["a", 0.5], ["b", 0.25], ["c", 0.25]], ["a"])
+    built = SoftLabelSet._of("q", ("a", "b", "c"), np.array([0.5, 0.25, 0.25]), frozenset({"a"}))
+    for ls in (checked, built):
+        assert type(ls.doc_ids) is tuple and all(type(d) is str for d in ls.doc_ids)
+        assert ls.probs.dtype == np.float64 and not ls.probs.flags.writeable
+        assert ls.entries == (("a", 0.5), ("b", 0.25), ("c", 0.25))
+        assert all(type(d) is str and type(p) is float for d, p in ls.entries)
+        assert ls.support == 3 and ls.gt_mass == 0.5 and ls.gt_ids == frozenset({"a"})
+        with pytest.raises(ValueError):
+            ls.probs[0] = 1.0
+        with pytest.raises(AttributeError):
+            ls.query_id = "other"
+    assert checked == built
+    assert checked != SoftLabelSet("q", checked.entries, {"b"})
+    assert checked != SoftLabelSet("q", (("a", 0.5), ("b", 0.5)), {"a"})
+
+
+def test_soft_label_set_pickles_with_read_only_probabilities():
+    # worker processes send their label sets back to the parent pickled
+    ls = SoftLabelSet("q", (("a", 0.75), ("b", 0.25)), frozenset({"a"}))
+    back = pickle.loads(pickle.dumps(ls))
+    assert back == ls and back.entries == ls.entries and back.gt_ids == ls.gt_ids
+    assert back.probs.dtype == np.float64 and not back.probs.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -367,6 +394,7 @@ def test_trusted_label_sets_pass_the_validating_constructor(mode):
         assert again == ls
         assert all(type(d) is str and type(p) is float for d, p in ls.entries)
         assert isinstance(ls.gt_ids, frozenset)
+        assert ls.probs.dtype == np.float64 and not ls.probs.flags.writeable
 
 
 @pytest.mark.parametrize("workers", [1, 2])
