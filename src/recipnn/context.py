@@ -3,10 +3,11 @@
 A context bundles the query (always position 0), the candidates in
 `order_by_score` order (geometric score descending, ties broken by id
 ascending), each candidate's position in id order (`id_ranks`, the tie
-key of every later ordering of the same candidates), and the dense
-(N+1) x (N+1) matrix of pairwise inner products that all
-reciprocal-neighbor math runs on. Retrieval is exact brute force — at the
-scales this package targets no ANN index is warranted.
+key of every later ordering of the same candidates) and in the doc-id list
+it was built from (`doc_positions`), and the dense (N+1) x (N+1) matrix of
+pairwise inner products that all reciprocal-neighbor math runs on.
+Retrieval is exact brute force — at the scales this package targets no ANN
+index is warranted.
 """
 
 from __future__ import annotations
@@ -52,6 +53,13 @@ def top_n(scores, ids: Sequence[str], n: int) -> np.ndarray:
     return cand[order_by_score(scores[cand], id_ranks([ids[i] for i in cand]))[:n]]
 
 
+def take_rows(values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """values[b, at[b]] for each row b of a (B, n) stack: `np.take_along_axis` at less cost."""
+    if len(values) > 1:  # row b starts at flat position b * n
+        at = at + np.arange(0, values.size, values.shape[-1])[:, None]
+    return values.take(at)
+
+
 def _row_scores(vecs: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
     """<row, query> as one sum per row: unlike a BLAS mat-vec, equal rows score alike."""
     return (vecs * query_vec).sum(axis=1)
@@ -66,14 +74,17 @@ class RankingContext:
     sim_matrix (`geo_scores`); sim_matrix[i][j] is the inner product of
     elements i and j. id_ranks[j] is the position of candidate
     element_ids[j + 1] in id order among the candidates, computed from the
-    ids when not given. Never mutated after construction; constructing one
-    with a non-finite similarity raises DataError.
+    ids when not given; doc_positions[j] is its position in the doc-id list
+    the context was built from, by default the candidates as they stand.
+    Never mutated after construction; constructing one with a non-finite
+    similarity raises DataError.
     """
 
     query_id: str
     element_ids: tuple[str, ...]
     sim_matrix: np.ndarray = field(repr=False)
     id_ranks: np.ndarray | None = field(default=None, repr=False, compare=False)
+    doc_positions: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the neighbour kernel ranks each element first in its own row, which
@@ -82,6 +93,8 @@ class RankingContext:
             raise DataError(f"non-finite similarities in context for query {self.query_id!r}")
         if self.id_ranks is None:
             object.__setattr__(self, "id_ranks", id_ranks(self.element_ids[1:]))
+        if self.doc_positions is None:
+            object.__setattr__(self, "doc_positions", np.arange(self.n_candidates))
 
     @property
     def geo_scores(self) -> np.ndarray:
@@ -120,7 +133,8 @@ def build_context(
     candidates are put in `order_by_score` order of it, and the same values
     are the query row and column of the similarity matrix, so the kernel
     reads the geometry that ordered them. The id order that breaks their
-    ties is kept as the context's `id_ranks`. The rest is one product
+    ties is kept as the context's `id_ranks`, and the order itself as its
+    `doc_positions`. The rest is one product
     `A @ A.T`, which numpy returns exactly symmetric. Only what the input
     can break is checked: dimensions and ids here, finiteness by
     `RankingContext`, so vectors with inf or NaN, or products that
@@ -151,7 +165,15 @@ def build_context(
         element_ids=(query_id, *(doc_ids[i] for i in order.tolist())),
         sim_matrix=sim,
         id_ranks=ranks[order],
+        doc_positions=order,
     )
+
+
+def to_input_positions(contexts: Sequence[RankingContext], at: np.ndarray, values: np.ndarray) -> list:
+    """Per context of a block, values[b] and the int32 positions of its candidates
+    at[b] in the doc-id list it was built from (`doc_positions`), as one pair."""
+    positions = take_rows(np.array([c.doc_positions for c in contexts], dtype=np.int32), at)
+    return list(zip(positions, values))
 
 
 def context_from_run(

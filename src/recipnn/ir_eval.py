@@ -49,7 +49,46 @@ class Qrels:
         return {d for d, g in self.grades_for(query_id).items() if g >= rel_threshold}
 
 
-class RankedList:
+class _Columns:
+    """One query's doc ids and a float64 value per id, held as two columns: a
+    tuple of str and a read-only array. Immutable. A subclass checks its
+    columns, derives its views from them and may hold more `_FIELDS`."""
+
+    __slots__ = ("query_id", "_ids", "_values")
+    _FIELDS = __slots__
+
+    def _hold(self, *fields) -> None:
+        fields[2].setflags(write=False)
+        for name, value in zip(self._FIELDS, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, *fields):
+        """Wrap fields the caller guarantees to pass the subclass's checks. No check, no copy."""
+        held = cls.__new__(cls)
+        held._hold(*fields)
+        return held
+
+    @classmethod
+    def _at(cls, query_id: str, pool: Sequence[str], at: np.ndarray, values: np.ndarray, *more):
+        """`_of` with the ids pool[at]: the str objects of `pool` itself."""
+        return cls._of(query_id, tuple([pool[i] for i in at.tolist()]), values, *more)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return np.array_equal(self._values, other._values) and \
+            all(getattr(self, name) == getattr(other, name) for name in self._FIELDS if name != "_values")
+
+    def __repr__(self) -> str:
+        more = "".join(f", {name}={getattr(self, name)!r}" for name in self._FIELDS[3:])
+        return f"{type(self).__name__}(query_id={self.query_id!r}, entries={self.entries!r}{more})"
+
+
+class RankedList(_Columns):
     """One query's ordered result list: doc ids and float64 scores, best first.
 
     `doc_ids` and `scores` are the columns it holds; `entries`, the
@@ -57,7 +96,7 @@ class RankedList:
     Immutable: `scores` is a read-only array.
     """
 
-    __slots__ = ("query_id", "_ids", "_scores")
+    __slots__ = ()
 
     def __init__(self, query_id: str, entries: Iterable[Sequence]) -> None:
         # column-wise coercion: every entry must be a (doc_id, score, rank) triple
@@ -72,32 +111,11 @@ class RankedList:
             raise DataError(f"query {query_id!r}: duplicate doc ids")
         self._hold(query_id, ids, np.array(scores, dtype=np.float64))
 
-    def _hold(self, query_id: str, ids: tuple[str, ...], scores: np.ndarray) -> None:
-        scores.setflags(write=False)
-        for name, value in (("query_id", query_id), ("_ids", ids), ("_scores", scores)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _of(cls, query_id: str, ids: tuple[str, ...], scores: np.ndarray) -> "RankedList":
-        """Wrap columns the caller guarantees: unique str ids, float64 scores
-        that never increase. No check, no copy."""
-        ranked = cls.__new__(cls)
-        ranked._hold(query_id, ids, scores)
-        return ranked
-
     @classmethod
     def from_scored(cls, query_id: str, scored: Sequence[tuple[str, float]]) -> "RankedList":
         """Build from an already-sorted (doc_id, score) sequence."""
         ids, scores = zip(*scored, strict=True) if scored else ((), ())
         return cls(query_id, tuple(zip(ids, scores, range(1, len(ids) + 1))))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"RankedList is immutable; cannot set {name!r}")
-
-    def __reduce__(self):
-        # rebuilt from its columns: restoring the slots one by one would go
-        # through __setattr__, and _of makes the unpickled scores read-only
-        return RankedList._of, (self.query_id, self._ids, self._scores)
 
     @property
     def doc_ids(self) -> list[str]:
@@ -105,11 +123,11 @@ class RankedList:
 
     @property
     def scores(self) -> np.ndarray:
-        return self._scores
+        return self._values
 
     @property
     def entries(self) -> tuple[tuple[str, float, int], ...]:
-        return tuple(zip(self._ids, self._scores.tolist(), range(1, len(self._ids) + 1)))
+        return tuple(zip(self._ids, self._values.tolist(), range(1, len(self._ids) + 1)))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -117,17 +135,8 @@ class RankedList:
     def __iter__(self):
         return iter(self.entries)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RankedList):
-            return NotImplemented
-        return (self.query_id, self._ids) == (other.query_id, other._ids) and \
-            np.array_equal(self._scores, other._scores)
-
-    def __repr__(self) -> str:
-        return f"RankedList(query_id={self.query_id!r}, entries={self.entries!r})"
-
     def truncated(self, depth: int) -> "RankedList":
-        return RankedList._of(self.query_id, self._ids[:depth], self._scores[:depth])
+        return RankedList._of(self.query_id, self._ids[:depth], self._values[:depth])
 
 
 @dataclass(frozen=True)
@@ -313,11 +322,10 @@ def parse_run(path) -> RunFile:
     for qid, parts in blocks.items():
         dids, scores = parts[0] if len(parts) == 1 else \
             (list(chain.from_iterable(d for d, _ in parts)), np.concatenate([s for _, s in parts]))
-        order = np.argsort(-scores, kind="stable").tolist()  # stable: ties keep file order
-        ids = tuple([dids[i] for i in order])
-        if len(set(ids)) != len(ids):
+        if len(set(dids)) != len(dids):
             raise _first_bad_line(path)
-        lists[qid] = RankedList._of(qid, ids, scores[order])
+        order = np.argsort(-scores, kind="stable")  # stable: ties keep file order
+        lists[qid] = RankedList._at(qid, dids, order, scores[order])
     return RunFile(lists)
 
 
@@ -359,7 +367,7 @@ def write_run(run: RunFile, path, tag: str = "recipnn", header: str | None = Non
             ranked = run[qid]
             if ranked._ids:  # each line "qid Q0 doc rank score tag": the fields in the middle joined per line
                 fh.write(f"{qid} Q0 " + f" {tag}\n{qid} Q0 ".join(
-                    map(" ".join, zip(ranked._ids, ranks, map(repr, ranked._scores.tolist())))) + f" {tag}\n")
+                    map(" ".join, zip(ranked._ids, ranks, map(repr, ranked._values.tolist())))) + f" {tag}\n")
 
 
 def write_qrels(qrels: Qrels, path, header: str | None = None) -> None:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .context import RankingContext, context_from_run, order_by_score
+from .context import RankingContext, context_from_run, order_by_score, take_rows, to_input_positions
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError, check_positive
 from .ir_eval import RankedList, RunFile, evaluate_metric, parse_metric_id
@@ -40,22 +40,19 @@ def rerank_context(context: RankingContext, params: RnnParams, top_k: int | None
         top_k = n
     if not 1 <= top_k <= n:
         raise DataError(f"top_k={top_k} out of range [1, {n}] for query {context.query_id!r}")
-    return _ranked([context], rnn_scores(context, params.clamped(context.size))[None], top_k)[0]
+    row = rnn_scores(context, params.clamped(context.size))
+    at, ids = _ranked([context], row[None], top_k)[0], context.candidate_ids
+    # candidate ids are unique and the order is by score, so the list needs no check
+    return RankedList._of(context.query_id, tuple([ids[i] for i in at.tolist()]), row[at])
 
 
-def _ranked(contexts: Sequence[RankingContext], rows: np.ndarray, top_k: int | None) -> list[RankedList]:
-    """Each context's candidates sorted by its row of `rows` (`order_by_score`), cut to top_k.
+def _ranked(contexts: Sequence[RankingContext], rows: np.ndarray, top_k: int | None) -> np.ndarray:
+    """Each context's candidate positions sorted by its row of `rows` (`order_by_score`), cut to top_k.
 
     One sort for the block: rows[b] scores the candidates of contexts[b],
     whose `id_ranks` break ties.
     """
-    order = order_by_score(rows, np.array([c.id_ranks for c in contexts]))[:, :top_k]
-    lists = []
-    for context, at, row in zip(contexts, order, rows):
-        ids = context.candidate_ids
-        # candidate ids are unique and the order is by score, so the list needs no check
-        lists.append(RankedList._of(context.query_id, tuple([ids[i] for i in at.tolist()]), row[at]))
-    return lists
+    return order_by_score(rows, np.array([c.id_ranks for c in contexts]))[:, :top_k]
 
 
 def check_depths(n_context: int, top_k: int | None = None) -> None:
@@ -79,24 +76,27 @@ def rerank_run(run, embeddings: EmbeddingMatrix, params: RnnParams, n_context: i
     entries than a reranked one. strict=True raises instead. Contexts are
     scored and sorted in blocks of equal size (`neighbors.score_in_blocks`),
     in up to `workers` processes (`parallel.map_queries`); the result does
-    not depend on either.
+    not depend on either. Blocks return positions into the run's doc ids,
+    so every list holds the run's own str objects.
     """
     check_depths(n_context, top_k)
 
     def build(query_id: str) -> tuple[RankingContext, list[int]]:
         return context_from_run(query_id, run[query_id].doc_ids, embeddings, n_context), [0]
 
-    def finish(contexts: list[RankingContext], probes: list[list[int]], rows: np.ndarray) -> list[RankedList]:
-        return _ranked(contexts, rows, top_k)
+    def finish(contexts: list[RankingContext], probes: list[list[int]], rows: np.ndarray) -> list:
+        order = _ranked(contexts, rows, top_k)
+        return to_input_positions(contexts, order, take_rows(rows, order))
 
     query_ids = run.query_ids
     lists = {}
-    for qid, ranked in zip(query_ids, map_queries(
+    for qid, out in zip(query_ids, map_queries(
             lambda ids: score_in_blocks(ids, build, finish, params, strict), query_ids, workers)):
-        if isinstance(ranked, DataError):
-            logger.warning("query %s left in original order: %s", qid, ranked)
-            ranked = run[qid]
-        lists[qid] = ranked
+        if isinstance(out, DataError):
+            logger.warning("query %s left in original order: %s", qid, out)
+            lists[qid] = run[qid]
+        else:
+            lists[qid] = RankedList._at(qid, run[qid]._ids, *out)
     return RunFile(lists)
 
 

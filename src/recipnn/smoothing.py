@@ -21,9 +21,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .context import RankingContext, context_from_run, id_ranks, order_by_score
+from .context import RankingContext, context_from_run, id_ranks, order_by_score, take_rows, to_input_positions
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError, check_positive
+from .ir_eval import _Columns
 from .neighbors import RnnParams, rnn_scores, score_in_blocks
 from .parallel import map_queries
 from .textfile import numbered_lines, open_text
@@ -42,7 +43,7 @@ _SUM_TOL = 1e-9
 class SmoothParams:
     """Knobs of the smoothing pipeline on top of the rNN parameters.
 
-    b        ground-truth boost factor, >= 1
+    b        ground-truth boost factor, finite and >= 1
     n_max    candidates ranked beyond this (by similarity to the ground
              truth) get zero target mass, unless they are ground truth
     f_n      score normalization: maxmin or stdbased
@@ -57,14 +58,14 @@ class SmoothParams:
     inject_missing_gt: bool = True
 
     def __post_init__(self) -> None:
-        if not self.b >= 1.0:
-            raise ConfigError(f"boost factor b must be >= 1, got {self.b!r}")
+        if not 1.0 <= self.b < float("inf"):
+            raise ConfigError(f"boost factor b must be finite and >= 1, got {self.b!r}")
         check_positive("n_max", self.n_max)
         if self.f_n not in NORMALIZERS:
             raise ConfigError(f"f_n must be one of {', '.join(NORMALIZERS)}; got {self.f_n!r}")
 
 
-class SoftLabelSet:
+class SoftLabelSet(_Columns):
     """One query's target distribution over candidate documents.
 
     `doc_ids` and `probs` are the columns it holds: a tuple of str and a
@@ -73,7 +74,8 @@ class SoftLabelSet:
     demand. Immutable.
     """
 
-    __slots__ = ("query_id", "gt_ids", "_ids", "_probs")
+    __slots__ = ("gt_ids",)
+    _FIELDS = _Columns._FIELDS + __slots__
 
     def __init__(self, query_id: str, entries: Iterable[Sequence], gt_ids: Iterable[str]) -> None:
         entries = tuple(entries)
@@ -94,58 +96,27 @@ class SoftLabelSet:
             raise DataError(f"query {query_id!r}: labels not sorted by prob desc, id asc")
         self._hold(query_id, ids, probs, frozenset(gt_ids))
 
-    def _hold(self, query_id: str, ids: tuple[str, ...], probs: np.ndarray, gt_ids: frozenset[str]) -> None:
-        probs.setflags(write=False)
-        for name, value in (("query_id", query_id), ("_ids", ids), ("_probs", probs), ("gt_ids", gt_ids)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _of(cls, query_id: str, ids: tuple[str, ...], probs: np.ndarray, gt_ids: frozenset[str]) -> "SoftLabelSet":
-        """Wrap columns the caller guarantees: unique str ids and finite
-        non-negative float64 probabilities summing to 1, sorted by
-        probability descending, then id. No check, no copy."""
-        labels = cls.__new__(cls)
-        labels._hold(query_id, ids, probs, gt_ids)
-        return labels
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SoftLabelSet is immutable; cannot set {name!r}")
-
-    def __reduce__(self):
-        # rebuilt from its columns, as RankedList is: _of makes the unpickled
-        # probabilities read-only
-        return SoftLabelSet._of, (self.query_id, self._ids, self._probs, self.gt_ids)
-
     @property
     def doc_ids(self) -> tuple[str, ...]:
         return self._ids
 
     @property
     def probs(self) -> np.ndarray:
-        return self._probs
+        return self._values
 
     @property
     def entries(self) -> tuple[tuple[str, float], ...]:
-        return tuple(zip(self._ids, self._probs.tolist()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SoftLabelSet):
-            return NotImplemented
-        return (self.query_id, self._ids, self.gt_ids) == (other.query_id, other._ids, other.gt_ids) and \
-            np.array_equal(self._probs, other._probs)
-
-    def __repr__(self) -> str:
-        return f"SoftLabelSet(query_id={self.query_id!r}, entries={self.entries!r}, gt_ids={self.gt_ids!r})"
+        return tuple(zip(self._ids, self._values.tolist()))
 
     @property
     def support(self) -> int:
         """Number of entries with strictly positive mass."""
-        return int(np.count_nonzero(self._probs > 0))
+        return int(np.count_nonzero(self._values > 0))
 
     @property
     def gt_mass(self) -> float:
         """The ground truth's probabilities, summed in entry order."""
-        return float(sum(compress(self._probs.tolist(), map(self.gt_ids.__contains__, self._ids))))
+        return float(sum(compress(self._values.tolist(), map(self.gt_ids.__contains__, self._ids))))
 
 
 @dataclass(frozen=True)
@@ -271,70 +242,63 @@ def uniform_smooth(n: int, epsilon, gt_index: int | Sequence[int] | np.ndarray =
 # ---------------------------------------------------------------------------
 # dataset pipeline
 
-def _gt_context(query_id: str, doc_ids: Sequence[str], qrels, embeddings: EmbeddingMatrix,
-                params: SmoothParams, n_context: int | None,
-                rel_threshold: int) -> tuple[RankingContext, list[int]]:
-    """A query's context, with missing ground truth injected, and its ground-truth probes."""
+def _candidates(query_id: str, doc_ids: Sequence[str], qrels, params: SmoothParams,
+                n_context: int | None, rel_threshold: int) -> tuple[list[str], set[str]]:
+    """The doc ids a query's context is built from, and its ground truth: the
+    run's first n_context ids, then the ground truth missing from them, in id order."""
     gt_all = qrels.relevant_docs(query_id, rel_threshold)
     if not gt_all:
         raise DataError(f"query {query_id!r} has no positive judgment")
     docs = list(doc_ids if n_context is None else doc_ids[:n_context])
-    missing_gt = sorted(gt_all - set(docs))
+    missing_gt = sorted(gt_all.difference(docs))
     if missing_gt:
         if not params.inject_missing_gt:
             raise DataError(f"query {query_id!r}: ground truth absent from candidates "
                             f"and injection disabled: {', '.join(missing_gt)}")
-        docs = docs + missing_gt
+        docs += missing_gt
+    return docs, gt_all
+
+
+def _gt_context(query_id: str, doc_ids: Sequence[str], qrels, embeddings: EmbeddingMatrix,
+                params: SmoothParams, n_context: int | None,
+                rel_threshold: int) -> tuple[RankingContext, list[int]]:
+    """A query's context, over its `_candidates`, and its ground-truth probes."""
+    docs, gt_all = _candidates(query_id, doc_ids, qrels, params, n_context, rel_threshold)
     context = context_from_run(query_id, docs, embeddings, None)
-    n = context.n_candidates
-    if n < 2:
-        raise DataError(f"query {query_id!r}: need at least 2 candidates, got {n}")
+    if context.n_candidates < 2:
+        raise DataError(f"query {query_id!r}: need at least 2 candidates, got {context.n_candidates}")
     return context, _gt_probes(context, gt_all)
 
 
-def _take_rows(values: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """values[b, at[b]] for each row b of a (B, n) stack: `np.take_along_axis` at less cost."""
-    if len(values) > 1:  # row b starts at flat position b * n
-        at = at + np.arange(0, values.size, values.shape[-1])[:, None]
-    return values.take(at)
-
-
 def _label_sets(contexts: Sequence[RankingContext], probes: Sequence[Sequence[int]], r_gt: np.ndarray,
-                params: SmoothParams, mode: str, epsilon: float) -> list[SoftLabelSet]:
-    """The label sets of a block of equal-size contexts, from their r_gt rows.
+                params: SmoothParams, mode: str, epsilon: float) -> tuple:
+    """A block of equal-size contexts' labels from their r_gt rows: candidate positions
+    by probability descending, then id, and those probabilities, as two (B, n) arrays.
 
     r_gt[b] is the mean similarity of the candidates of contexts[b] to its
     ground truth at probes[b]. Every step runs on the whole (B, n) block:
     the order by r_gt, the boost and cut, the softmax, the uniform mass and
     the final order by probability; only the uniform-matched mass is summed
-    row by row, over each row's off-ground-truth entries alone. Set b holds
-    row b of the block's ordered probability array.
+    row by row, over each row's off-ground-truth entries alone.
     """
     ranks = np.array([c.id_ranks for c in contexts])
     flags = np.zeros(r_gt.shape, dtype=bool)
     for row, own in zip(flags, probes):
         row[[p - 1 for p in own]] = True  # probes index the context, whose element 0 is the query
     order = order_by_score(r_gt, ranks)
-    flags = _take_rows(flags, order)
+    flags = take_rows(flags, order)
 
     if mode == "eb" or mode == "uniform-matched":
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # constant r'' is handled, not fatal
-            r_prime = transform_scores(_take_rows(r_gt, order), flags, params)
+            r_prime = transform_scores(take_rows(r_gt, order), flags, params)
         probs = softmax(r_prime)
     if mode != "eb":
         eps = epsilon if mode == "uniform" else [row[~off].sum() for row, off in zip(probs, flags)]
         probs = uniform_smooth(r_gt.shape[-1], eps, flags)
 
-    by_prob = order_by_score(probs, _take_rows(ranks, order))
-    label_sets = []
-    for context, own, at, p in zip(contexts, probes, _take_rows(order, by_prob).tolist(),
-                                   _take_rows(probs, by_prob)):
-        ids = context.candidate_ids
-        # built sorted, unique, finite and normalised, so the set needs no check
-        label_sets.append(SoftLabelSet._of(context.query_id, tuple([ids[i] for i in at]), p,
-                                           frozenset(context.element_ids[q] for q in own)))
-    return label_sets
+    by_prob = order_by_score(probs, take_rows(ranks, order))
+    return take_rows(order, by_prob), take_rows(probs, by_prob)
 
 
 def check_smooth_options(n_context: int | None, mode: str, epsilon: float) -> None:
@@ -361,14 +325,16 @@ def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams
     and labelled in blocks of equal size (`neighbors.score_in_blocks`), in
     up to `workers` processes (`parallel.map_queries`); results, warnings
     and skips keep query-id order whatever the block or worker count.
+    Blocks return positions into each query's `_candidates`, so every set
+    holds the run's and the qrels' own str objects.
     """
     check_smooth_options(n_context, mode, epsilon)
 
     def build(qid: str) -> tuple[RankingContext, list[int]]:
         return _gt_context(qid, run[qid].doc_ids, qrels, embeddings, params, n_context, rel_threshold)
 
-    def finish(contexts: list[RankingContext], probes: list[list[int]], r_gt: np.ndarray) -> list[SoftLabelSet]:
-        return _label_sets(contexts, probes, r_gt, params, mode, epsilon)
+    def finish(contexts: list[RankingContext], probes: list[list[int]], r_gt: np.ndarray) -> list:
+        return to_input_positions(contexts, *_label_sets(contexts, probes, r_gt, params, mode, epsilon))
 
     query_ids = run.query_ids
     label_sets, skipped = [], []
@@ -378,7 +344,9 @@ def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams
             logger.warning("skipping query %s: %s", qid, out)
             skipped.append((qid, str(out)))
         else:
-            label_sets.append(out)
+            # built sorted, unique, finite and normalised, so the set needs no check
+            docs, gt_all = _candidates(qid, run[qid]._ids, qrels, params, n_context, rel_threshold)
+            label_sets.append(SoftLabelSet._at(qid, docs, *out, frozenset(gt_all)))
     return SmoothResult(tuple(label_sets), tuple(skipped))
 
 

@@ -144,6 +144,7 @@ def test_bad_parameter_values_are_config_errors(corpus_files, tmp_path, capsys, 
     ("smooth", ["--n-context", "0"]),
     ("smooth", ["--mode", "bogus"]),
     ("smooth", ["--mode", "uniform", "--epsilon", "1.5"]),
+    ("smooth", ["--b", "inf"]),
     ("sweep", ["--sizes", "0,5"]),
     ("sweep", ["--metric", "mrr@0"]),
     ("sweep", ["--metric", "foo@3"]),

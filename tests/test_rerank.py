@@ -178,6 +178,18 @@ def test_rerank_run_in_worker_processes_matches_inline(monkeypatch, caplog):
     assert outcomes[1] == outcomes[0]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reranked_lists_reuse_the_run_strings(monkeypatch, workers):
+    # a block returns positions into the run, not strings, so every doc id
+    # is the run's own str object, also when a worker process sorted it
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
+    c = corpus(n_queries=12)
+    out = rerank_run(c.run, c.embeddings, rparams(), N_CONTEXT, workers=workers)
+    for qid in c.run.query_ids:
+        held = {d: d for d in c.run[qid].doc_ids}
+        assert out[qid].doc_ids and all(d is held[d] for d in out[qid].doc_ids)
+
+
 def _without_vectors(store, drop):
     keep = [(i, v) for i, v in store if i not in drop]
     return EmbeddingMatrix([i for i, _ in keep], np.vstack([v for _, v in keep]))

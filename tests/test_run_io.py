@@ -7,7 +7,6 @@ results and on the first error's `path:line` message.
 
 import io
 import math
-import pickle
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -24,7 +23,7 @@ from recipnn.config import parse_config_file
 from recipnn.embeddings import EmbeddingMatrix, load_embeddings, write_embeddings
 from recipnn.errors import ConfigError, DataError
 from recipnn.ir_eval import Qrels, RankedList, RunFile, parse_qrels, parse_run, write_qrels, write_run
-from recipnn.smoothing import read_soft_labels
+from recipnn.smoothing import SoftLabelSet, read_soft_labels
 from recipnn.synthetic import planted_corpus
 
 
@@ -198,12 +197,23 @@ def test_ranked_list_holds_columns(tmp_path):
             rl.query_id = "other"
 
 
-def test_ranked_list_pickles_with_read_only_scores():
-    # worker processes send their reranked lists back to the parent pickled
-    for rl in (RankedList._of("q", ("a", "b"), np.array([2.0, 1.0])), RankedList("q", ())):
-        back = pickle.loads(pickle.dumps(rl))
-        assert back == rl and back.doc_ids == rl.doc_ids and back.scores.dtype == np.float64
-        assert not back.scores.flags.writeable
+@pytest.mark.parametrize("checked,built", [
+    (RankedList("q", (("a", 0.75, 1), ("b", 0.5, 2))), RankedList._of("q", ("a", "b"), np.array([0.75, 0.5]))),
+    (SoftLabelSet("q", (("a", 0.75), ("b", 0.25)), ["a"]),
+     SoftLabelSet._of("q", ("a", "b"), np.array([0.75, 0.25]), frozenset({"a"}))),
+])
+def test_column_classes_share_immutability_and_equality(checked, built):
+    # RankedList and SoftLabelSet hold their columns through one base class
+    name = type(checked).__name__
+    assert checked == built and repr(checked) == repr(built)
+    assert repr(built).startswith(f"{name}(query_id='q', entries=(('a', 0.75")
+    for held in (checked, built):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable; cannot set 'query_id'$"):
+            held.query_id = "other"
+        with pytest.raises(ValueError):
+            held._values[0] = 1.0
+    # the same columns in the other class are another object
+    assert RankedList._of("q", ("a",), np.ones(1)) != SoftLabelSet._of("q", ("a",), np.ones(1), frozenset())
 
 
 @pytest.mark.parametrize("chunk", [1, ir_eval._READ_BYTES])

@@ -1,6 +1,5 @@
 import logging
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -70,14 +69,6 @@ def test_soft_label_set_holds_columns():
     assert checked == built
     assert checked != SoftLabelSet("q", checked.entries, {"b"})
     assert checked != SoftLabelSet("q", (("a", 0.5), ("b", 0.5)), {"a"})
-
-
-def test_soft_label_set_pickles_with_read_only_probabilities():
-    # worker processes send their label sets back to the parent pickled
-    ls = SoftLabelSet("q", (("a", 0.75), ("b", 0.25)), frozenset({"a"}))
-    back = pickle.loads(pickle.dumps(ls))
-    assert back == ls and back.entries == ls.entries and back.gt_ids == ls.gt_ids
-    assert back.probs.dtype == np.float64 and not back.probs.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -344,8 +335,10 @@ def _labels_one_at_a_time(run, qrels, store, params, n_context, mode="eb", epsil
     for qid in run.query_ids:
         try:
             ctx, probes = smoothing._gt_context(qid, run[qid].doc_ids, qrels, store, params, n_context, 1)
-            r_gt = mean_gt_similarity(ctx, qrels.relevant_docs(qid), params)
-            out[qid] = smoothing._label_sets([ctx], [probes], r_gt[None], params, mode, epsilon)[0]
+            gt = qrels.relevant_docs(qid)
+            at, probs = smoothing._label_sets([ctx], [probes], mean_gt_similarity(ctx, gt, params)[None],
+                                              params, mode, epsilon)
+            out[qid] = SoftLabelSet._at(qid, ctx.candidate_ids, at[0], probs[0], frozenset(gt))
         except DataError:
             pass
     return out
@@ -406,6 +399,23 @@ def test_smooth_dataset_strict_raises_the_first_error_in_query_order(monkeypatch
     qrels = Qrels({qid: dict(c.qrels.grades_for(qid)) for qid in qids if qid not in (qids[5], qids[9])})
     with pytest.raises(DataError, match=repr(qids[5])):
         smooth_dataset(c.run, qrels, c.embeddings, sparams(), n_context=20, strict=True, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_label_sets_reuse_the_run_and_qrels_strings(monkeypatch, workers):
+    # a block returns positions into the query's candidates, not strings:
+    # every doc id is the run's own str object, and an injected ground-truth
+    # id the qrels' own, also when a worker process computed the set
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
+    c = corpus100()
+    res = smooth_dataset(c.run, c.qrels, c.embeddings, sparams(), n_context=3, workers=workers)
+    injected = 0
+    for ls in res.label_sets:
+        top = {d: d for d in c.run[ls.query_id].doc_ids[:3]}
+        judged = {d: d for d in c.qrels.grades_for(ls.query_id)}
+        assert all(d is (top[d] if d in top else judged[d]) for d in ls.doc_ids)
+        injected += len(ls.doc_ids) - len(top)
+    assert injected > 0
 
 
 def test_smooth_dataset_injects_missing_gt():
