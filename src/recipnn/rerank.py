@@ -41,18 +41,9 @@ def rerank_context(context: RankingContext, params: RnnParams, top_k: int | None
     if not 1 <= top_k <= n:
         raise DataError(f"top_k={top_k} out of range [1, {n}] for query {context.query_id!r}")
     row = rnn_scores(context, params.clamped(context.size))
-    at, ids = _ranked([context], row[None], top_k)[0], context.candidate_ids
+    at = order_by_score(row, context.id_ranks)[:top_k]
     # candidate ids are unique and the order is by score, so the list needs no check
-    return RankedList._of(context.query_id, tuple([ids[i] for i in at.tolist()]), row[at])
-
-
-def _ranked(contexts: Sequence[RankingContext], rows: np.ndarray, top_k: int | None) -> np.ndarray:
-    """Each context's candidate positions sorted by its row of `rows` (`order_by_score`), cut to top_k.
-
-    One sort for the block: rows[b] scores the candidates of contexts[b],
-    whose `id_ranks` break ties.
-    """
-    return order_by_score(rows, np.array([c.id_ranks for c in contexts]))[:, :top_k]
+    return RankedList._at(context.query_id, context.candidate_ids, at, row[at])
 
 
 def check_depths(n_context: int, top_k: int | None = None) -> None:
@@ -85,7 +76,8 @@ def rerank_run(run, embeddings: EmbeddingMatrix, params: RnnParams, n_context: i
         return context_from_run(query_id, run[query_id].doc_ids, embeddings, n_context), [0]
 
     def finish(contexts: list[RankingContext], probes: list[list[int]], rows: np.ndarray) -> list:
-        order = _ranked(contexts, rows, top_k)
+        # one sort for the block; each context's id_ranks break its ties
+        order = order_by_score(rows, np.array([c.id_ranks for c in contexts]))[:, :top_k]
         return to_input_positions(contexts, order, take_rows(rows, order))
 
     query_ids = run.query_ids

@@ -144,7 +144,6 @@ def test_bad_parameter_values_are_config_errors(corpus_files, tmp_path, capsys, 
     ("smooth", ["--n-context", "0"]),
     ("smooth", ["--mode", "bogus"]),
     ("smooth", ["--mode", "uniform", "--epsilon", "1.5"]),
-    ("smooth", ["--b", "inf"]),
     ("sweep", ["--sizes", "0,5"]),
     ("sweep", ["--metric", "mrr@0"]),
     ("sweep", ["--metric", "foo@3"]),
@@ -152,6 +151,7 @@ def test_bad_parameter_values_are_config_errors(corpus_files, tmp_path, capsys, 
     ("rerank", ["--threads", "-3"]),
     ("smooth", ["--threads", "0"]),
     ("sweep", ["--threads", "-3"]),
+    ("smooth", ["--b", "inf"]),
 ])
 def test_bad_parameters_refused_before_any_input_is_read(tmp_path, capsys, command, flags):
     # none of the input files exists, so reading any of them would exit 2
