@@ -16,8 +16,7 @@ one thread, and BLAS worker threads left spinning after each similarity
 product slowed the code that follows. Importing this module, before numpy is
 loaded, sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1
 when none of them is set; if the user set any of them, all three are left
-alone. The similarity products run on one thread of numpy's bundled
-OpenBLAS in any process (`context._gram`).
+alone. Code that imports numpy before this module keeps its BLAS threading.
 """
 
 from __future__ import annotations

@@ -12,11 +12,7 @@ index is warranted.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -62,40 +58,6 @@ def take_rows(values: np.ndarray, at: np.ndarray) -> np.ndarray:
     if len(values) > 1:  # row b starts at flat position b * n
         at = at + np.arange(0, values.size, values.shape[-1])[:, None]
     return values.take(at)
-
-
-@functools.cache
-def _openblas_threads() -> tuple | None:
-    """The get and set thread-count functions of the OpenBLAS bundled with numpy, or None."""
-    here = Path(np.__file__).parent
-    for path in [*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".dylibs/*openblas*")]:
-        for suffix in ("64_", ""):
-            try:  # RTLD_NOLOAD: the copy numpy loaded, never a second one
-                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-                get, put = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}") for op in ("get", "set"))
-            except (AttributeError, OSError):
-                continue
-            get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
-            return get, put
-    return None
-
-
-def _gram(vecs: np.ndarray) -> np.ndarray:
-    """vecs @ vecs.T, exactly symmetric, on one thread of numpy's bundled OpenBLAS.
-
-    Its last digits depend on the thread count, and worker threads left
-    spinning after a threaded product slow the code that follows. One thread
-    gives every process the command line's bytes; the count is restored.
-    """
-    blas = _openblas_threads()
-    threads = blas[0]() if blas else 1
-    if threads > 1:
-        blas[1](1)
-    try:
-        return vecs @ vecs.T
-    finally:
-        if threads > 1:
-            blas[1](threads)
 
 
 def _row_scores(vecs: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
@@ -173,8 +135,7 @@ def build_context(
     reads the geometry that ordered them. The id order that breaks their
     ties is kept as the context's `id_ranks`, and the order itself as its
     `doc_positions`. The rest is one product
-    `A @ A.T` on one BLAS thread (`_gram`), which numpy returns exactly
-    symmetric. Only what the input
+    `A @ A.T`, which numpy returns exactly symmetric. Only what the input
     can break is checked: dimensions and ids here, finiteness by
     `RankingContext`, so vectors with inf or NaN, or products that
     overflow, raise DataError without a numpy RuntimeWarning.
@@ -197,7 +158,7 @@ def build_context(
         scores = _row_scores(doc_vecs, query_vec)
         order = order_by_score(scores, ranks)
         all_vecs = np.vstack([query_vec[None, :], doc_vecs[order]]) if len(doc_ids) else query_vec[None, :]
-        sim = _gram(all_vecs)
+        sim = all_vecs @ all_vecs.T
     sim[0, 1:] = sim[1:, 0] = scores[order]
     return RankingContext(
         query_id=query_id,

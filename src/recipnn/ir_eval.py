@@ -77,6 +77,11 @@ class _Columns:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _of: restoring the slots one by one
+        # would go through __setattr__, and _of makes the values read-only
+        return type(self)._of, tuple(getattr(self, name) for name in self._FIELDS)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented

@@ -153,9 +153,7 @@ def _top_order(sim: np.ndarray, n: int) -> np.ndarray:
     m = sim.shape[-1]
     key = np.negative(sim)
     key.reshape(-1, m * m)[:, ::m + 1] = -np.inf
-    cut = key.copy()
-    cut.partition(n - 1, axis=-1)
-    cut = cut[..., n - 1:n]
+    cut = np.partition(key, n - 1, axis=-1)[..., n - 1:n]
     keep = key <= cut
     kept = keep.reshape(-1).nonzero()[0]  # flat positions, index ascending per row
     if kept.size > keep.size // m * n:
@@ -282,9 +280,9 @@ def _expand_matrix(weights: np.ndarray, order: np.ndarray, k_exp: int) -> np.nda
     near = order[..., :k_exp]
     if len(rows) > m:  # the rows of a later context in the stack start at a multiple of m
         near = near + np.arange(0, len(rows), m).reshape(*order.shape[:-2], 1, 1)
-    out = rows.take(near[..., 0], axis=0)
+    out = rows[near[..., 0]]
     for j in range(1, k_exp):
-        out += rows.take(near[..., j], axis=0)
+        out += rows[near[..., j]]
     out /= k_exp
     return out
 
@@ -301,24 +299,14 @@ def _jaccard(weights: np.ndarray, vp: np.ndarray) -> np.ndarray:
     return 1.0 - mins / maxs
 
 
-def _mixed_row(s_hat: np.ndarray, weights: np.ndarray, probes: Sequence[int], lam: float) -> np.ndarray:
-    """One context's mean over its probes p of lam*s_hat[p] + (1 - lam)*(1 - Jaccard(p, .)),
-    summed in probe order; `s_hat` and `weights` are its (m, m) matrices."""
-    acc = lam * s_hat[probes[0]] + (1.0 - lam) * (1.0 - _jaccard(weights, weights[probes[0]]))
-    for p in probes[1:]:
-        acc += lam * s_hat[p] + (1.0 - lam) * (1.0 - _jaccard(weights, weights[p]))
-    if len(probes) > 1:
-        acc /= len(probes)
-    return acc
-
-
 def _mixed_rows(s_hat: np.ndarray, weights: np.ndarray, probes: Sequence[Sequence[int]], lam: float) -> np.ndarray:
-    """`_mixed_row` of every context of a (B, m, m) stack, with probes[b] the probes of context b.
+    """Each context's mean over its probes p of lam*s_hat[p] + (1 - lam)*(1 - Jaccard(p, .)).
 
-    Each slot of the probe lists is one pass over the contexts that have a
-    probe there, so each context gets the bytes `_mixed_row` gives it alone.
-    The sum starts from the first probe's row: no mixed value is -0.0, so
-    adding it to zero would change no bit.
+    `s_hat` and `weights` are (B, m, m) stacks and `probes[b]` lists the
+    probes of context b. Each context's rows are summed in its probe order
+    and divided by its probe count, as one context at a time. The sum starts
+    from the first probe's row: no mixed value is -0.0, so adding it to zero
+    would change no bit.
     """
     def mixed(at: list[int], p: list[int]) -> np.ndarray:
         if len(at) < len(probes):  # only the contexts with a probe in this slot
@@ -420,8 +408,8 @@ def rnn_scores_block(contexts: Sequence[RankingContext], params: RnnParams,
     ext = _extended_mask(order, params.k, params.tau)
     s_hat = _row_maxmin(sim)
     weights = _expand_matrix(_weight_matrix(s_hat, ext, params.weight_fn), order, params.k_exp)
-    if len(contexts) == 1:
-        return _mixed_row(s_hat, weights, probes[0], params.lam)[None, 1:]
+    if len(contexts) == 1:  # the mixture takes the contexts along a leading axis
+        s_hat, weights = s_hat[None], weights[None]
     return _mixed_rows(s_hat, weights, probes, params.lam)[:, 1:]
 
 

@@ -99,28 +99,3 @@ def test_context_geometry_is_exact_at_any_blas_thread_count(threads):
                     assert len(set(ctx.geo_scores[1:][which == g].tolist())) == 1, (m, dim, g)
         print("ok")
     """, OPENBLAS_NUM_THREADS=threads) == "ok"
-
-
-def test_similarity_bytes_do_not_depend_on_blas_threads():
-    # build_context runs its product on one thread of numpy's bundled
-    # OpenBLAS, so the whole matrix has the same bytes at one and at two
-    # threads, and the thread count it found is restored afterwards
-    code = """
-        import hashlib
-        import numpy as np
-        from recipnn.context import _openblas_threads, build_context
-        rng = np.random.default_rng(9)
-        digest = hashlib.sha256()
-        for m in (61, 129, 401):
-            for dim in (64, 768):
-                vecs = rng.standard_normal((m, dim)).astype(np.float32)
-                ctx = build_context("q", vecs[0], [f"d{i}" for i in range(m - 1)], vecs[1:])
-                digest.update(ctx.sim_matrix.tobytes())
-        blas = _openblas_threads()
-        print(digest.hexdigest(), blas[0]() if blas else "none")
-    """
-    one = run_fresh(code, OPENBLAS_NUM_THREADS="1").split()
-    two = run_fresh(code, OPENBLAS_NUM_THREADS="2").split()
-    if two[1] != "none":  # a numpy without its bundled OpenBLAS keeps its own threading
-        assert one[0] == two[0]
-        assert (one[1], two[1]) == ("1", "2")

@@ -5,8 +5,10 @@
 results and on the first error's `path:line` message.
 """
 
+import copy
 import io
 import math
+import pickle
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -201,13 +203,16 @@ def test_ranked_list_holds_columns(tmp_path):
     (RankedList("q", (("a", 0.75, 1), ("b", 0.5, 2))), RankedList._of("q", ("a", "b"), np.array([0.75, 0.5]))),
     (SoftLabelSet("q", (("a", 0.75), ("b", 0.25)), ["a"]),
      SoftLabelSet._of("q", ("a", "b"), np.array([0.75, 0.25]), frozenset({"a"}))),
-])
+], ids=["RankedList", "SoftLabelSet"])
 def test_column_classes_share_immutability_and_equality(checked, built):
-    # RankedList and SoftLabelSet hold their columns through one base class
+    # RankedList and SoftLabelSet hold their columns through one base class;
+    # copies and pickle round trips are equal objects with read-only values
     name = type(checked).__name__
     assert checked == built and repr(checked) == repr(built)
     assert repr(built).startswith(f"{name}(query_id='q', entries=(('a', 0.75")
-    for held in (checked, built):
+    copies = [copy.copy(checked), copy.deepcopy(checked), pickle.loads(pickle.dumps(checked))]
+    for held in (checked, built, *copies):
+        assert held == checked and type(held) is type(checked) and held._values.dtype == np.float64
         with pytest.raises(AttributeError, match=f"^{name} is immutable; cannot set 'query_id'$"):
             held.query_id = "other"
         with pytest.raises(ValueError):
