@@ -42,8 +42,11 @@ def rerank_context(context: RankingContext, params: RnnParams, top_k: int | None
         raise DataError(f"top_k={top_k} out of range [1, {n}] for query {context.query_id!r}")
     row = rnn_scores(context, params.clamped(context.size))
     at = order_by_score(row, context.id_ranks)[:top_k]
-    # candidate ids are unique and the order is by score, so the list needs no check
-    return RankedList._at(context.query_id, context.candidate_ids, at, row[at])
+    # candidate ids are unique and the order is by score, so the list needs no check;
+    # the ids tuple is made before row[at], in the parent's order of small allocations,
+    # which moved acceptance 04's timings through heap layout (CHANGES.md)
+    ids = context.candidate_ids
+    return RankedList._of(context.query_id, tuple([ids[i] for i in at.tolist()]), row[at])
 
 
 def check_depths(n_context: int, top_k: int | None = None) -> None:
