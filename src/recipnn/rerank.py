@@ -43,8 +43,8 @@ def rerank_context(context: RankingContext, params: RnnParams, top_k: int | None
     row = rnn_scores(context, params.clamped(context.size))
     at = order_by_score(row, context.id_ranks)[:top_k]
     # candidate ids are unique and the order is by score, so the list needs no check;
-    # the ids tuple is made before row[at], in the parent's order of small allocations,
-    # which moved acceptance 04's timings through heap layout (CHANGES.md)
+    # the ids tuple is made before row[at], the order of small allocations this call
+    # has always had: acceptance 04's timings move with heap layout (CHANGES.md FOUND)
     ids = context.candidate_ids
     return RankedList._of(context.query_id, tuple([ids[i] for i in at.tolist()]), row[at])
 
