@@ -17,19 +17,35 @@ product slowed the code that follows. Importing this module, before numpy is
 loaded, sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1
 when none of them is set; if the user set any of them, all three are left
 alone. Code that imports numpy before this module keeps its BLAS threading.
+
+glibc's allocator runs on one fixed policy. By default glibc moves its
+mmap threshold up to the size of the largest mapped buffer freed so far,
+and trims the heap top above twice that. So whether the kernel's m×m
+temporaries are reused or mapped and faulted in again on every context
+depended on which buffer some reader happened to free. On Linux, importing
+this module sets M_MMAP_THRESHOLD to 32 MiB (the glibc maximum on 64-bit)
+and M_TRIM_THRESHOLD to 64 MiB with mallopt, once, before any input is
+loaded. A fixed threshold never moves, so this process and every worker
+forked from it reuse those temporaries whatever the heap layout. Where the
+C library has no mallopt, nothing is set.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
+import sys
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if not any(var in os.environ for var in _BLAS_THREAD_VARS):
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+_mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform.startswith("linux") else None
+if _mallopt is not None:
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, the glibc maximum on 64-bit
+    _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 import argparse
 import logging
-import sys
 import time
 from functools import partial
 from typing import Callable

@@ -12,6 +12,7 @@ exactly as loaded — no normalization of any kind is applied.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -46,10 +47,11 @@ class EmbeddingMatrix:
     """Ordered, immutable id -> vector store.
 
     Lookup is O(1); iteration order equals construction (file) order.
-    Safe for concurrent reads once constructed.
+    Safe for concurrent reads once constructed. The ids are held once: as
+    the keys, in order, of the id -> row index.
     """
 
-    __slots__ = ("_ids", "_vectors", "_index")
+    __slots__ = ("_vectors", "_index")
 
     def __init__(self, ids: Sequence[str], vectors: np.ndarray):
         vectors = np.asarray(vectors, dtype=np.float32)
@@ -59,7 +61,7 @@ class EmbeddingMatrix:
             raise DataError(f"{len(ids)} ids for {vectors.shape[0]} vectors")
         if not (1 <= vectors.shape[1] <= MAX_DIM):
             raise DataError(f"dimensionality {vectors.shape[1]} outside [1, {MAX_DIM}]")
-        if not np.all(np.isfinite(vectors)):
+        if vectors.size and not np.isfinite([vectors.min(), vectors.max()]).all():  # no (n, dim) temporary
             bad = [ids[i] for i in np.unique(np.nonzero(~np.isfinite(vectors))[0])][:5]
             raise DataError(f"non-finite component(s) in vector(s): {bad}")
         index = dict(zip(ids, range(len(ids))))
@@ -67,7 +69,6 @@ class EmbeddingMatrix:
         # MAX_ID_BYTES // 4 characters need encoding to check their length
         if len(index) != len(ids) or "" in index or max(map(len, ids), default=0) > MAX_ID_BYTES // 4:
             _check_ids(ids)
-        self._ids = list(ids)
         self._vectors = vectors
         self._vectors.setflags(write=False)
         self._index = index
@@ -78,7 +79,7 @@ class EmbeddingMatrix:
 
     @property
     def ids(self) -> list[str]:
-        return list(self._ids)
+        return list(self._index)
 
     @property
     def vectors(self) -> np.ndarray:
@@ -106,19 +107,18 @@ class EmbeddingMatrix:
         return eid in self._index
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._index)
 
     def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
-        for eid, row in zip(self._ids, self._vectors):
-            yield eid, row
+        return zip(self._index, self._vectors)
 
-    def __eq__(self, other: object) -> bool:
+    def __eq__(self, other: object) -> bool:  # an id maps to its row, so equal indexes keep one order
         if not isinstance(other, EmbeddingMatrix):
             return NotImplemented
-        return self._ids == other._ids and np.array_equal(self._vectors, other._vectors)
+        return self._index == other._index and np.array_equal(self._vectors, other._vectors)
 
     def __repr__(self) -> str:
-        return f"EmbeddingMatrix(n={len(self._ids)}, dim={self.dim})"
+        return f"EmbeddingMatrix(n={len(self)}, dim={self.dim})"
 
     @classmethod
     def from_items(cls, items: Iterable[tuple[str, Sequence[float]]], dim: int | None = None) -> "EmbeddingMatrix":
@@ -164,7 +164,10 @@ def write_embeddings(matrix: EmbeddingMatrix, path: str | Path, fmt: str = "bina
 
 
 def _load_binary(path: str | Path) -> EmbeddingMatrix:
-    blob = Path(path).read_bytes()
+    with open(path, "rb") as fh:  # one buffer, read to EOF: the size is only a hint
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob):]
+        blob += fh.read()
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: bad magic at byte 0 (expected {MAGIC!r})")
     if len(blob) < 4 + _HEADER.size:
@@ -180,7 +183,6 @@ def _load_binary(path: str | Path) -> EmbeddingMatrix:
     if count * (_ID_LEN.size + vec_bytes) > len(blob) - off:
         raise DataError(f"{path}: header at byte 4 declares {count} records of dim {dim}, "
                         f"but only {len(blob) - off} bytes follow it at byte {off}")
-    starts = np.empty(count, dtype=np.intp)  # byte offset of each record's vector
     for rec in range(count):
         if off + _ID_LEN.size > len(blob):
             raise DataError(f"{path}: truncated record {rec} at byte {off}")
@@ -193,28 +195,25 @@ def _load_binary(path: str | Path) -> EmbeddingMatrix:
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: undecodable id in record {rec} at byte {off}: {exc}") from None
         off += id_len
-        starts[rec] = off
+        # moved in place to byte rec * vec_bytes, never after its source: only read bytes are overwritten
+        blob[rec * vec_bytes : (rec + 1) * vec_bytes] = blob[off : off + vec_bytes]
         off += vec_bytes
     if off != len(blob):
         raise DataError(f"{path}: {len(blob) - off} trailing bytes after record {count - 1} at byte {off}")
-    rows = np.empty((0, dim), dtype=np.float32)
-    if count:  # one gather of every vector's bytes, as rows of a sliding window over the blob
-        windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(blob, dtype=np.uint8), vec_bytes)
-        rows = windows[starts].view("<f4").astype(np.float32, copy=False)
+    del blob[count * vec_bytes :]
     try:
-        return EmbeddingMatrix(ids, rows)
+        return EmbeddingMatrix(ids, np.frombuffer(blob, dtype="<f4").reshape(count, dim))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
 def _write_binary(matrix: EmbeddingMatrix, path: str | Path) -> None:
-    parts = [MAGIC, _HEADER.pack(matrix.dim, len(matrix))]
-    for eid, row in matrix:
-        raw = eid.encode("utf-8")
-        parts.append(_ID_LEN.pack(len(raw)))
-        parts.append(raw)
-        parts.append(np.ascontiguousarray(row, dtype="<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + _HEADER.pack(matrix.dim, len(matrix)))
+        for eid, row in matrix:
+            raw = eid.encode("utf-8")
+            fh.write(_ID_LEN.pack(len(raw)) + raw)
+            fh.write(np.ascontiguousarray(row, dtype="<f4"))
 
 
 def _format_component(value: np.float32) -> str:
@@ -254,6 +253,9 @@ def _load_tsv(path: str | Path) -> EmbeddingMatrix:
 
 
 def _write_tsv(matrix: EmbeddingMatrix, path: str | Path) -> None:
+    if not len(matrix):  # an empty TSV file reads back as dim 1
+        raise DataError(f"a store of 0 records of dim {matrix.dim} cannot keep its dim in TSV; "
+                        f"use the binary format")
     for pos, eid in enumerate(matrix.ids):
         if "\t" in eid or "\n" in eid or "\r" in eid:  # where the reader splits records and fields
             raise DataError(f"id {eid!r} at position {pos} holds a tab or line break; "

@@ -377,14 +377,13 @@ def write_run(run: RunFile, path, tag: str = "recipnn", header: str | None = Non
 
 def write_qrels(qrels: Qrels, path, header: str | None = None) -> None:
     _check_ids(qrels.judgments)  # each doc id -> grade mapping iterates over its doc ids
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    for qid in qrels.query_ids:
-        for did in sorted(qrels.grades_for(qid)):
-            lines.append(f"{qid} 0 {did} {qrels.grades_for(qid)[did]}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+        if header:
+            fh.write(f"# {header}\n")
+        for qid in qrels.query_ids:
+            grades = qrels.grades_for(qid)
+            for did in sorted(grades):
+                fh.write(f"{qid} 0 {did} {grades[did]}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -357,18 +357,16 @@ def write_soft_labels(label_sets: Iterable[SoftLabelSet], path, header: str | No
     """One JSON object per line: {"qid", "gt", "labels"}; labels sorted by
     probability descending then doc id, entries below 1e-12 omitted."""
     ordered = sorted(label_sets, key=lambda ls: ls.query_id)
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    for ls in ordered:
-        obj = {
-            "qid": ls.query_id,
-            "gt": sorted(ls.gt_ids),
-            "labels": [[d, p] for d, p in zip(ls.doc_ids, ls.probs.tolist()) if p >= _PROB_FLOOR],
-        }
-        lines.append(json.dumps(obj, separators=(",", ":")))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+        if header:
+            fh.write(f"# {header}\n")
+        for ls in ordered:
+            obj = {
+                "qid": ls.query_id,
+                "gt": sorted(ls.gt_ids),
+                "labels": [[d, p] for d, p in zip(ls.doc_ids, ls.probs.tolist()) if p >= _PROB_FLOOR],
+            }
+            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
 def read_soft_labels(path) -> list[SoftLabelSet]:

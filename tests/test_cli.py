@@ -579,13 +579,16 @@ def test_convert_round_trip_bytes(corpus_files, tmp_path, capsys):
     assert read_bytes(back) == read_bytes(corpus_files["emb"])
 
 
-@pytest.mark.parametrize("bad_id", ["a\tb", "a\nb", "a\rb"])
+@pytest.mark.parametrize("bad_id", ["a\tb", "a\nb", "a\rb", None])
 def test_convert_to_tsv_refuses_ids_it_cannot_read_back(tmp_path, capsys, bad_id):
+    # None: a store of no records, whose dimensionality a TSV file has no place for
     emb = tmp_path / "in.emb"
-    write_embeddings(EmbeddingMatrix(["ok", bad_id], np.eye(2, dtype=np.float32)), emb, fmt="binary")
+    matrix = (EmbeddingMatrix([], np.zeros((0, 4), dtype=np.float32)) if bad_id is None
+              else EmbeddingMatrix(["ok", bad_id], np.eye(2, dtype=np.float32)))
+    write_embeddings(matrix, emb, fmt="binary")
     out = tmp_path / "out.tsv"
     assert main(["convert", "--input", str(emb), "--to", "tsv", "--output", str(out)]) == 2
-    assert "position 1" in capsys.readouterr().err
+    assert ("0 records of dim 4" if bad_id is None else "position 1") in capsys.readouterr().err
     assert not out.exists()
 
 

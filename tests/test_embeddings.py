@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,45 @@ def test_binary_round_trip_bit_exact(tmp_path):
     back = load_embeddings(p)
     assert back == m
     assert back.vectors.dtype == np.float32
+
+
+def test_binary_load_holds_the_file_once(tmp_path):
+    # the vectors are packed inside the one buffer the file is read into, so
+    # loading peaks near the file's size, not at the file plus the rows
+    rng = np.random.default_rng(5)
+    p = tmp_path / "emb.bin"
+    write_embeddings(EmbeddingMatrix([f"d{i}" for i in range(4000)],
+                                     rng.normal(size=(4000, 256)).astype(np.float32)), p)
+    tracemalloc.start()
+    try:
+        back = load_embeddings(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.vectors.shape == (4000, 256)
+    assert peak < 1.3 * p.stat().st_size
+
+
+def _utf8_id(n_bytes: int) -> str:
+    """An id of exactly n_bytes UTF-8 bytes, mixing 1- to 4-byte characters."""
+    chars, size = [], 0
+    for ch in "aé€😀" * n_bytes:
+        if size + len(ch.encode("utf-8")) <= n_bytes:
+            chars.append(ch)
+            size += len(ch.encode("utf-8"))
+    return "".join(chars)
+
+
+@pytest.mark.parametrize("n, dim", [(300, 1), (300, 64), (0, 5)])
+def test_binary_round_trip_of_ids_from_1_to_300_bytes(tmp_path, n, dim):
+    # record i's id is i + 1 UTF-8 bytes long; n=0 is a store of no records
+    ids = [_utf8_id(size) for size in range(1, n + 1)]
+    assert [len(i.encode("utf-8")) for i in ids] == list(range(1, n + 1))
+    m = EmbeddingMatrix(ids, np.random.default_rng(dim).normal(size=(n, dim)).astype(np.float32))
+    p = tmp_path / "emb.bin"
+    write_embeddings(m, p)
+    back = load_embeddings(p)
+    assert back == m and back.dim == dim
 
 
 def test_tsv_round_trip_float_exact(tmp_path):

@@ -6,6 +6,7 @@ import loads and which environment it sees, and only a fresh one honours a
 BLAS thread count set in its environment.
 """
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -64,6 +65,32 @@ def test_cli_import_pins_blas_threads_unless_set():
     assert run_fresh(show) == "1 1 1"
     assert run_fresh(show, OPENBLAS_NUM_THREADS="3") == "3 None None"
     assert run_fresh(show, OMP_NUM_THREADS="2") == "None 2 None"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="glibc's mallopt")
+def test_cli_import_fixes_the_allocator_policy():
+    # Each round makes a 2 MiB float64 array and a temporary of its size, as the
+    # kernel makes its m x m ones. With glibc's moving thresholds the freed heap
+    # top is trimmed and faulted in again every round; with the CLI's fixed ones
+    # it is reused.
+    rounds = textwrap.dedent("""
+        import resource
+        import numpy as np
+        def faults(n):
+            start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(n):
+                a = np.ones(2**18)
+                float((a + 1.0).sum())
+                del a
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+        faults(1)  # the first round grows the heap
+        print(faults(50))
+    """)
+    with_cli = int(run_fresh("import recipnn.cli" + rounds))
+    without = int(run_fresh(rounds))
+    assert with_cli < 50
+    assert without >= 10 * 50
 
 
 def test_pyproject_reads_the_package_version_without_importing_it():

@@ -1,5 +1,7 @@
+import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -539,6 +541,30 @@ def test_soft_label_round_trip(tmp_path):
     p2 = tmp_path / "labels2.jsonl"
     write_soft_labels(res.label_sets, p2, header="demo v0 config=fff")
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_write_soft_labels_streams_the_bytes_of_the_joined_file(tmp_path):
+    rng = np.random.default_rng(17)
+    sets = []
+    for i in range(2000):
+        probs = np.append(np.sort(rng.dirichlet(np.ones(39)))[::-1], 0.0)  # the last under the 1e-12 floor
+        sets.append(SoftLabelSet(f"q{i:04d}", list(zip([f"d{i}-{j:02d}" for j in range(40)], probs)),
+                                 [f"d{i}-00", f"d{i}-03"][: 1 + i % 2]))
+    sets.reverse()
+    p = tmp_path / "labels.jsonl"
+    tracemalloc.start()
+    try:
+        write_soft_labels(sets, p, header="demo v0 config=fff")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * p.stat().st_size
+    # the whole file as one string, as the writer once built it
+    lines = ["# demo v0 config=fff"] + [
+        json.dumps({"qid": ls.query_id, "gt": sorted(ls.gt_ids),
+                    "labels": [[d, p_] for d, p_ in ls.entries if p_ >= 1e-12]}, separators=(",", ":"))
+        for ls in sorted(sets, key=lambda ls: ls.query_id)]
+    assert p.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def test_read_soft_labels_rejects_nan_with_line(tmp_path):
