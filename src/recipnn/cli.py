@@ -9,7 +9,7 @@ provenance header carrying the tool version and a hash of the effective
 parameters; file paths and --threads never influence output bytes. Every
 flag reaches the command's code. --threads N runs the queries of rerank,
 smooth and sweep in N worker processes, forked after the inputs are loaded
-and capped at the CPUs this process may use (`parallel.map_queries`).
+and capped at the CPUs this process may use (`neighbors.score_in_blocks`).
 
 BLAS runs on one thread in every process. Each process does its work on
 one thread, and BLAS worker threads left spinning after each similarity

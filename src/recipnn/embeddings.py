@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import struct
+from array import array
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -90,12 +91,6 @@ class EmbeddingMatrix:
         """Return the stored vector for `eid`, exactly as loaded."""
         try:
             return self._vectors[self._index[eid]]
-        except KeyError:
-            raise DataError(f"unknown embedding id {eid!r}") from None
-
-    def position(self, eid: str) -> int:
-        try:
-            return self._index[eid]
         except KeyError:
             raise DataError(f"unknown embedding id {eid!r}") from None
 
@@ -223,7 +218,10 @@ def _format_component(value: np.float32) -> str:
 
 def _load_tsv(path: str | Path) -> EmbeddingMatrix:
     ids: list[str] = []
-    rows: list[np.ndarray] = []
+    # every component, row after row, parsed straight into one float32 buffer
+    # that the store then views: a float that overflows float32 becomes inf,
+    # which the store refuses
+    comps = array("f")
     dim: int | None = None
     with open_text(path) as fh:
         for lineno, line in numbered_lines(fh, path):
@@ -234,20 +232,21 @@ def _load_tsv(path: str | Path) -> EmbeddingMatrix:
             if len(fields) != 2:
                 raise DataError(f"{path}:{lineno}: expected '<id>\\t<components>', got {len(fields)} fields")
             eid, comp_str = fields
+            start = len(comps)
             try:
-                comps = np.array([float(c) for c in comp_str.split(",")], dtype=np.float32)
+                comps.extend(map(float, comp_str.split(",")))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad component: {exc}") from None
+            width = len(comps) - start
             if dim is None:
-                dim = comps.shape[0]
-            elif comps.shape[0] != dim:
-                raise DataError(f"{path}:{lineno}: {comps.shape[0]} components, expected {dim}")
+                dim = width
+            elif width != dim:
+                raise DataError(f"{path}:{lineno}: {width} components, expected {dim}")
             ids.append(eid)
-            rows.append(comps)
     if dim is None:
         return EmbeddingMatrix([], np.zeros((0, 1), dtype=np.float32))
     try:
-        return EmbeddingMatrix(ids, np.vstack(rows))
+        return EmbeddingMatrix(ids, np.frombuffer(comps, dtype=np.float32).reshape(len(ids), dim))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 

@@ -14,10 +14,12 @@ block of equal-size contexts in one pass, each with its own probe list.
 Every stage takes one matrix or a stack of them (..., m, m) and is
 elementwise, row-wise or a reduction along rows, so a block gives each
 context the bytes it gets alone; `rnn_scores` is the block of one, whose
-stages run on its one matrix. `score_in_blocks` builds
-a list of queries' contexts one at a time, scores them in blocks of
-`block_budget(m)` and hands each block's rows to the caller's finishing
-step in one call. `oracle` recomputes all of it in scalar Python.
+stages run on its one matrix. k and k_exp larger than a context are cut to
+its size inside the kernel. `score_in_blocks` is the route every query of
+`rerank_run` and `smooth_dataset` takes: it builds their contexts one at a
+time, scores them in blocks of `block_budget(m)`, hands each block's rows
+to the caller's finishing step in one call, and spreads the queries over
+worker processes. `oracle` recomputes all of it in scalar Python.
 
 All neighbour sets come from one selection, `_top_order(sim, n)`: the first
 n entries of every row's ordering (the row itself first, then similarity
@@ -40,6 +42,7 @@ import numpy as np
 
 from .context import RankingContext
 from .errors import ConfigError, DataError, check_positive
+from .parallel import map_queries
 
 WEIGHT_FNS = ("neg_identity", "exp_neg", "binary")
 
@@ -78,21 +81,6 @@ class RnnParams:
             raise ConfigError(f"lambda must lie in [0, 1], got {self.lam!r}")
         if self.weight_fn not in WEIGHT_FNS:
             raise ConfigError(f"weight_fn must be one of {', '.join(WEIGHT_FNS)}; got {self.weight_fn!r}")
-
-    def validate_for(self, context_size: int) -> None:
-        """Raise DataError when k or k_exp exceed the context size."""
-        if self.k > context_size:
-            raise DataError(f"k={self.k} exceeds context size {context_size}")
-        if self.k_exp > context_size:
-            raise DataError(f"k_exp={self.k_exp} exceeds context size {context_size}")
-
-    def clamped(self, context_size: int) -> "RnnParams":
-        """Copy with k and k_exp reduced to fit a smaller context."""
-        k = min(self.k, context_size)
-        k_exp = min(self.k_exp, context_size)
-        if k == self.k and k_exp == self.k_exp:
-            return self
-        return RnnParams(k=k, k_exp=k_exp, tau=self.tau, lam=self.lam, weight_fn=self.weight_fn)
 
 
 @dataclass(frozen=True)
@@ -378,7 +366,9 @@ def rnn_scores(context: RankingContext, params: RnnParams, probe: int | Sequence
     context.element_ids[1:] (the query row is dropped). `probe` may also be
     a nonempty sequence of indices: the neighbourhood is still built once,
     and the result is the mean of the probes' mixed-similarity rows, summed
-    in the given order. Deterministic for fixed inputs; the block of one of
+    in the given order. k and k_exp larger than the context are cut to its
+    size, so parameters tuned for deep contexts remain usable on shallow
+    ones. Deterministic for fixed inputs; the block of one of
     `rnn_scores_block`.
     """
     probes = [probe] if isinstance(probe, (int, np.integer)) else list(probe)
@@ -389,9 +379,10 @@ def rnn_scores_block(contexts: Sequence[RankingContext], params: RnnParams,
                      probes: Sequence[Sequence[int]]) -> np.ndarray:
     """`rnn_scores` of equal-size contexts in one kernel pass; one row per context.
 
-    probes[b] is the nonempty probe list of contexts[b]. Every stage is
-    elementwise, row-wise or a reduction along rows, so each row has the
-    bytes that `rnn_scores(contexts[b], params, probes[b])` gives alone.
+    probes[b] is the nonempty probe list of contexts[b]. k and k_exp are cut
+    to the context size m. Every stage is elementwise, row-wise or a
+    reduction along rows, so each row has the bytes that
+    `rnn_scores(contexts[b], params, probes[b])` gives alone.
     """
     m = contexts[0].size
     if any(c.size != m for c in contexts) or len(probes) != len(contexts):
@@ -399,15 +390,15 @@ def rnn_scores_block(contexts: Sequence[RankingContext], params: RnnParams,
     probes = [[_check_probe(p, m) for p in own] for own in probes]
     if not all(probes):
         raise DataError("rnn_scores needs at least one probe index")
-    params.validate_for(m)
     if m == 1:
         return np.zeros((len(contexts), 0), dtype=np.float64)
     # a block of one stays one matrix: the stages run faster on 2-D arrays
     sim = contexts[0].sim_matrix if len(contexts) == 1 else np.stack([c.sim_matrix for c in contexts])
-    order = _top_order(sim, max(params.k, params.k_exp))
-    ext = _extended_mask(order, params.k, params.tau)
+    k, k_exp = min(params.k, m), min(params.k_exp, m)
+    order = _top_order(sim, max(k, k_exp))
+    ext = _extended_mask(order, k, params.tau)
     s_hat = _row_maxmin(sim)
-    weights = _expand_matrix(_weight_matrix(s_hat, ext, params.weight_fn), order, params.k_exp)
+    weights = _expand_matrix(_weight_matrix(s_hat, ext, params.weight_fn), order, k_exp)
     if len(contexts) == 1:  # the mixture takes the contexts along a leading axis
         s_hat, weights = s_hat[None], weights[None]
     return _mixed_rows(s_hat, weights, probes, params.lam)[:, 1:]
@@ -419,58 +410,47 @@ def block_budget(m: int) -> int:
 
 
 def score_in_blocks(query_ids: Sequence[str], build: Callable, finish: Callable,
-                    params: RnnParams, strict: bool = False) -> list:
+                    params: RnnParams, strict: bool = False, workers: int = 1) -> list:
     """One result or DataError per query: contexts scored and finished a block at a time.
 
-    build(query_id) returns the query's (context, probes). Contexts are
-    built one at a time, in query order, and wait in one bucket per size;
-    a bucket that holds `block_budget(size)` contexts, and every bucket at
-    the end, is scored by one `rnn_scores_block` call under
-    `params.clamped(size)`, then finished by one call
+    The one route from a query to its result. build(query_id) returns the
+    query's (context, probes); a DataError it raises is that query's
+    result, or with strict=True is raised. Contexts are built one at a
+    time, in query order, and wait in one bucket per size; a bucket that
+    holds `block_budget(size)` contexts, and every bucket at the end, is
+    scored by one `rnn_scores_block` call, then finished by one call
     finish(contexts, probes, rows), which returns one result per context
-    from the block's (B, size - 1) score rows. A DataError from build is
-    that query's result. A DataError from finish sends the block through
-    finish again as blocks of one, so it becomes the result of the queries
-    that raise it alone. With strict=True, building stops at the first
-    error, the queries before it are finished, and the first error in query
-    order is raised.
+    from the block's (B, size - 1) score rows. finish must not refuse a
+    context that build accepted: a DataError from it propagates. The
+    queries run over contiguous shards in up to `workers` processes
+    (`parallel.map_queries`), so the first build error in query order is
+    the one raised, at any worker count.
     """
-    results: list = [None] * len(query_ids)
-    buckets: dict[int, list] = {}
+    def shard(ids: list[str]) -> list:
+        results: list = [None] * len(ids)
+        buckets: dict[int, list] = {}
 
-    def finished(contexts: list, probes: list, rows: np.ndarray) -> list:
-        try:
-            return finish(contexts, probes, rows)
-        except DataError as exc:
-            if len(contexts) == 1:
-                return [exc]
-            return [finished(contexts[b:b + 1], probes[b:b + 1], rows[b:b + 1])[0] for b in range(len(contexts))]
+        def score(size: int) -> None:
+            jobs = buckets.pop(size)
+            contexts, probes = [c for _, c, _ in jobs], [p for _, _, p in jobs]
+            rows = rnn_scores_block(contexts, params, probes)
+            for (pos, _, _), result in zip(jobs, finish(contexts, probes, rows)):
+                results[pos] = result
 
-    def score(size: int) -> None:
-        jobs = buckets.pop(size)
-        contexts, probes = [c for _, c, _ in jobs], [p for _, _, p in jobs]
-        rows = rnn_scores_block(contexts, params.clamped(size), probes)
-        for (pos, _, _), result in zip(jobs, finished(contexts, probes, rows)):
-            results[pos] = result
+        for pos, query_id in enumerate(ids):
+            try:
+                context, probes = build(query_id)
+            except DataError as exc:
+                if strict:
+                    raise
+                results[pos] = exc
+                continue
+            bucket = buckets.setdefault(context.size, [])
+            bucket.append((pos, context, probes))
+            if len(bucket) == block_budget(context.size):
+                score(context.size)
+        for size in list(buckets):
+            score(size)
+        return results
 
-    for pos, query_id in enumerate(query_ids):
-        try:
-            context, probes = build(query_id)
-        except DataError as exc:
-            results[pos] = exc
-            if strict:
-                break
-            continue
-        bucket = buckets.setdefault(context.size, [])
-        bucket.append((pos, context, probes))
-        if len(bucket) == block_budget(context.size):
-            score(context.size)
-            if strict and any(isinstance(results[at], DataError) for at, _, _ in bucket):
-                break
-    for size in list(buckets):
-        score(size)
-    if strict:
-        first = next((r for r in results if isinstance(r, DataError)), None)
-        if first is not None:
-            raise first
-    return results
+    return map_queries(shard, query_ids, workers)

@@ -7,15 +7,14 @@ id, so it can score their contexts in blocks (`neighbors.score_in_blocks`).
 With one worker it gets every query at once, inline. With more, worker
 processes are forked after the caller has loaded its inputs: they inherit
 the embeddings, the run and the function itself, none of which is pickled,
-and each call gets one contiguous shard. Only the results, and any log
-record the call emitted, come back; the parent puts results back in query
-order and emits the records in that order, so output bytes and log lines
-do not depend on the worker count.
+and each call gets one contiguous shard. Only the results come back, and
+the parent puts them back in query order, so output bytes do not depend on
+the worker count. No worker logs: the callers log from the results, in the
+parent and in query order.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 from typing import Callable, Sequence
 
@@ -25,23 +24,9 @@ from .errors import check_positive
 # cost and CPUs that other processes share
 _SHARDS_PER_WORKER = 4
 
-# (fn, query ids, record keeper) of the pool a worker was forked for; set
-# only inside worker processes, by _start_worker
+# (fn, query ids) of the pool a worker was forked for; set only inside
+# worker processes, by _start_worker
 _job: tuple | None = None
-
-
-class _KeepRecords(logging.Handler):
-    """Keeps a worker's log records for the parent to emit."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.records: list[logging.LogRecord] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        # arguments and tracebacks need not pickle: fold them into the message
-        record.msg, record.args = self.format(record), None
-        record.exc_info = record.exc_text = record.stack_info = None
-        self.records.append(record)
 
 
 def available_cpus() -> int:
@@ -85,21 +70,16 @@ def map_queries(fn: Callable, query_ids: Sequence[str], workers: int = 1) -> lis
     # one thread, so the forked process holds no lock another thread owned.
     with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"),
                              initializer=_start_worker, initargs=(fn, query_ids)) as pool:
-        for shard, records in pool.map(_run_shard, starts, [s + step for s in starts]):
-            for record in records:
-                logging.getLogger(record.name).handle(record)
+        for shard in pool.map(_run_shard, starts, [s + step for s in starts]):
             results += shard
     return results
 
 
 def _start_worker(fn: Callable, query_ids: list[str]) -> None:
     global _job
-    keeper = _KeepRecords()
-    logging.getLogger().handlers = [keeper]  # the parent emits the records
-    _job = (fn, query_ids, keeper)
+    _job = (fn, query_ids)
 
 
-def _run_shard(start: int, stop: int) -> tuple[list, list[logging.LogRecord]]:
-    fn, query_ids, keeper = _job
-    keeper.records = records = []
-    return fn(query_ids[start:stop]), records
+def _run_shard(start: int, stop: int) -> list:
+    fn, query_ids = _job
+    return fn(query_ids[start:stop])

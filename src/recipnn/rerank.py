@@ -19,7 +19,6 @@ from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError, check_positive
 from .ir_eval import RankedList, RunFile, evaluate_metric, parse_metric_id
 from .neighbors import RnnParams, rnn_scores, score_in_blocks
-from .parallel import map_queries
 from .synthetic import random_context
 
 logger = logging.getLogger(__name__)
@@ -30,8 +29,7 @@ def rerank_context(context: RankingContext, params: RnnParams, top_k: int | None
 
     Ties break by doc id ascending (`order_by_score`). top_k (default: all candidates) must not
     exceed the candidate count. Neighborhood sizes larger than the context
-    are reduced to fit, so parameters tuned for deep contexts remain usable
-    on shallow ones.
+    are cut to fit (`rnn_scores`).
     """
     n = context.n_candidates
     if n == 0:
@@ -40,7 +38,7 @@ def rerank_context(context: RankingContext, params: RnnParams, top_k: int | None
         top_k = n
     if not 1 <= top_k <= n:
         raise DataError(f"top_k={top_k} out of range [1, {n}] for query {context.query_id!r}")
-    row = rnn_scores(context, params.clamped(context.size))
+    row = rnn_scores(context, params)
     at = order_by_score(row, context.id_ranks)[:top_k]
     # candidate ids are unique and the order is by score, so the list needs no check
     ids = context.candidate_ids
@@ -65,11 +63,11 @@ def rerank_run(run, embeddings: EmbeddingMatrix, params: RnnParams, n_context: i
     Queries whose query or candidate vectors are missing from the store are
     warned about and passed through unchanged: the run's own RankedList, in
     original order and at original depth, so such a query can keep more
-    entries than a reranked one. strict=True raises instead. Contexts are
-    scored and sorted in blocks of equal size (`neighbors.score_in_blocks`),
-    in up to `workers` processes (`parallel.map_queries`); the result does
-    not depend on either. Blocks return positions into the run's doc ids,
-    so every list holds the run's own str objects.
+    entries than a reranked one. strict=True raises the first such error in
+    query order instead. Contexts are scored and sorted in blocks of equal
+    size, in up to `workers` processes (`neighbors.score_in_blocks`); the
+    result does not depend on either. Blocks return positions into the
+    run's doc ids, so every list holds the run's own str objects.
     """
     check_depths(n_context, top_k)
 
@@ -83,8 +81,7 @@ def rerank_run(run, embeddings: EmbeddingMatrix, params: RnnParams, n_context: i
 
     query_ids = run.query_ids
     lists = {}
-    for qid, out in zip(query_ids, map_queries(
-            lambda ids: score_in_blocks(ids, build, finish, params, strict), query_ids, workers)):
+    for qid, out in zip(query_ids, score_in_blocks(query_ids, build, finish, params, strict, workers)):
         if isinstance(out, DataError):
             logger.warning("query %s left in original order: %s", qid, out)
             lists[qid] = run[qid]

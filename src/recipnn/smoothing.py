@@ -26,7 +26,6 @@ from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError, check_positive
 from .ir_eval import _Columns
 from .neighbors import RnnParams, rnn_scores, score_in_blocks
-from .parallel import map_queries
 from .textfile import numbered_lines, open_text
 
 logger = logging.getLogger(__name__)
@@ -164,7 +163,7 @@ def mean_gt_similarity(context: RankingContext, gt_ids, params: SmoothParams) ->
     context.element_ids[1:]. All gt_ids must already be present in the
     context (the dataset pipeline injects them).
     """
-    return rnn_scores(context, params.rnn.clamped(context.size), probe=_gt_probes(context, gt_ids))
+    return rnn_scores(context, params.rnn, probe=_gt_probes(context, gt_ids))
 
 
 def _gt_probes(context: RankingContext, gt_ids) -> list[int]:
@@ -319,27 +318,31 @@ def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams
     Each query's context is its top n_context candidates (all of them when
     None), plus any missing ground truth; n_context must be a positive
     integer or None. Queries without a resolvable ground truth (or with
-    unresolvable embeddings) are warned about and skipped unless strict. mode
-    is one of eb | uniform | uniform-matched; epsilon only applies to uniform
-    mode, where a value outside [0, 1) is a ConfigError. Contexts are scored
-    and labelled in blocks of equal size (`neighbors.score_in_blocks`), in
-    up to `workers` processes (`parallel.map_queries`); results, warnings
-    and skips keep query-id order whatever the block or worker count.
+    unresolvable embeddings) are warned about and skipped unless strict,
+    which raises the first such error in query order. mode is one of eb |
+    uniform | uniform-matched; epsilon only applies to uniform mode, where a
+    value outside [0, 1) is a ConfigError. The uniform modes skip a query
+    whose candidates are all ground truth, before it is scored. Contexts are
+    scored and labelled in blocks of equal size, in up to `workers`
+    processes (`neighbors.score_in_blocks`); results, warnings and skips
+    keep query-id order whatever the block or worker count.
     Blocks return positions into each query's `_candidates`, so every set
     holds the run's and the qrels' own str objects.
     """
     check_smooth_options(n_context, mode, epsilon)
 
     def build(qid: str) -> tuple[RankingContext, list[int]]:
-        return _gt_context(qid, run[qid].doc_ids, qrels, embeddings, params, n_context, rel_threshold)
+        context, probes = _gt_context(qid, run[qid].doc_ids, qrels, embeddings, params, n_context, rel_threshold)
+        if mode != "eb" and len(probes) == context.n_candidates:  # uniform_smooth's refusal, before scoring
+            raise DataError("no non-ground-truth entry to spread mass over")
+        return context, probes
 
     def finish(contexts: list[RankingContext], probes: list[list[int]], r_gt: np.ndarray) -> list:
         return to_input_positions(contexts, *_label_sets(contexts, probes, r_gt, params, mode, epsilon))
 
     query_ids = run.query_ids
     label_sets, skipped = [], []
-    for qid, out in zip(query_ids, map_queries(
-            lambda ids: score_in_blocks(ids, build, finish, params.rnn, strict), query_ids, workers)):
+    for qid, out in zip(query_ids, score_in_blocks(query_ids, build, finish, params.rnn, strict, workers)):
         if isinstance(out, DataError):
             logger.warning("skipping query %s: %s", qid, out)
             skipped.append((qid, str(out)))

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,32 @@ def test_tsv_dim_mismatch_line(tmp_path):
     p.write_text("a\t1.0,2.0\nb\t1.0\n")
     with pytest.raises(DataError, match=":2"):
         load_embeddings(p, fmt="tsv")
+
+
+def test_tsv_load_holds_the_rows_about_once(tmp_path):
+    # components are parsed into one float32 buffer that the store views,
+    # not into one array per row and then their stack
+    rng = np.random.default_rng(6)
+    m = EmbeddingMatrix([f"d{i}" for i in range(4000)], rng.normal(size=(4000, 64)).astype(np.float32))
+    p = tmp_path / "emb.tsv"
+    write_embeddings(m, p, fmt="tsv")
+    tracemalloc.start()
+    try:
+        back = load_embeddings(p, fmt="tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == m
+    assert peak < 2 * m.vectors.nbytes
+
+
+def test_tsv_component_beyond_float32_is_a_data_error_not_a_warning(tmp_path):
+    p = tmp_path / "emb.tsv"
+    p.write_text("a\t1.0,2.0\nb\t1e39,2.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"emb\.tsv: non-finite component\(s\) in vector\(s\): \['b'\]"):
+            load_embeddings(p, fmt="tsv")
 
 
 id_strategy = st.text(

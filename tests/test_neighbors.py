@@ -66,16 +66,6 @@ def test_params_rejects_bad_values(kwargs):
         RnnParams(**kwargs)
 
 
-def test_params_validate_for_context_size():
-    p = RnnParams(k=5, k_exp=2)
-    p.validate_for(5)
-    with pytest.raises(DataError):
-        p.validate_for(4)
-    q = p.clamped(3)
-    assert (q.k, q.k_exp) == (3, 2)
-    assert p.clamped(10) is p
-
-
 def test_neighbor_set_requires_probe_membership():
     with pytest.raises(DataError):
         NeighborSet(0, frozenset({1, 2}))
@@ -255,9 +245,10 @@ def test_rnn_scores_matches_oracle_on_fixture(small_context):
     )
 
 
-def test_rnn_scores_rejects_oversized_k(small_context):
-    with pytest.raises(DataError):
-        rnn_scores(small_context, RnnParams(k=9))
+def test_rnn_scores_cuts_oversized_k_to_the_context(small_context):
+    assert small_context.size == 4
+    assert rnn_scores(small_context, RnnParams(k=9, k_exp=7)).tobytes() == \
+        rnn_scores(small_context, RnnParams(k=4, k_exp=4)).tobytes()
 
 
 def test_rnn_scores_arbitrary_probe(small_context):
@@ -694,20 +685,22 @@ def test_score_in_blocks_keeps_query_order_across_sizes(monkeypatch, budget):
             assert isinstance(got, DataError) and qid in str(got)
             continue
         probes = build(qid)[1]
-        assert got == (ctx, probes, rnn_scores(ctx, p.clamped(ctx.size), probe=probes).tobytes())
+        assert got == (ctx, probes, rnn_scores(ctx, p, probe=probes).tobytes())
 
 
 @pytest.mark.parametrize("budget", [1, 3])
 def test_score_in_blocks_strict_raises_the_first_error_in_query_order(monkeypatch, budget):
     monkeypatch.setattr(neighbors, "block_budget", lambda m: budget)
-    qids, contexts, build, _ = _sized_jobs([5, 8, 5, None, 8, None])
-
-    def finish(block, probes, rows):  # the second query fails only once it is scored, with its whole block
-        if any(context is contexts["q1"] for context in block):
-            raise DataError("q1 failed late")
-        return list(rows)
-
-    with pytest.raises(DataError, match="q1 failed late"):
+    qids, contexts, build, finish = _sized_jobs([5, 8, 5, None, 8, None])
+    with pytest.raises(DataError, match="no context for q3"):
         score_in_blocks(qids, build, finish, RnnParams(k=4), strict=True)
     out = score_in_blocks(qids, build, finish, RnnParams(k=4))
-    assert [type(r).__name__ for r in out] == ["ndarray", "DataError", "ndarray", "DataError", "ndarray", "DataError"]
+    assert [type(r).__name__ for r in out] == ["tuple", "tuple", "tuple", "DataError", "tuple", "DataError"]
+
+    def refuse_q1(block, probes, rows):  # finish may not refuse what build accepted
+        if any(context is contexts["q1"] for context in block):
+            raise DataError("q1 failed late")
+        return finish(block, probes, rows)
+
+    with pytest.raises(DataError, match="q1 failed late"):  # not made q1's result
+        score_in_blocks(qids, build, refuse_q1, RnnParams(k=4))

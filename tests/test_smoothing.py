@@ -404,6 +404,42 @@ def test_smooth_dataset_strict_raises_the_first_error_in_query_order(monkeypatch
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+def test_uniform_modes_skip_a_query_whose_candidates_are_all_ground_truth(monkeypatch, caplog, workers):
+    # a two-positive query's run cut to its two judged docs, among queries
+    # whose contexts have the same size, so they share its blocks: the
+    # uniform modes refuse it when its context is built, and its block-mates
+    # get the labels they get without it
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
+    c = corpus100()
+    qids = c.run.query_ids
+    lists = {}
+    for qid in qids:
+        gt = sorted(c.qrels.relevant_docs(qid))
+        other = next(d for d in c.run[qid].doc_ids if d not in gt)
+        lists[qid] = RankedList.from_scored(qid, [(gt[0], 2.0), (other, 1.0)])
+    all_gt = qids[3]
+    gt = sorted(c.qrels.relevant_docs(all_gt))
+    assert len(gt) == 2
+    lists[all_gt] = RankedList.from_scored(all_gt, [(gt[0], 2.0), (gt[1], 1.0)])
+    run = RunFile(lists)
+    without = RunFile({qid: rl for qid, rl in lists.items() if qid != all_gt})
+    for mode in SMOOTH_MODES:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            res = smooth_dataset(run, c.qrels, c.embeddings, sparams(), mode=mode, epsilon=0.2, workers=workers)
+        alone = smooth_dataset(without, c.qrels, c.embeddings, sparams(), mode=mode, epsilon=0.2, workers=workers)
+        assert alone.skipped == ()
+        got = {ls.query_id: ls for ls in res.label_sets}
+        if mode == "eb":
+            assert res.skipped == () and got.pop(all_gt).gt_mass == pytest.approx(1.0)
+        else:
+            reason = "no non-ground-truth entry to spread mass over"
+            assert res.skipped == ((all_gt, reason),)
+            assert [rec.getMessage() for rec in caplog.records] == [f"skipping query {all_gt}: {reason}"]
+        assert got == {ls.query_id: ls for ls in alone.label_sets}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 def test_label_sets_reuse_the_run_and_qrels_strings(monkeypatch, workers):
     # a block returns positions into the query's candidates, not strings:
     # every doc id is the run's own str object, and an injected ground-truth
