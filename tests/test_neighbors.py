@@ -66,6 +66,15 @@ def test_params_rejects_bad_values(kwargs):
         RnnParams(**kwargs)
 
 
+def test_params_validate_for_context_size(small_context):
+    # one parameter set serves every context size: k beyond the 4-element
+    # fixture is cut to it, a k_exp that fits is kept
+    p = RnnParams(k=5, k_exp=2)
+    assert rnn_scores(small_context, p).tobytes() == \
+        rnn_scores(small_context, RnnParams(k=4, k_exp=2)).tobytes()
+    assert (p.k, p.k_exp) == (5, 2)
+
+
 def test_neighbor_set_requires_probe_membership():
     with pytest.raises(DataError):
         NeighborSet(0, frozenset({1, 2}))
@@ -245,7 +254,9 @@ def test_rnn_scores_matches_oracle_on_fixture(small_context):
     )
 
 
-def test_rnn_scores_cuts_oversized_k_to_the_context(small_context):
+def test_rnn_scores_rejects_oversized_k(small_context):
+    # k and k_exp beyond the context are no longer rejected: the kernel cuts
+    # them to its size, so the scores are those of k = k_exp = m
     assert small_context.size == 4
     assert rnn_scores(small_context, RnnParams(k=9, k_exp=7)).tobytes() == \
         rnn_scores(small_context, RnnParams(k=4, k_exp=4)).tobytes()
