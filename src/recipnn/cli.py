@@ -140,8 +140,9 @@ def _read_embeddings(path):
     return embeddings
 
 
-def _read_run(path):
-    run, seconds = _timed(parse_run, path)
+def _read_run(path, known_ids=()):
+    # the commands that load a store first pass its ids, so the run holds no copy of them
+    run, seconds = _timed(parse_run, path, known_ids=known_ids)
     logger.info("parsed %d queries, %d run lines from %s in %.3f s",
                 len(run), sum(len(run[qid]) for qid in run.query_ids), path, seconds)
     return run
@@ -208,7 +209,7 @@ def cmd_rerank(cfg: dict) -> None:
     check_depths(cfg["n_context"], cfg.get("top_k"))
     check_positive("threads", cfg["threads"])
     embeddings = _read_embeddings(cfg["embeddings"])
-    run = _read_run(cfg["run"])
+    run = _read_run(cfg["run"], embeddings.keys())
     reranked, seconds = _timed(rerank_run, run, embeddings, params, cfg["n_context"],
                                top_k=cfg.get("top_k"), strict=cfg["strict"], workers=cfg["threads"])
     passed = sum(reranked[qid] is run[qid] for qid in run.query_ids)  # rerank_run passes such a list through as is
@@ -228,7 +229,7 @@ def cmd_smooth(cfg: dict) -> None:
     check_smooth_options(cfg["n_context"], cfg["mode"], cfg["epsilon"])
     check_positive("threads", cfg["threads"])
     embeddings = _read_embeddings(cfg["embeddings"])
-    run = _read_run(cfg["run"])
+    run = _read_run(cfg["run"], embeddings.keys())
     qrels = _read_qrels(cfg["qrels"])
     result, seconds = _timed(smooth_dataset, run, qrels, embeddings, params,
                              n_context=cfg["n_context"], mode=cfg["mode"],
@@ -255,7 +256,7 @@ def cmd_sweep(cfg: dict) -> None:
     check_sweep(cfg["sizes"], cfg["metric"])
     check_positive("threads", cfg["threads"])
     embeddings = _read_embeddings(cfg["embeddings"])
-    run = _read_run(cfg["run"])
+    run = _read_run(cfg["run"], embeddings.keys())
     qrels = _read_qrels(cfg["qrels"])
     rows, seconds = _timed(sweep_context_size, run, embeddings, qrels, params, cfg["sizes"],
                            metric=cfg["metric"], rel_threshold=cfg["rel_threshold"], workers=cfg["threads"])

@@ -14,7 +14,6 @@ out of the hash.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import fields
 from typing import Any
 
@@ -22,6 +21,17 @@ from .errors import ConfigError
 from .neighbors import RnnParams
 from .smoothing import SmoothParams
 from .textfile import numbered_lines, open_text
+
+# CPython's built-in SHA-256. `hashlib` imports OpenSSL's _hashlib on import,
+# which maps libcrypto (about 3.4 MB resident) into every process for one
+# digest; it is the fallback where neither built-in module exists
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 # key -> coercion tag
 _SCHEMA: dict[str, str] = {
@@ -209,7 +219,7 @@ def config_hash(cfg: dict[str, Any]) -> str:
     """12-hex digest of the sorted parameter pairs, paths/threads excluded."""
     parts = [f"{display_key(k)}={_canonical(v)}"
              for k, v in sorted(cfg.items()) if k not in HASH_EXCLUDED]
-    return hashlib.sha256(";".join(parts).encode("utf-8")).hexdigest()[:12]
+    return sha256(";".join(parts).encode("utf-8")).hexdigest()[:12]
 
 
 def _canonical(value: Any) -> str:

@@ -16,7 +16,7 @@ import os
 import struct
 from array import array
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, KeysView, Sequence
 
 import numpy as np
 
@@ -81,6 +81,10 @@ class EmbeddingMatrix:
     @property
     def ids(self) -> list[str]:
         return list(self._index)
+
+    def keys(self) -> KeysView[str]:
+        """The ids in order, as a view of the index: the store's own str objects, no copy."""
+        return self._index.keys()
 
     @property
     def vectors(self) -> np.ndarray:

@@ -104,6 +104,7 @@ class RankedList(_Columns):
     __slots__ = ()
 
     def __init__(self, query_id: str, entries: Iterable[Sequence]) -> None:
+        entries = tuple(entries)
         # column-wise coercion: every entry must be a (doc_id, score, rank) triple
         ids, scores, ranks = zip(*entries, strict=True) if entries else ((), (), ())
         ids, scores, ranks = tuple(map(str, ids)), tuple(map(float, scores)), tuple(map(int, ranks))
@@ -299,7 +300,7 @@ def _first_bad_line(path) -> DataError:
     raise AssertionError(f"{path}: a column check failed but no line breaks a rule")
 
 
-def parse_run(path) -> RunFile:
+def parse_run(path, known_ids: Iterable[str] = ()) -> RunFile:
     """Read `<qid> Q0 <docid> <rank> <score> <tag>` lines.
 
     Fields are separated by any whitespace; blank lines and lines starting
@@ -309,9 +310,12 @@ def parse_run(path) -> RunFile:
     The file is read in chunks, and each check runs on whole columns; only
     when one fails are the lines walked to report the first bad one. Equal
     doc ids share one str object across the file, whatever their query.
+    A doc id equal to one of `known_ids` (say, the ids of an embedding
+    store already loaded) is that str object, so the run holds no copy of it.
     """
     blocks: dict[str, list[tuple[list[str], np.ndarray]]] = {}
-    shared: dict[str, str] = {}  # one str per distinct doc id, shared by every query naming it
+    # one str per distinct doc id, shared by every query naming it
+    shared: dict[str, str] = {did: did for did in known_ids}
     try:
         fh = open(path, "rb")
     except OSError as exc:

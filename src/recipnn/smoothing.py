@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import compress
@@ -33,6 +34,10 @@ logger = logging.getLogger(__name__)
 NORMALIZERS = ("maxmin", "stdbased")
 SMOOTH_MODES = ("eb", "uniform", "uniform-matched")
 
+# largest b under stdbased: (s - min)/sigma of n scores reaches sqrt(2n), and
+# a context indexed by int32 doc_positions has n <= 2**31, so b * 2**16 must
+# stay finite
+_STDBASED_B_MAX = sys.float_info.max / 2.0**16
 # serialized label entries below this mass are dropped from output files
 _PROB_FLOOR = 1e-12
 _SUM_TOL = 1e-9
@@ -42,7 +47,8 @@ _SUM_TOL = 1e-9
 class SmoothParams:
     """Knobs of the smoothing pipeline on top of the rNN parameters.
 
-    b        ground-truth boost factor, finite and >= 1
+    b        ground-truth boost factor, finite and >= 1; under stdbased at
+             most about 2.7e303, so boosted scores stay finite
     n_max    candidates ranked beyond this (by similarity to the ground
              truth) get zero target mass, unless they are ground truth
     f_n      score normalization: maxmin or stdbased
@@ -62,6 +68,9 @@ class SmoothParams:
         check_positive("n_max", self.n_max)
         if self.f_n not in NORMALIZERS:
             raise ConfigError(f"f_n must be one of {', '.join(NORMALIZERS)}; got {self.f_n!r}")
+        if self.f_n == "stdbased" and self.b > _STDBASED_B_MAX:
+            raise ConfigError(f"boost factor b must be at most {_STDBASED_B_MAX:.6g} under f_n stdbased, "
+                              f"got {self.b!r}")
 
 
 class SoftLabelSet(_Columns):

@@ -6,6 +6,8 @@ check starts fresh processes, whose logging the test's own does not mask.  Outpu
 compared byte-for-byte across repeated invocations and worker counts.
 """
 
+import hashlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -15,9 +17,9 @@ import numpy as np
 import pytest
 
 import recipnn.cli as cli
-from recipnn import __version__, parallel
+from recipnn import __version__, config, parallel
 from recipnn.cli import main
-from recipnn.config import COMMAND_KEYS, config_hash, effective_config
+from recipnn.config import COMMAND_KEYS, PRESETS, REQUIRED_KEYS, config_hash, effective_config, header_line
 from recipnn.embeddings import EmbeddingMatrix, load_embeddings, write_embeddings
 from recipnn.ir_eval import RankedList, RunFile, parse_run, write_qrels, write_run
 from recipnn.smoothing import read_soft_labels
@@ -152,6 +154,7 @@ def test_bad_parameter_values_are_config_errors(corpus_files, tmp_path, capsys, 
     ("smooth", ["--threads", "0"]),
     ("sweep", ["--threads", "-3"]),
     ("smooth", ["--b", "inf"]),
+    ("smooth", ["--f-n", "stdbased", "--b", "1e308"]),
 ])
 def test_bad_parameters_refused_before_any_input_is_read(tmp_path, capsys, command, flags):
     # none of the input files exists, so reading any of them would exit 2
@@ -252,6 +255,58 @@ def test_config_hash_ignores_paths_and_threads():
     retuned = effective_config("rerank", flag_values={
         "embeddings": "a.emb", "run": "a.run", "output": "a.out", "lam": 0.9})
     assert config_hash(retuned) != config_hash(base)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_config_hash_is_the_builtin_sha256_digest_of_the_header_parameters(preset):
+    # the built-in SHA-256 keeps OpenSSL out of the process; the digests are hashlib's
+    if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        assert config.sha256.__module__ in ("_sha2", "_sha256")
+    command = "smooth" if preset.endswith("-smooth") else "rerank"
+    cfg = effective_config(command, preset, flag_values=dict.fromkeys(REQUIRED_KEYS[command], "path"))
+    parts = header_line(cfg, __version__).split()[3:]  # "recipnn <version> config=<hash>" come first
+    assert config_hash(cfg) == hashlib.sha256(";".join(parts).encode("utf-8")).hexdigest()[:12]
+
+
+# ---------------------------------------------------------------------------
+# run doc ids held once: the store's str objects
+
+@pytest.mark.parametrize("command,scorer", [
+    ("rerank", "rerank_run"), ("smooth", "smooth_dataset"), ("sweep", "sweep_context_size")])
+def test_run_doc_ids_are_the_store_str_objects(corpus_files, tmp_path, monkeypatch, command, scorer):
+    seen = []
+    real = getattr(cli, scorer)
+
+    def recording(run, *args, **kwargs):
+        seen.append((run, next(a for a in args if isinstance(a, EmbeddingMatrix))))
+        return real(run, *args, **kwargs)
+
+    monkeypatch.setattr(cli, scorer, recording)
+    assert main(small_argv(command, corpus_files, str(tmp_path / "out"))) == 0
+    (run, store), = seen
+    keys = {eid: eid for eid in store.keys()}
+    held = [did for qid in run.query_ids for did in run[qid].doc_ids if did in keys]
+    assert held and all(did is keys[did] for did in held)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", ["rerank", "smooth"])
+def test_output_bytes_do_not_depend_on_the_id_pool(corpus_files, tmp_path, monkeypatch, command, threads):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
+    pools, real = [], cli.parse_run
+
+    def without_pool(path, known_ids=()):
+        pools.append(len(known_ids))
+        return real(path)
+
+    blobs = []
+    for name in ("pool", "none"):
+        out = tmp_path / name
+        assert main([*small_argv(command, corpus_files, str(out)), "--threads", threads]) == 0
+        blobs.append(read_bytes(out))
+        monkeypatch.setattr(cli, "parse_run", without_pool)
+    assert pools == [len(load_embeddings(corpus_files["emb"]))]
+    assert blobs[1] == blobs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ BLAS thread count set in its environment.
 """
 
 import ctypes
+import importlib.util
 import os
 import subprocess
 import sys
@@ -36,6 +37,17 @@ def test_import_does_not_load_numpy():
         import sys
         import recipnn
         print("numpy" in sys.modules)
+    """) == "False"
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+                    reason="no built-in SHA-256 module")
+def test_cli_import_leaves_openssl_unloaded():
+    # hashlib imports OpenSSL's _hashlib, which maps libcrypto, whatever is called
+    assert run_fresh("""
+        import sys
+        import recipnn.cli
+        print("_hashlib" in sys.modules)
     """) == "False"
 
 

@@ -232,6 +232,21 @@ def test_parse_run_shares_one_str_per_doc_id(tmp_path, chunk):
     assert (d1, d2) == ("d1", "d2") and d1_again is d1 and d2_again is d2
 
 
+def test_parse_run_takes_doc_id_objects_from_known_ids(tmp_path):
+    path = tmp_path / "r.run"
+    path.write_text("q1 Q0 d1 1 0.5 t\nq1 Q0 d2 2 0.25 t\nq2 Q0 d1 1 0.5 t\n")
+    known = [f"d{i}" for i in (1, 3)]  # built here, so no parsed str can be them by chance
+    run = parse_run(path, known_ids=iter(known))  # any iterable, read once
+    assert run == parse_run(path)
+    (d1, d2), (d1_again,) = (run[qid].doc_ids for qid in ("q1", "q2"))
+    assert d1 is known[0] and d1_again is known[0] and d2 == "d2"
+
+
+def test_ranked_list_takes_any_iterable_of_entries():
+    assert RankedList("q", iter(())) == RankedList("q", [])
+    assert RankedList("q", iter([("a", 0.5, 1)])) == RankedList("q", [("a", 0.5, 1)])
+
+
 # --- run tags -------------------------------------------------------------------
 
 @pytest.mark.parametrize("tag", ["", "my run", "a\tb", "x\xa0y", " lead"])

@@ -41,6 +41,22 @@ def test_smooth_params_validation():
             SmoothParams(**kwargs)
 
 
+def test_stdbased_boost_factor_has_a_ceiling():
+    # stdbased scores of n candidates reach sqrt(2n), at most 2**16 for the
+    # 2**31 candidates int32 positions index: b * 2**16 must stay finite
+    n = 64
+    extreme = np.full(n, 0.5)
+    extreme[0], extreme[-1] = 1.0, 0.0  # one score at each end, the rest between
+    assert normalize_scores(extreme, "stdbased").max() == pytest.approx(math.sqrt(2 * n))
+    top = smoothing._STDBASED_B_MAX
+    assert math.isfinite(top * 2.0**16) and not math.isfinite(math.nextafter(top, math.inf) * 2.0**16)
+    SmoothParams(b=top, f_n="stdbased")
+    for b in (math.nextafter(top, math.inf), 1e308):
+        with pytest.raises(ConfigError, match="boost factor b must be at most .* under f_n stdbased"):
+            SmoothParams(b=b, f_n="stdbased")
+    SmoothParams(b=1e308, f_n="maxmin")  # maxmin scores stay in [0, 1]
+
+
 def test_soft_label_set_invariants():
     ok = SoftLabelSet("q", (("a", 0.7), ("b", 0.3)), frozenset({"a"}))
     assert ok.support == 2
