@@ -7,7 +7,7 @@ It ships its own TREC-style evaluation utilities so both applications can be
 verified end to end.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 import importlib
 
@@ -19,8 +19,8 @@ _EXPORTS = {
     "errors": ("ConfigError", "DataError", "RecipnnError"),
     "neighbors": ("NeighborSet", "RnnParams", "extended_reciprocal_set", "nn_set", "reciprocal_set", "rnn_scores",
                   "rnn_scores_block"),
-    "ir_eval": ("Qrels", "RankedList", "RunFile", "evaluate_metric", "kl_divergence", "map_at_k", "mrr_at_k",
-                "ndcg_at_k", "parse_qrels", "parse_run", "recall_at_k", "write_run"),
+    "ir_eval": ("Qrels", "RankedList", "RunFile", "evaluate_metric", "map_at_k", "mrr_at_k", "ndcg_at_k",
+                "parse_qrels", "parse_run", "recall_at_k", "write_run"),
     "rerank": ("bench_latency", "rerank_context", "rerank_run", "sweep_context_size"),
     "smoothing": ("SmoothParams", "SmoothResult", "SoftLabelSet", "mean_gt_similarity", "normalize_scores",
                   "read_soft_labels", "smooth_dataset", "softmax", "transform_scores", "uniform_smooth",

@@ -210,15 +210,17 @@ def cmd_rerank(cfg: dict) -> None:
     check_positive("threads", cfg["threads"])
     embeddings = _read_embeddings(cfg["embeddings"])
     run = _read_run(cfg["run"], embeddings.keys())
+    before = None
+    if cfg.get("qrels"):  # before scoring: qrels that cannot be read or judge no run query stop the command here
+        qrels = _read_qrels(cfg["qrels"])
+        before = _standard_metrics(run, qrels, cfg["cutoff"], cfg["rel_threshold"])
     reranked, seconds = _timed(rerank_run, run, embeddings, params, cfg["n_context"],
                                top_k=cfg.get("top_k"), strict=cfg["strict"], workers=cfg["threads"])
     passed = sum(reranked[qid] is run[qid] for qid in run.query_ids)  # rerank_run passes such a list through as is
     logger.info("scored %d queries (%d passed through) in %.3f s", len(reranked) - passed, passed, seconds)
     _write(write_run, reranked, cfg["output"], tag=cfg["tag"], header=header_line(cfg, __version__))
     print(f"reranked {len(reranked) - passed} queries ({passed} passed through) -> {cfg['output']}")
-    if cfg.get("qrels"):
-        qrels = _read_qrels(cfg["qrels"])
-        before = _standard_metrics(run, qrels, cfg["cutoff"], cfg["rel_threshold"])
+    if before is not None:
         after = _standard_metrics(reranked, qrels, cfg["cutoff"], cfg["rel_threshold"])
         rows = [(name, [b, a]) for (name, b), (_, a) in zip(before, after)]
         print(_metric_table(rows, ["before", "after"]))

@@ -20,7 +20,7 @@ from typing import Any
 from .errors import ConfigError
 from .neighbors import RnnParams
 from .smoothing import SmoothParams
-from .textfile import numbered_lines, open_text
+from .textfile import data_lines
 
 # CPython's built-in SHA-256. `hashlib` imports OpenSSL's _hashlib on import,
 # which maps libcrypto (about 3.4 MB resident) into every process for one
@@ -167,15 +167,7 @@ def coerce_value(key: str, raw: str) -> Any:
 def parse_config_file(path) -> dict[str, Any]:
     """Read `key = value` lines; '#' starts a full-line comment."""
     values: dict[str, Any] = {}
-    try:
-        with open_text(path) as fh:
-            lines = list(numbered_lines(fh, path, ConfigError))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    for lineno, line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in data_lines(path, ConfigError, "config file "):
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {stripped!r}")
         key_raw, _, value = stripped.partition("=")

@@ -71,11 +71,11 @@ class RankingContext:
 
     element_ids[0] is the query; element_ids[1:] are candidates in
     `order_by_score` order of their geometric scores, which are row 0 of
-    sim_matrix (`geo_scores`); sim_matrix[i][j] is the inner product of
-    elements i and j. id_ranks[j] is the position of candidate
-    element_ids[j + 1] in id order among the candidates, computed from the
-    ids when not given; doc_positions[j] is its position in the doc-id list
-    the context was built from, by default the candidates as they stand.
+    sim_matrix; sim_matrix[i][j] is the inner product of elements i and j.
+    id_ranks[j] is the position of candidate element_ids[j + 1] in id order
+    among the candidates, computed from the ids when not given;
+    doc_positions[j] is its position in the doc-id list the context was
+    built from, by default the candidates as they stand.
     Never mutated after construction; constructing one with a non-finite
     similarity raises DataError.
     """
@@ -95,11 +95,6 @@ class RankingContext:
             object.__setattr__(self, "id_ranks", id_ranks(self.element_ids[1:]))
         if self.doc_positions is None:
             object.__setattr__(self, "doc_positions", np.arange(self.n_candidates))
-
-    @property
-    def geo_scores(self) -> np.ndarray:
-        """Geometric scores aligned with element_ids: the query row of sim_matrix."""
-        return self.sim_matrix[0]
 
     @property
     def size(self) -> int:

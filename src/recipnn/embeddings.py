@@ -78,10 +78,6 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return int(self._vectors.shape[1])
 
-    @property
-    def ids(self) -> list[str]:
-        return list(self._index)
-
     def keys(self) -> KeysView[str]:
         """The ids in order, as a view of the index: the store's own str objects, no copy."""
         return self._index.keys()
@@ -118,19 +114,6 @@ class EmbeddingMatrix:
 
     def __repr__(self) -> str:
         return f"EmbeddingMatrix(n={len(self)}, dim={self.dim})"
-
-    @classmethod
-    def from_items(cls, items: Iterable[tuple[str, Sequence[float]]], dim: int | None = None) -> "EmbeddingMatrix":
-        ids, rows = [], []
-        for eid, vec in items:
-            ids.append(eid)
-            rows.append(np.asarray(vec, dtype=np.float32))
-        if not rows:
-            return cls(ids, np.zeros((0, dim if dim is not None else 1), dtype=np.float32))
-        widths = {r.shape[-1] for r in rows}
-        if len(widths) != 1:
-            raise DataError(f"inconsistent vector lengths: {sorted(widths)}")
-        return cls(ids, np.vstack(rows))
 
 
 def detect_format(path: str | Path) -> str:
@@ -259,7 +242,7 @@ def _write_tsv(matrix: EmbeddingMatrix, path: str | Path) -> None:
     if not len(matrix):  # an empty TSV file reads back as dim 1
         raise DataError(f"a store of 0 records of dim {matrix.dim} cannot keep its dim in TSV; "
                         f"use the binary format")
-    for pos, eid in enumerate(matrix.ids):
+    for pos, eid in enumerate(matrix.keys()):
         if "\t" in eid or "\n" in eid or "\r" in eid:  # where the reader splits records and fields
             raise DataError(f"id {eid!r} at position {pos} holds a tab or line break; "
                             f"TSV cannot store it, use the binary format")

@@ -20,6 +20,6 @@ class DataError(RecipnnError):
 
 
 def check_positive(name: str, value) -> None:
-    """Raise ConfigError unless `value` is a positive integer."""
-    if not isinstance(value, int) or value < 1:
+    """Raise ConfigError unless `value` is a positive integer; a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")

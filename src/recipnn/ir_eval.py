@@ -20,7 +20,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, check_positive
-from .textfile import numbered_lines, open_text
+from .textfile import data_lines
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,6 @@ class RankedList(_Columns):
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __iter__(self):
-        return iter(self.entries)
-
     def truncated(self, depth: int) -> "RankedList":
         return RankedList._of(self.query_id, self._ids[:depth], self._values[:depth])
 
@@ -173,23 +170,11 @@ class RunFile:
         return len(self.lists)
 
 
-def _data_lines(path) -> Iterable[tuple[int, list[str]]]:
-    try:
-        fh = open_text(path)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
-        for lineno, line in numbered_lines(fh, path):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield lineno, stripped.split()
-
-
 def parse_qrels(path) -> Qrels:
     """Read `<qid> <iter> <docid> <grade>` lines; the iter column is ignored."""
     judgments: dict[str, dict[str, int]] = {}
-    for lineno, fields in _data_lines(path):
+    for lineno, line in data_lines(path):
+        fields = line.split()
         if len(fields) != 4:
             raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
         qid, _, did, grade_s = fields
@@ -280,7 +265,8 @@ def _first_bad_line(path) -> DataError:
     """The error for the first line of a run file that breaks a rule, walking
     the lines one by one; called only once a column check has failed."""
     seen: set[tuple[str, str]] = set()
-    for lineno, fields in _data_lines(path):
+    for lineno, line in data_lines(path):
+        fields = line.split()
         if len(fields) != 6:
             return DataError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
         qid, _, did, rank_s, score_s, _ = fields
@@ -446,30 +432,6 @@ def map_at_k(run: RunFile, qrels: Qrels, k: int = 10, rel_threshold: int = 1) ->
                 precision_sum += hits / rank
         return precision_sum / len(relevant) if relevant else 0.0
     return _mean_over_queries(run, qrels, k, average_precision)
-
-
-def kl_divergence(target, predicted) -> float:
-    """KL(target || predicted) in nats; both inputs must sum to 1 within 1e-6.
-
-    Terms with target 0 contribute nothing; a zero predicted probability
-    under positive target mass yields +inf.
-    """
-    t = np.asarray(target, dtype=np.float64)
-    p = np.asarray(predicted, dtype=np.float64)
-    if t.shape != p.shape or t.ndim != 1:
-        raise DataError(f"distributions must be aligned 1-D vectors, got {t.shape} vs {p.shape}")
-    if t.size == 0:
-        raise DataError("empty distributions")
-    if t.min() < 0 or p.min() < 0:
-        raise DataError("probabilities must be nonnegative")
-    for name, vec in (("target", t), ("predicted", p)):
-        if abs(vec.sum() - 1.0) > 1e-6:
-            raise DataError(f"{name} distribution sums to {vec.sum()!r}, not 1")
-    active = t > 0
-    if np.any(active & (p == 0)):
-        return float("inf")
-    terms = t[active] * np.log(t[active] / p[active])
-    return float(terms.sum())
 
 
 _METRICS = {

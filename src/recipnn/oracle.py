@@ -142,7 +142,8 @@ def soft_labels_oracle(context: RankingContext, gt_ids, *, k: int, lam: float, t
     s*(g, d) of `mixed_scores_oracle`, with k and k_exp cut to the context
     size. Candidates rank by r descending, ties by id. f_n(r) is
     (r - min)/(max - min) for maxmin and (r - min)/sigma (population sigma)
-    for stdbased; a constant r normalizes to zeros. r'(d) is b*f_n(r(d)) for
+    for stdbased; r normalizes to zeros when it is constant, that is when
+    max - min <= 2**-40 * max(|min|, |max|), or when sigma is zero. r'(d) is b*f_n(r(d)) for
     ground truth, -inf for another candidate ranked beyond n_max, else
     f_n(r(d)); the eb labels are softmax(r'). uniform gives each ground-truth
     doc (1 - epsilon)/|gt| and every other candidate epsilon/(n - |gt|);
@@ -158,13 +159,14 @@ def soft_labels_oracle(context: RankingContext, gt_ids, *, k: int, lam: float, t
     r = [sum(column) / len(rows) for column in zip(*rows)]
     n = len(r)
     rank = {i: pos for pos, i in enumerate(sorted(range(n), key=lambda i: (-r[i], ids[i])), start=1)}
-    lo = min(r)
+    lo, hi = min(r), max(r)
     if f_n == "maxmin":
-        spread = max(r) - lo
+        spread = hi - lo
     else:
         mean = sum(r) / n
         spread = math.sqrt(sum((x - mean) ** 2 for x in r) / n)
-    normed = [(x - lo) / spread if spread > 0 else 0.0 for x in r]
+    constant = hi - lo <= 2.0**-40 * max(abs(lo), abs(hi)) or spread == 0
+    normed = [0.0 if constant else (x - lo) / spread for x in r]
     is_gt = [d in gt for d in ids]
 
     if mode in ("eb", "uniform-matched"):

@@ -27,7 +27,7 @@ from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError, check_positive
 from .ir_eval import _Columns
 from .neighbors import RnnParams, rnn_scores, score_in_blocks
-from .textfile import numbered_lines, open_text
+from .textfile import data_lines
 
 logger = logging.getLogger(__name__)
 
@@ -41,6 +41,8 @@ _STDBASED_B_MAX = sys.float_info.max / 2.0**16
 # serialized label entries below this mass are dropped from output files
 _PROB_FLOOR = 1e-12
 _SUM_TOL = 1e-9
+# a score vector whose spread is at most this share of its largest magnitude is constant
+_CONSTANT_SPREAD = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,11 @@ def normalize_scores(scores, f_n: str = "maxmin") -> np.ndarray:
     """maxmin: (s - min)/(max - min). stdbased: (s - min)/sigma, population sigma.
 
     `scores` is one vector or a stack of them, each normalized along the
-    last axis on its own. A constant vector normalizes to all zeros with a
+    last axis on its own. A vector counts as constant when max - min is at
+    most 2**-40 * max(|min|, |max|): far above float64 rounding, so a spread
+    of a few ulps left by summation order is not stretched to O(1), and far
+    below the 2**-24 resolution of float32 embeddings. A constant vector,
+    or one whose sigma underflows to zero, normalizes to all zeros with a
     RuntimeWarning; vectors shorter than 2 are an error.
     """
     if f_n not in NORMALIZERS:
@@ -156,9 +162,10 @@ def normalize_scores(scores, f_n: str = "maxmin") -> np.ndarray:
         raise DataError(f"normalization needs a 1-D vector of length >= 2, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise DataError("scores must be finite")
-    lo = s.min(axis=-1, keepdims=True)
-    denom = (s.max(axis=-1, keepdims=True) - lo) if f_n == "maxmin" else s.std(axis=-1, keepdims=True)
-    constant = denom == 0.0
+    lo, hi = s.min(axis=-1, keepdims=True), s.max(axis=-1, keepdims=True)
+    denom = hi - lo if f_n == "maxmin" else s.std(axis=-1, keepdims=True)
+    # near-constant, or so small that sigma's squares underflow to zero
+    constant = (hi - lo <= _CONSTANT_SPREAD * np.maximum(np.abs(lo), np.abs(hi))) | (denom == 0.0)
     if constant.any():
         warnings.warn("constant score vector normalizes to all zeros", RuntimeWarning, stacklevel=2)
     return np.divide(s - lo, denom, out=np.zeros_like(s), where=~constant)
@@ -383,18 +390,10 @@ def write_soft_labels(label_sets: Iterable[SoftLabelSet], path, header: str | No
 
 def read_soft_labels(path) -> list[SoftLabelSet]:
     out = []
-    try:
-        fh = open_text(path)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
-        for lineno, line in numbered_lines(fh, path):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(SoftLabelSet(obj["qid"], obj["labels"], obj["gt"]))
-            except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
-                raise DataError(f"{path}:{lineno}: bad soft-label line: {exc}") from None
+    for lineno, line in data_lines(path):
+        try:
+            obj = json.loads(line)
+            out.append(SoftLabelSet(obj["qid"], obj["labels"], obj["gt"]))
+        except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
+            raise DataError(f"{path}:{lineno}: bad soft-label line: {exc}") from None
     return out

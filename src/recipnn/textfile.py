@@ -1,5 +1,6 @@
 """UTF-8 text files read line by line, with bytes that are not UTF-8
-reported at their line instead of as a decoding crash."""
+reported at their line instead of as a decoding crash; and the one rule for
+which lines of a commented text input carry data."""
 
 from __future__ import annotations
 
@@ -25,3 +26,17 @@ def numbered_lines(fh: IO[str], path, error: type[Exception] = DataError) -> Ite
         if not line.isascii() and _NOT_UTF8.search(line):
             raise error(f"{path}:{lineno}: not valid UTF-8")
         yield lineno, line
+
+
+def data_lines(path, error: type[Exception] = DataError, what: str = "") -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped line) of each line that is neither blank
+    nor starts with '#'. An OSError while opening or reading raises `error` as
+    "cannot read {what}{path}: ..."; a byte that is not UTF-8 raises it naming path:line."""
+    try:
+        with open_text(path) as fh:
+            for lineno, line in numbered_lines(fh, path, error):
+                stripped = line.strip()
+                if stripped and not stripped.startswith("#"):
+                    yield lineno, stripped
+    except OSError as exc:
+        raise error(f"cannot read {what}{path}: {exc}") from None

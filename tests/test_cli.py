@@ -330,7 +330,7 @@ def test_rerank_end_to_end(corpus_files, tmp_path, capsys):
 def test_rerank_summary_counts_a_query_without_a_vector_as_passed_through(tmp_path, capsys, caplog):
     corpus = planted_corpus(seed=7, n_queries=6, n_distractors=60, depth=15)
     stuck = corpus.run.query_ids[3]
-    keep = [i for i in corpus.embeddings.ids if i != stuck]
+    keep = [i for i in corpus.embeddings.keys() if i != stuck]
     emb, run = str(tmp_path / "v.emb"), str(tmp_path / "b.run")
     write_embeddings(EmbeddingMatrix(keep, np.vstack([corpus.embeddings.lookup(i) for i in keep])), emb)
     write_run(corpus.run, run, tag="base")
@@ -348,7 +348,7 @@ def test_pass_through_query_keeps_full_depth(tmp_path, capsys):
     corpus = planted_corpus(seed=7, n_queries=6, n_distractors=60, depth=15)
     stuck = corpus.run.query_ids[2]
     dropped = corpus.run[stuck].doc_ids[1]
-    keep = [i for i in corpus.embeddings.ids if i != dropped]
+    keep = [i for i in corpus.embeddings.keys() if i != dropped]
     emb, run = str(tmp_path / "v.emb"), str(tmp_path / "b.run")
     write_embeddings(EmbeddingMatrix(keep, np.vstack([corpus.embeddings.lookup(i) for i in keep])), emb)
     write_run(corpus.run, run, tag="base")
@@ -528,6 +528,20 @@ def test_eval_disjoint_run_and_qrels_exit_2(tmp_path, capsys):
     qrels.write_text("q2 0 d1 1\n", encoding="utf-8")
     assert main(["eval", "--run", str(run), "--qrels", str(qrels)]) == 2
     assert capsys.readouterr().err.startswith("data error:")
+
+
+@pytest.mark.parametrize("qrels_text, err", [("nobody 0 d1 1\n", "run and qrels share no query ids"),
+                                             ("q1 0 d1\n", "expected 4 fields, got 3")], ids=["disjoint", "malformed"])
+def test_rerank_refuses_unusable_qrels_before_scoring(corpus_files, tmp_path, capsys, qrels_text, err):
+    qrels = tmp_path / "bad.qrels"
+    qrels.write_text(qrels_text, encoding="utf-8")
+    out = tmp_path / "out.run"
+    argv = ["rerank", "--embeddings", corpus_files["emb"], "--run", corpus_files["run"],
+            "--qrels", str(qrels), "--output", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and err in captured.err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

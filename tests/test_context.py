@@ -15,9 +15,9 @@ def test_build_context_layout(small_context):
     assert ctx.size == 4
     assert ctx.n_candidates == 3
     assert ctx.candidate_ids == ("c1", "c2", "c3")
-    assert ctx.geo_scores[0] == pytest.approx(1.0)
+    assert ctx.sim_matrix[0][0] == pytest.approx(1.0)
     # candidate scores non-increasing
-    assert np.all(np.diff(ctx.geo_scores[1:]) <= 0)
+    assert np.all(np.diff(ctx.sim_matrix[0][1:]) <= 0)
 
 
 def test_build_context_orders_by_score_then_id():
@@ -45,7 +45,7 @@ def test_build_context_accepts_duplicate_embeddings():
         docs = pool[1 + rng.integers(0, 20, size=60)]
         ctx = build_context("q", pool[0], [f"d{i:02d}" for i in range(60)], docs)
         order = [int(d[1:]) for d in ctx.candidate_ids]
-        np.testing.assert_array_equal(ctx.geo_scores[1:], (docs * pool[0]).sum(axis=1)[order])
+        np.testing.assert_array_equal(ctx.sim_matrix[0][1:], (docs * pool[0]).sum(axis=1)[order])
 
 
 def test_build_context_rejects_query_id_collision():
@@ -83,7 +83,7 @@ def test_top_n_matches_full_sort_oracle(n, dim, top, seed):
     rng = np.random.default_rng(seed + 1)
     qvec = unit_vectors(rng, 1, dim)[0]
     scores = pool.vectors.astype(np.float64) @ qvec
-    ids = pool.ids
+    ids = list(pool.keys())
     expect = sorted(range(n), key=lambda i: (-scores[i], ids[i]))[:top]
     assert top_n(scores, ids, top).tolist() == expect
 
@@ -109,7 +109,7 @@ def test_context_from_run_resorts_by_recomputed_scores():
     qvec = store.lookup("q").astype(np.float64)
     docs = [f"d{i:03d}" for i in range(6)]
     ctx = context_from_run("q", docs, store, 6)
-    assert np.all(np.diff(ctx.geo_scores[1:]) <= 1e-15)
+    assert np.all(np.diff(ctx.sim_matrix[0][1:]) <= 1e-15)
     expect = sorted(docs, key=lambda d: (-float(store.lookup(d).astype(np.float64) @ qvec), d))
     assert list(ctx.candidate_ids) == expect
 

@@ -26,7 +26,7 @@ def test_lookup_and_order():
     m = make_matrix()
     assert m.dim == 3
     assert len(m) == 5
-    assert m.ids == [f"doc{i}" for i in range(5)]
+    assert list(m.keys()) == [f"doc{i}" for i in range(5)]
     assert "doc2" in m
     np.testing.assert_array_equal(m.lookup("doc2"), m.vectors[2])
     with pytest.raises(DataError):
@@ -51,11 +51,6 @@ def test_non_finite_rejected():
     vecs[1, 0] = np.nan
     with pytest.raises(DataError):
         EmbeddingMatrix(["a", "b"], vecs)
-
-
-def test_from_items_inconsistent_lengths():
-    with pytest.raises(DataError):
-        EmbeddingMatrix.from_items([("a", [1.0, 2.0]), ("b", [1.0])])
 
 
 def test_binary_round_trip_bit_exact(tmp_path):

@@ -10,7 +10,6 @@ from recipnn.ir_eval import (
     Qrels,
     RunFile,
     evaluate_metric,
-    kl_divergence,
     map_at_k,
     mrr_at_k,
     ndcg_at_k,
@@ -199,40 +198,6 @@ def test_mrr_ignores_shuffles_below_first_relevant():
     qr = Qrels({"q1": {"b": 1}})
     runs = [make_run({"q1": ["a", "b", "c", "d"]}), make_run({"q1": ["a", "b", "d", "c"]})]
     assert mrr_at_k(runs[0], qr, k=10) == mrr_at_k(runs[1], qr, k=10)
-
-
-# --- kl divergence ---------------------------------------------------------------
-
-def test_kl_hand_cases():
-    assert kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2), abs=1e-12)
-    expect = 0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1)
-    got = kl_divergence([0.5, 0.5], [0.9, 0.1])
-    assert got == pytest.approx(expect, abs=1e-12)
-    assert round(got, 4) == 0.5108
-
-
-def test_kl_zero_handling():
-    assert kl_divergence([0.0, 1.0], [0.5, 0.5]) == pytest.approx(math.log(2))
-    assert kl_divergence([1.0, 0.0], [0.0, 1.0]) == float("inf")
-
-
-def test_kl_input_validation():
-    with pytest.raises(DataError):
-        kl_divergence([0.7, 0.7], [0.5, 0.5])
-    with pytest.raises(DataError):
-        kl_divergence([1.0], [0.5, 0.5])
-    with pytest.raises(DataError):
-        kl_divergence([-0.5, 1.5], [0.5, 0.5])
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**31 - 1), n=st.integers(min_value=1, max_value=12))
-def test_kl_nonnegative_property(seed, n):
-    rng = np.random.default_rng(seed)
-    t = rng.dirichlet(np.ones(n))
-    p = rng.dirichlet(np.ones(n))
-    assert kl_divergence(t, p) >= -1e-12
 
 
 # --- metric dispatch ----------------------------------------------------------------

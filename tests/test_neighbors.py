@@ -377,7 +377,7 @@ def test_lambda_one_reproduces_geometry(seed, n):
     ctx = random_context(rng, n, 6)
     p = RnnParams(k=min(4, ctx.size), k_exp=min(3, ctx.size), tau=0.5, lam=1.0)
     scores = rnn_scores(ctx, p)
-    geo = ctx.geo_scores[1:]
+    geo = ctx.sim_matrix[0][1:]
     # zero inversions: candidate order by score (ties by id) equals geo order
     ids = ctx.candidate_ids
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))

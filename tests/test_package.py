@@ -22,11 +22,11 @@ SRC = str(Path(recipnn.__file__).resolve().parents[1])
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_fresh(code: str, **env_overrides: str) -> str:
+def run_fresh(code: str, cwd: Path | None = None, **env_overrides: str) -> str:
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env.update(env_overrides)
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
@@ -117,6 +117,18 @@ def test_pyproject_reads_the_package_version_without_importing_it():
     """) == f"{recipnn.__version__} False"
 
 
+def test_readme_library_example_runs_on_the_demo_corpus(tmp_path):
+    # the README's first python block, run where its quick start writes the demo corpus
+    root = Path(SRC).parent
+    example = (root / "README.md").read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    run_fresh(f"""
+        import runpy, sys
+        sys.argv = [{str(root / "scripts" / "make_demo_data.py")!r}, "--out", "demo/", "--seed", "0", "--queries", "20"]
+        runpy.run_path(sys.argv[0], run_name="__main__")
+    """, cwd=tmp_path)
+    run_fresh(example, cwd=tmp_path)
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_context_geometry_is_exact_at_any_blas_thread_count(threads):
     # build_context relies on numpy's A @ A.T being exactly symmetric (it is
@@ -135,6 +147,6 @@ def test_context_geometry_is_exact_at_any_blas_thread_count(threads):
                 assert np.array_equal(sim, sim.T), (m, dim)
                 which = picks[[int(d[1:]) for d in ctx.candidate_ids]]
                 for g in np.unique(which):
-                    assert len(set(ctx.geo_scores[1:][which == g].tolist())) == 1, (m, dim, g)
+                    assert len(set(ctx.sim_matrix[0][1:][which == g].tolist())) == 1, (m, dim, g)
         print("ok")
     """, OPENBLAS_NUM_THREADS=threads) == "ok"

@@ -16,7 +16,10 @@ import pytest
 import recipnn
 from recipnn import parallel
 from recipnn.errors import ConfigError
+from recipnn.neighbors import RnnParams
 from recipnn.parallel import map_queries, worker_count
+from recipnn.rerank import check_depths
+from recipnn.smoothing import SmoothParams
 
 
 @pytest.fixture
@@ -35,6 +38,17 @@ def test_non_positive_worker_count_is_refused():
     for workers in (0, -3):
         with pytest.raises(ConfigError, match="workers"):
             map_queries(list, ["a"], workers)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: RnnParams(k=True, k_exp=True),
+    lambda: SmoothParams(n_max=True),
+    lambda: check_depths(True, True),
+    lambda: map_queries(list, ["a"], workers=True),
+], ids=["rnn-params", "smooth-params", "depths", "workers"])
+def test_a_bool_is_not_a_positive_integer(call):
+    with pytest.raises(ConfigError, match="must be a positive integer, got True"):
+        call()
 
 
 def test_two_workers_run_outside_the_parent_and_keep_query_order(four_cpus):

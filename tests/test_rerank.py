@@ -106,7 +106,7 @@ def test_rerank_scores_sorted_with_id_ties():
     rng = np.random.default_rng(5)
     ctx = random_context(rng, 12, 6)
     out = rerank_context(ctx, RnnParams(k=4, k_exp=2, lam=0.5))
-    scores = [s for _, s, _ in out]
+    scores = [s for _, s, _ in out.entries]
     assert scores == sorted(scores, reverse=True)
 
 
@@ -236,7 +236,7 @@ def test_rerank_run_blocks_match_one_query_at_a_time(monkeypatch, budget):
 def test_rerank_run_blocks_with_tied_vectors():
     # every candidate vector drawn from three: exact ties and duplicates in every context
     c = corpus(n_queries=10)
-    ids = c.embeddings.ids
+    ids = list(c.embeddings.keys())
     pool = c.embeddings.vectors[:3]
     store = EmbeddingMatrix(ids, pool[np.arange(len(ids)) % 3])
     out = rerank_run(c.run, store, rparams(tau=0.5), N_CONTEXT)
