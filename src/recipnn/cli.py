@@ -57,10 +57,10 @@ from .config import (COMMAND_KEYS, REQUIRED_KEYS, coerce_value, display_key, eff
                      header_line, key_type, parse_config_file, rnn_params_from,
                      smooth_params_from)
 from .embeddings import load_embeddings, write_embeddings
-from .errors import ConfigError, DataError, check_positive
+from .errors import ConfigError, DataError, check_positive, check_seed
 from .ir_eval import (check_tag, map_at_k, mrr_at_k, ndcg_at_k, parse_qrels, parse_run, recall_at_k,
                       write_run)
-from .neighbors import WEIGHT_FNS, RnnParams, extended_reciprocal_set, rnn_scores, rnn_scores_block
+from .neighbors import WEIGHT_FNS, RnnParams, extended_reciprocal_set, score_in_blocks
 from .oracle import extended_oracle, mixed_scores_oracle
 from .rerank import bench_latency, check_depths, check_sweep, rerank_context, rerank_run, sweep_context_size
 from .smoothing import check_smooth_options, smooth_dataset, write_soft_labels
@@ -73,7 +73,7 @@ except ImportError:  # not on every platform
 
 logger = logging.getLogger(__name__)
 
-_BENCH_SIZES = [50, 100, 200, 400]
+_BENCH_SIZES = (50, 100, 200, 400)
 # help text of the keys whose name alone does not say what they do
 _KEY_HELP = {"threads": "worker processes for the queries, capped at the available CPUs; "
                         "output bytes do not depend on it"}
@@ -270,8 +270,8 @@ def cmd_sweep(cfg: dict) -> None:
 
 
 def cmd_bench(cfg: dict) -> None:
-    sizes = cfg.get("sizes") or _BENCH_SIZES
-    rows = bench_latency(sizes, cfg["trials"], rnn_params_from(cfg),
+    cfg.setdefault("sizes", _BENCH_SIZES)  # the sizes timed are the sizes the header names
+    rows = bench_latency(cfg["sizes"], cfg["trials"], rnn_params_from(cfg),
                          dim=cfg["dim"], seed=cfg["seed"])
     lines = [f"# {header_line(cfg, __version__)}", "n,mean_ms,p95_ms"]
     lines += [f"{n},{mean:.3f},{p95:.3f}" for n, mean, p95 in rows]
@@ -293,10 +293,10 @@ def cmd_convert(cfg: dict) -> None:
 
 
 def cmd_selftest(cfg: dict) -> None:
-    """Random cross-checks of the fast pipeline against the naive oracle."""
+    """Random cross-checks of the route every command scores through against the naive oracle."""
     trials = cfg["trials"]
     check_positive("trials", trials)
-    rng = np.random.default_rng([abs(int(cfg["seed"])), 4242])
+    rng = np.random.default_rng([check_seed(cfg["seed"]), 4242])
     for trial in range(trials):
         n = int(rng.integers(4, 40))
         dim = int(rng.integers(2, 9))
@@ -309,42 +309,31 @@ def cmd_selftest(cfg: dict) -> None:
         k_exp = ctx.size if rng.uniform() < 0.25 else int(rng.integers(1, min(8, ctx.size) + 1))
         lam = float(rng.uniform())
         tau = float(rng.uniform())
-        pair = rng.choice(ctx.size, size=2, replace=False).tolist()
+        # three contexts of one size (the third of exact duplicates), which
+        # score_in_blocks scores as one block, and one a size larger, scored alone. Every
+        # context probes the query on even trials, as rerank does; one or two random indices on odd ones.
+        dup_ctx = random_context(rng, n, dim, query_id=f"selftest-{trial}-duplicates", distinct=-(-n // 3))
+        jobs = {c.query_id: (c, [0] if trial % 2 == 0 else
+                             rng.choice(c.size, size=int(rng.integers(1, 3)), replace=False).tolist())
+                for c in (ctx, random_context(rng, n, dim, query_id=f"selftest-{trial}-b"), dup_ctx,
+                          random_context(rng, n + 1, dim, query_id=f"selftest-{trial}-larger"))}
         for weight_fn in WEIGHT_FNS:
             params = RnnParams(k=k, k_exp=k_exp, tau=tau, lam=lam, weight_fn=weight_fn)
-            # the reranker's query probe, then the smoother's multi-probe route
-            for probes in ([0], pair):
-                fast = rnn_scores(ctx, params, probe=probes)
-                slow = np.mean([mixed_scores_oracle(ctx, k, lam, tau, p, k_exp=k_exp, weight_fn=weight_fn)
+            rows = score_in_blocks(list(jobs), jobs.__getitem__, lambda contexts, probes, rows: list(rows), params)
+            for (c, probes), fast in zip(jobs.values(), rows):
+                slow = np.mean([mixed_scores_oracle(c, k, lam, tau, p, k_exp=k_exp, weight_fn=weight_fn)
                                 for p in probes], axis=0)
                 worst = float(np.max(np.abs(fast - slow)))
                 if worst > 1e-9:
-                    raise RuntimeError(f"selftest: mixed scores diverge from oracle by {worst:.3e} (trial {trial}, "
-                                       f"n={n}, k={k}, k_exp={k_exp}, tau={tau:.3f}, {weight_fn}, probes={probes})")
-
+                    raise RuntimeError(f"selftest: mixed scores diverge from oracle by {worst:.3e} ({c.query_id}, "
+                                       f"n={c.n_candidates}, k={k}, k_exp={k_exp}, tau={tau:.3f}, {weight_fn}, "
+                                       f"probes={probes})")
         probe = int(rng.integers(0, ctx.size))
         fast_set = extended_reciprocal_set(probe, ctx.sim_matrix, k, tau).members
-        slow_set = extended_oracle(ctx.sim_matrix, probe, k, tau)
-        if set(fast_set) != slow_set:
+        if set(fast_set) != extended_oracle(ctx.sim_matrix, probe, k, tau):
             raise RuntimeError(f"selftest: extended sets diverge (trial {trial}, probe {probe}, "
                                f"k={k}, tau={tau:.3f})")
-
-        # a block of three contexts of one size, with one or two probes each,
-        # scored in one kernel pass: every row against the oracle
-        block = [random_context(rng, n, dim, query_id=f"selftest-{trial}-block{b}") for b in range(3)]
-        block_probes = [rng.choice(ctx.size, size=int(rng.integers(1, 3)), replace=False).tolist() for _ in block]
-        params = RnnParams(k=k, k_exp=k_exp, tau=tau, lam=lam, weight_fn=WEIGHT_FNS[trial % len(WEIGHT_FNS)])
-        for c, probes, fast in zip(block, block_probes, rnn_scores_block(block, params, block_probes)):
-            slow = np.mean([mixed_scores_oracle(c, k, lam, tau, p, k_exp=k_exp, weight_fn=params.weight_fn)
-                            for p in probes], axis=0)
-            worst = float(np.max(np.abs(fast - slow)))
-            if worst > 1e-9:
-                raise RuntimeError(f"selftest: block scores diverge from oracle by {worst:.3e} (trial {trial}, "
-                                   f"{c.query_id}, n={n}, k={k}, k_exp={k_exp}, tau={tau:.3f}, "
-                                   f"{params.weight_fn}, probes={probes})")
-
         # lambda=1 gives back the candidate order, also among exact duplicates
-        dup_ctx = random_context(rng, n, dim, query_id=f"selftest-{trial}-duplicates", distinct=-(-n // 3))
         for c in (ctx, dup_ctx):
             geo = rerank_context(c, RnnParams(k=k, k_exp=1, tau=0.0, lam=1.0, weight_fn="binary"))
             if geo.doc_ids != list(c.candidate_ids):

@@ -4,7 +4,9 @@ Binary format ``EMB1``: magic bytes ``45 4D 42 31``, u32 LE dimensionality,
 u64 LE record count, then per record a u16 LE id byte length, the id as
 UTF-8, and ``dim`` float32 LE components.
 
-TSV format: one record per line, ``<id>\\t<c1>,<c2>,...,<cdim>``.
+TSV format: one record per line, ``<id>\\t<c1>,<c2>,...,<cdim>``. The TSV
+writer refuses what it could not read back: no records, an id holding a tab
+or a line break, or a first id that begins with the binary magic.
 
 Vectors are held as float32 (the binary payload type) and are returned
 exactly as loaded — no normalization of any kind is applied.
@@ -242,6 +244,10 @@ def _write_tsv(matrix: EmbeddingMatrix, path: str | Path) -> None:
     if not len(matrix):  # an empty TSV file reads back as dim 1
         raise DataError(f"a store of 0 records of dim {matrix.dim} cannot keep its dim in TSV; "
                         f"use the binary format")
+    first = next(iter(matrix.keys()))
+    if first.startswith(MAGIC.decode("ascii")):  # the file would begin with the magic and sniff as binary
+        raise DataError(f"id {first!r} at position 0 starts with the binary magic {MAGIC!r}; "
+                        f"a TSV file holding it first would read back as binary, use the binary format")
     for pos, eid in enumerate(matrix.keys()):
         if "\t" in eid or "\n" in eid or "\r" in eid:  # where the reader splits records and fields
             raise DataError(f"id {eid!r} at position {pos} holds a tab or line break; "

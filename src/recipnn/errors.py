@@ -23,3 +23,11 @@ def check_positive(name: str, value) -> None:
     """Raise ConfigError unless `value` is a positive integer; a bool is not one."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
+def check_seed(seed) -> int:
+    """`seed` as an int; ConfigError if it is negative, a seed numpy's generators refuse."""
+    seed = int(seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed

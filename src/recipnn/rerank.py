@@ -16,7 +16,7 @@ import numpy as np
 
 from .context import RankingContext, context_from_run, order_by_score, take_rows, to_input_positions
 from .embeddings import EmbeddingMatrix
-from .errors import ConfigError, DataError, check_positive
+from .errors import ConfigError, DataError, check_positive, check_seed
 from .ir_eval import RankedList, RunFile, evaluate_metric, parse_metric_id
 from .neighbors import RnnParams, rnn_scores, score_in_blocks
 from .synthetic import random_context
@@ -124,6 +124,7 @@ def bench_latency(context_sizes: Sequence[int], trials: int, params: RnnParams,
                   dim: int = 32, seed: int = 0) -> list[tuple[int, float, float]]:
     """Wall-clock rerank time on synthetic contexts; rows of (N, mean ms, p95 ms).
 
+    Every size, the seed and the trial count are checked before any timing.
     Contexts are built from seeded random unit vectors before the clock
     starts; each trial times one rerank_context call, single-threaded, on a
     monotonic clock. Two untimed warmup calls precede measurement per size.
@@ -131,12 +132,13 @@ def bench_latency(context_sizes: Sequence[int], trials: int, params: RnnParams,
     if trials < 3:
         raise ConfigError(f"bench needs at least 3 trials, got {trials}")
     check_positive("dim", dim)
+    seed = check_seed(seed)
+    sizes = [int(n) for n in context_sizes]
+    if not sizes or min(sizes) < 1:
+        raise ConfigError(f"bench needs one or more positive context sizes, got {sizes}")
     rows = []
-    for n in context_sizes:
-        n = int(n)
-        if n < 1:
-            raise ConfigError(f"context sizes must be positive, got {n}")
-        rng = np.random.default_rng([abs(int(seed)), n])
+    for n in sizes:
+        rng = np.random.default_rng([seed, n])
         contexts = [random_context(rng, n, dim, query_id="bench-q") for _ in range(trials)]
         for ctx in contexts[:2]:
             rerank_context(ctx, params)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .context import RankingContext, build_context, top_n
 from .embeddings import EmbeddingMatrix
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 from .ir_eval import Qrels, RankedList, RunFile
 
 
@@ -94,7 +94,7 @@ def planted_corpus(seed: int = 0, n_queries: int = 20, dim: int = 24,
         raise ConfigError(f"n_judged={n_judged} exceeds n_rel={n_rel}")
     if depth < 1 or n_queries < 1 or dim < 2:
         raise ConfigError("depth, n_queries must be >= 1 and dim >= 2")
-    rng = np.random.default_rng([abs(int(seed)), 917])
+    rng = np.random.default_rng([check_seed(seed), 917])
 
     doc_ids: list[str] = []
     doc_vecs: list[np.ndarray] = []

@@ -12,18 +12,19 @@ import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import recipnn.cli as cli
-from recipnn import __version__, config, parallel
+from recipnn import __version__, config, neighbors, parallel
 from recipnn.cli import main
 from recipnn.config import COMMAND_KEYS, PRESETS, REQUIRED_KEYS, config_hash, effective_config, header_line
 from recipnn.embeddings import EmbeddingMatrix, load_embeddings, write_embeddings
 from recipnn.ir_eval import RankedList, RunFile, parse_run, write_qrels, write_run
 from recipnn.smoothing import read_soft_labels
-from recipnn.synthetic import planted_corpus
+from recipnn.synthetic import planted_corpus, smoothing_corpus
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,10 @@ def test_unwritable_output_exit_2(corpus_files, tmp_path, capsys, command):
     ("eval", ["--cutoff", "0"]),
     ("bench", ["--dim", "-1"]),
     ("selftest", ["--trials", "0"]),
+    ("bench", ["--sizes", ""]),
+    ("bench", ["--sizes", ","]),
+    ("bench", ["--seed", "-1"]),
+    ("selftest", ["--seed", "-1"]),
 ])
 def test_bad_parameter_values_are_config_errors(corpus_files, tmp_path, capsys, command, flags):
     # refused with exit 1 before any output is written
@@ -473,6 +478,29 @@ def test_smooth_byte_identical_across_runs_and_threads(corpus_files, tmp_path):
     assert all(blob == blobs[0] for blob in blobs)
 
 
+@pytest.mark.parametrize("command", ["rerank", "smooth"])
+def test_power_of_two_rescaling_changes_no_output_byte(tmp_path, command):
+    # float32 holds these scales exactly, so every similarity scales exactly too;
+    # another scale re-rounds the vectors and can reorder near-tied neighbours
+    corpus = (planted_corpus(seed=7, n_queries=30, n_distractors=200, depth=40) if command == "rerank"
+              else smoothing_corpus(seed=7, n_queries=30, depth=40))
+    run, qrels = tmp_path / "base.run", tmp_path / "judgments.qrels"
+    write_run(corpus.run, run, tag="base")
+    write_qrels(corpus.qrels, qrels)
+    flags = ["--tau", "0.5"] if command == "rerank" else ["--preset", "coder-cocondenser-smooth"]
+    blobs = set()
+    for scale in (1, 2, 1 / 8):
+        emb = tmp_path / f"x{scale}.emb"
+        write_embeddings(EmbeddingMatrix(list(corpus.embeddings.keys()),
+                                         corpus.embeddings.vectors * np.float32(scale)), emb)
+        for threads in ("1", "2"):
+            out = tmp_path / f"x{scale}-{threads}.out"
+            assert main([command, "--embeddings", str(emb), "--run", str(run), "--qrels", str(qrels),
+                         "--output", str(out), "--threads", threads, *flags]) == 0
+            blobs.add(read_bytes(out))
+    assert len(blobs) == 1
+
+
 def test_smooth_preset(corpus_files, tmp_path):
     out = tmp_path / "labels.jsonl"
     assert main(["smooth", "--preset", "coder-tasb-smooth",
@@ -631,6 +659,19 @@ def test_bench_structural_determinism(tmp_path):
     assert shapes[0] == shapes[1]
 
 
+def test_bench_header_names_the_default_sizes(tmp_path):
+    # the sizes timed without --sizes are in the header, as if given
+    headers = []
+    for sizes in ([], ["--sizes", "50,100,200,400"]):
+        out = tmp_path / f"bench{len(sizes)}.csv"
+        assert main(["bench", *sizes, "--trials", "3", "--dim", "4", "--output", str(out)]) == 0
+        lines = read_bytes(out).decode().splitlines()
+        assert [ln.split(",")[0] for ln in lines[2:]] == ["50", "100", "200", "400"]
+        headers.append(lines[0])
+    assert " sizes=50,100,200,400 " in headers[0]
+    assert headers[0] == headers[1]
+
+
 # ---------------------------------------------------------------------------
 # convert
 
@@ -685,6 +726,28 @@ def test_selftest_passes(capsys):
     assert main(["selftest", "--trials", "6", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert out.strip() == "selftest: 6 random contexts checked, all routes agree"
+
+
+@pytest.mark.parametrize("fault,named", [("blocks of one", "(selftest-0-larger, "),
+                                         ("blocks of several", "(selftest-0, "),
+                                         ("extended sets", "extended sets diverge")])
+def test_selftest_fails_on_a_fault_in_the_route_the_commands_take(monkeypatch, capsys, fault, named):
+    if fault == "extended sets":
+        real = cli.extended_reciprocal_set
+        monkeypatch.setattr(cli, "extended_reciprocal_set",
+                            lambda *args: SimpleNamespace(members=sorted(real(*args).members)[:-1]))
+    else:
+        kernel = neighbors.rnn_scores_block
+
+        def shifted(contexts, params, probes):
+            rows = kernel(contexts, params, probes)
+            return rows + 1e-6 if (len(contexts) > 1) == (fault == "blocks of several") else rows
+
+        monkeypatch.setattr(neighbors, "rnn_scores_block", shifted)
+    assert main(["selftest", "--trials", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: selftest:")
+    assert named in err
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,20 @@ def test_tsv_round_trip_float_exact(tmp_path):
     assert back == m
 
 
+@pytest.mark.parametrize("ids", [["EMB1a", "b"], ["EMB1", "b"], ["b", "EMB1a"], ["EMB", "b"]])
+def test_tsv_writer_refuses_a_first_id_that_reads_back_as_binary(tmp_path, ids):
+    # a TSV file whose first bytes are the binary magic sniffs as binary
+    m = EmbeddingMatrix(ids, np.ones((2, 3), np.float32))
+    p = tmp_path / "emb.tsv"
+    if ids[0].startswith("EMB1"):
+        with pytest.raises(DataError, match="position 0 starts with the binary magic"):
+            write_embeddings(m, p, fmt="tsv")
+        assert not p.exists()
+    else:
+        write_embeddings(m, p, fmt="tsv")
+        assert load_embeddings(p) == m
+
+
 def test_cross_format_round_trip(tmp_path):
     m = make_matrix(n=6, dim=5, seed=11)
     b = tmp_path / "emb.bin"

@@ -105,6 +105,20 @@ def test_cli_import_fixes_the_allocator_policy():
     assert without >= 10 * 50
 
 
+def test_benchmark_bindings_name_functions_that_exist():
+    # the benchmark's tracer reports a binding it cannot find as absent and reads
+    # that layer as 0, so a renamed or moved function would go unnoticed there
+    perfbench = Path(SRC).parent / "perfbench"
+    assert run_fresh(f"""
+        import importlib, sys
+        sys.path.insert(0, {str(perfbench)!r})
+        from layers import BINDINGS
+        assert BINDINGS
+        print([f"{{b.module}}.{{b.attr}}" for b in BINDINGS
+               if not callable(getattr(importlib.import_module(b.module), b.attr, None))])
+    """) == "[]"
+
+
 def test_pyproject_reads_the_package_version_without_importing_it():
     pyproject = Path(SRC).parent / "pyproject.toml"
     assert run_fresh(f"""

@@ -310,3 +310,15 @@ def test_bench_well_formed_rows():
 def test_bench_rejects_too_few_trials():
     with pytest.raises(ConfigError):
         bench_latency([10], 2, rparams())
+
+
+@pytest.mark.parametrize("sizes,seed", [([], 0), ([10, 0], 0), ([10], -1)])
+def test_bench_refuses_sizes_and_seeds_before_any_timing(monkeypatch, sizes, seed):
+    monkeypatch.setattr("recipnn.rerank.rerank_context", None)  # timing any size would raise TypeError
+    with pytest.raises(ConfigError):
+        bench_latency(sizes, 3, rparams(), seed=seed)
+
+
+def test_planted_corpus_refuses_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+        planted_corpus(seed=-1)
