@@ -53,9 +53,9 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .config import (COMMAND_KEYS, REQUIRED_KEYS, coerce_value, display_key, effective_config,
-                     header_line, key_type, parse_config_file, rnn_params_from,
-                     smooth_params_from)
+from .config import (COMMAND_KEYS, GRID_KEYS, REQUIRED_KEYS, coerce_value, display_key, effective_config,
+                     grid_values, header_line, key_help, key_type, parse_config_file, rnn_grid,
+                     rnn_params_from, smooth_params_from)
 from .embeddings import load_embeddings, write_embeddings
 from .errors import ConfigError, DataError, check_positive, check_seed
 from .ir_eval import (check_tag, map_at_k, mrr_at_k, ndcg_at_k, parse_qrels, parse_run, recall_at_k,
@@ -74,9 +74,6 @@ except ImportError:  # not on every platform
 logger = logging.getLogger(__name__)
 
 _BENCH_SIZES = (50, 100, 200, 400)
-# help text of the keys whose name alone does not say what they do
-_KEY_HELP = {"threads": "worker processes for the queries, capped at the available CPUs; "
-                        "output bytes do not depend on it"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,7 +86,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_key_flags(sub: argparse.ArgumentParser, command: str) -> None:
     for key in sorted(COMMAND_KEYS[command]):
         flag = "--" + display_key(key)
-        help_text = _KEY_HELP.get(key, key) + (" (required)" if key in REQUIRED_KEYS[command] else "")
+        help_text = key_help(key) + (" (required)" if key in REQUIRED_KEYS[command] else "")
         tag = key_type(key)
         if tag == "bool":
             sub.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction,
@@ -98,7 +95,7 @@ def _add_key_flags(sub: argparse.ArgumentParser, command: str) -> None:
             sub.add_argument(flag, dest=key, type=str, default=None, help=help_text)
         else:  # numbers parse as in config files
             sub.add_argument(flag, dest=key, type=partial(coerce_value, key), default=None,
-                             metavar="N,N,..." if tag == "ints" else None, help=help_text)
+                             metavar={"ints": "N,N,...", "floats": "X,X,..."}.get(tag), help=help_text)
 
 
 def _build_parser() -> _Parser:
@@ -107,14 +104,14 @@ def _build_parser() -> _Parser:
                                  "and IR evaluation over precomputed embeddings.")
     parser.add_argument("--version", action="version", version=f"recipnn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
+    helps = {  # the README's command table, row for row
         "rerank": "rerank a run file by mixed reciprocal-NN similarity",
-        "smooth": "produce evidence-based soft-label targets (JSONL)",
+        "smooth": "emit evidence-based soft-label targets (JSONL)",
         "eval": "print MRR/nDCG/Recall/MAP for a run against qrels",
-        "sweep": "evaluate reranking across context sizes (CSV)",
+        "sweep": "evaluate reranking across context sizes and k, k-exp, tau, lambda grids (CSV)",
         "bench": "time reranking on synthetic contexts (CSV)",
         "convert": "transcode embedding files between binary and tsv",
-        "selftest": "cross-check the vectorized pipeline against the naive oracle",
+        "selftest": "cross-check the weighted, expanded pipeline against the naive oracle",
     }
     for command, help_text in helps.items():
         p = sub.add_parser(command, help=help_text)
@@ -254,19 +251,25 @@ def cmd_eval(cfg: dict) -> None:
 
 
 def cmd_sweep(cfg: dict) -> None:
-    params = rnn_params_from(cfg)
-    check_sweep(cfg["sizes"], cfg["metric"])
+    """One CSV row per (setting, size): n, the value of each grid key given several, the metric."""
+    grid = rnn_grid(cfg)
+    varied = [key for key in GRID_KEYS if len(grid_values(cfg, key)) > 1]
+    sizes = check_sweep(cfg["sizes"], cfg["metric"])
     check_positive("threads", cfg["threads"])
     embeddings = _read_embeddings(cfg["embeddings"])
     run = _read_run(cfg["run"], embeddings.keys())
     qrels = _read_qrels(cfg["qrels"])
-    rows, seconds = _timed(sweep_context_size, run, embeddings, qrels, params, cfg["sizes"],
-                           metric=cfg["metric"], rel_threshold=cfg["rel_threshold"], workers=cfg["threads"])
-    logger.info("scored %d queries at %d context sizes in %.3f s", len(run), len(rows), seconds)
-    lines = [f"# {header_line(cfg, __version__)}", f"n,{cfg['metric']}"]
-    lines += [f"{n},{value!r}" for n, value in rows]
+    lines = [f"# {header_line(cfg, __version__)}", ",".join(["n", *map(display_key, varied), cfg["metric"]])]
+    start = time.perf_counter()
+    for params in grid:
+        setting = [repr(getattr(params, key)) for key in varied]
+        rows = sweep_context_size(run, embeddings, qrels, params, sizes, metric=cfg["metric"],
+                                  rel_threshold=cfg["rel_threshold"], workers=cfg["threads"])
+        lines += [",".join([str(n), *setting, repr(value)]) for n, value in rows]
+    swept = f"{len(sizes)} context sizes" + (f" x {len(grid)} settings" if len(grid) > 1 else "")
+    logger.info("scored %d queries at %s in %.3f s", len(run), swept, time.perf_counter() - start)
     _write(_write_text, "\n".join(lines) + "\n", cfg["output"])
-    print(f"swept {len(rows)} context sizes -> {cfg['output']}")
+    print(f"swept {swept} -> {cfg['output']}")
 
 
 def cmd_bench(cfg: dict) -> None:

@@ -9,12 +9,15 @@ The defaults of the rNN and smoothing keys are the field defaults of
 `RnnParams` and `SmoothParams`. Every key a command accepts reaches its
 code. `threads`, read by rerank, smooth and sweep, is the number of worker
 processes their queries run in; it never changes output bytes, so it stays
-out of the hash.
+out of the hash. `k`, `k-exp`, `tau` and `lambda` take comma lists: `sweep`
+scores every combination (`rnn_grid`), and every other command refuses more
+than one value (`rnn_params_from`). A list of one value hashes as the value.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
+from itertools import product
 from typing import Any
 
 from .errors import ConfigError
@@ -33,37 +36,41 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-# key -> coercion tag
-_SCHEMA: dict[str, str] = {
-    "embeddings": "path",
-    "run": "path",
-    "qrels": "path",
-    "output": "path",
-    "input": "path",
-    "k": "int",
-    "k_exp": "int",
-    "tau": "float",
-    "lam": "float",
-    "weight_fn": "str",
-    "n_context": "int",
-    "top_k": "int",
-    "rel_threshold": "int",
-    "tag": "str",
-    "b": "float",
-    "n_max": "int",
-    "f_n": "str",
-    "inject_missing_gt": "bool",
-    "mode": "str",
-    "epsilon": "float",
-    "cutoff": "int",
-    "metric": "str",
-    "sizes": "ints",
-    "trials": "int",
-    "dim": "int",
-    "threads": "int",
-    "seed": "int",
-    "strict": "bool",
-    "to": "str",
+_GRID = "; only sweep takes several, comma-separated"
+# key -> (coercion tag, help text)
+_SCHEMA: dict[str, tuple[str, str]] = {
+    "embeddings": ("path", "embedding store, binary or tsv"),
+    "run": ("path", "TREC run file of retrieved candidates"),
+    "qrels": ("path", "TREC qrels file of relevance judgments"),
+    "output": ("path", "file to write: a run, JSONL soft labels, CSV or embeddings, by command"),
+    "input": ("path", "embedding store to transcode"),
+    "k": ("ints", "neighbourhood size of the reciprocal sets" + _GRID),
+    "k_exp": ("ints", "local-expansion width over the nearest neighbours, 1 = off" + _GRID),
+    "tau": ("floats", "trust factor in [0, 1] of the second-order set extension, 0 = off" + _GRID),
+    "lam": ("floats", "mixing weight in [0, 1] of geometric against Jaccard similarity, "
+                      "1 = pure geometric" + _GRID),
+    "weight_fn": ("str", "connectivity weights: neg_identity, exp_neg or binary"),
+    "n_context": ("int", "candidates per query considered jointly (the context size)"),
+    "top_k": ("int", "entries written per reranked query, at most the context size (default: all)"),
+    "rel_threshold": ("int", "lowest qrels grade that counts as relevant"),
+    "tag": ("str", "run tag written in the last column"),
+    "b": ("float", "ground-truth boost factor, finite and at least 1"),
+    "n_max": ("int", "candidates, by similarity to the ground truth, that keep target mass"),
+    "f_n": ("str", "score normalization: maxmin or stdbased"),
+    "inject_missing_gt": ("bool", "add judged documents the run did not retrieve to the context"),
+    "mode": ("str", "smoothing: eb (evidence-based), uniform or uniform-matched"),
+    "epsilon": ("float", "mass uniform smoothing moves off the ground truth"),
+    "cutoff": ("int", "rank cutoff of the metrics printed"),
+    "metric": ("str", "metric reported, name@k (mrr, ndcg, recall or map), e.g. mrr@10"),
+    "sizes": ("ints", "context sizes, comma-separated"),
+    "trials": ("int", "contexts timed per size (bench) or checked (selftest)"),
+    "dim": ("int", "dimension of the synthetic vectors"),
+    "threads": ("int", "worker processes for the queries, capped at the available CPUs; "
+                       "output bytes do not depend on it"),
+    "seed": ("int", "seed of the synthetic contexts"),
+    "strict": ("bool", "stop at the first query whose context cannot be built, instead of passing it "
+                       "through (rerank) or skipping it (smooth)"),
+    "to": ("str", "target format: binary or tsv"),
 }
 
 # the parameter dataclasses are the one home of their fields' defaults
@@ -124,15 +131,21 @@ PRESETS: dict[str, dict[str, Any]] = {
 
 # keys that must not influence output bytes (the worker count) or that
 # name machine-local files; excluded from the provenance hash and header echo
-HASH_EXCLUDED = frozenset(("threads", "embeddings", "run", "qrels", "output", "input"))
+HASH_EXCLUDED = frozenset(key for key, (tag, _) in _SCHEMA.items() if tag == "path") | {"threads"}
+# the rNN keys a sweep takes several values of, in the order of its CSV columns
+GRID_KEYS = ("k", "k_exp", "tau", "lam")
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
 
 
 def key_type(key: str) -> str:
-    """Coercion tag ('int', 'float', 'bool', 'ints', 'str', 'path') for a key."""
-    return _SCHEMA[key]
+    """Coercion tag ('int', 'float', 'bool', 'ints', 'floats', 'str', 'path') for a key."""
+    return _SCHEMA[key][0]
+
+
+def key_help(key: str) -> str:
+    return _SCHEMA[key][1]
 
 
 def normalize_key(key: str) -> str:
@@ -146,7 +159,7 @@ def display_key(key: str) -> str:
 
 def coerce_value(key: str, raw: str) -> Any:
     """Turn a raw config-file string into the key's typed value."""
-    tag = _SCHEMA[key]
+    tag = key_type(key)
     raw = raw.strip()
     try:
         if tag == "int":
@@ -157,8 +170,8 @@ def coerce_value(key: str, raw: str) -> Any:
             if raw.lower() not in _BOOL_WORDS:
                 raise ValueError(f"not a boolean: {raw!r}")
             return _BOOL_WORDS[raw.lower()]
-        if tag == "ints":
-            return [int(p) for p in raw.split(",") if p.strip()]
+        if tag in ("ints", "floats"):
+            return [(int if tag == "ints" else float)(p) for p in raw.split(",") if p.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad value for {display_key(key)}: {exc}") from None
     return raw
@@ -231,8 +244,26 @@ def header_line(cfg: dict[str, Any], version: str) -> str:
     return f"recipnn {version} config={config_hash(cfg)} " + " ".join(parts)
 
 
+def grid_values(cfg: dict[str, Any], key: str) -> list:
+    """The values a grid key holds: a list from flags and files, one value from defaults and presets."""
+    values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
+    if not values:
+        raise ConfigError(f"{display_key(key)} needs a value")
+    return values
+
+
+def rnn_grid(cfg: dict[str, Any]) -> list[RnnParams]:
+    """One RnnParams per combination of the grid keys' values, lambda varying fastest."""
+    combos = product(*(grid_values(cfg, key) for key in GRID_KEYS))
+    return [RnnParams(**dict(zip(GRID_KEYS, combo)), weight_fn=cfg["weight_fn"]) for combo in combos]
+
+
 def rnn_params_from(cfg: dict[str, Any]) -> RnnParams:
-    return RnnParams(**{key: cfg[key] for key in _RNN_KEYS})
+    """The one setting of a command that scores at one; ConfigError for a grid."""
+    several = [display_key(key) for key in GRID_KEYS if len(grid_values(cfg, key)) > 1]
+    if several:
+        raise ConfigError(f"only sweep takes several values, got several for {', '.join(several)}")
+    return rnn_grid(cfg)[0]
 
 
 def smooth_params_from(cfg: dict[str, Any]) -> SmoothParams:

@@ -112,7 +112,7 @@ def _check_probe(probe: int, m: int) -> int:
     return probe
 
 def _set_args(probe: int, sim_matrix, k: int) -> tuple[np.ndarray, int, int]:
-    """The checked similarity matrix, probe and k of a one-probe set function."""
+    """The checked similarity matrix and probe of a one-probe set function, and its k cut to the context size."""
     sim = np.asarray(sim_matrix, dtype=np.float64)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
         raise DataError(f"similarity matrix must be square, got shape {sim.shape}")
@@ -120,9 +120,9 @@ def _set_args(probe: int, sim_matrix, k: int) -> tuple[np.ndarray, int, int]:
         raise DataError("similarity matrix has non-finite entries")
     m = sim.shape[0]
     probe, k = _check_probe(probe, m), int(k)
-    if not 1 <= k <= m:
-        raise DataError(f"k={k} out of range [1, {m}]")
-    return sim, probe, k
+    if k < 1:
+        raise DataError(f"k must be at least 1, got {k}")
+    return sim, probe, min(k, m)
 
 
 def _top_order(sim: np.ndarray, n: int) -> np.ndarray:
@@ -325,6 +325,9 @@ def nn_set(probe: int, sim_matrix, k: int) -> NeighborSet:
     The probe counts toward k (it ranks first whatever its stored
     self-similarity); among equal similarities the lower index wins. Reads
     the probe's row of the one neighbour selection, `_top_order(sim, k)`.
+    A k larger than the context is cut to its size, as in `rnn_scores`; so
+    is the k of the other set functions, and round(tau*k) is taken from the
+    cut k.
     """
     sim, probe, k = _set_args(probe, sim_matrix, k)
     return NeighborSet(probe, frozenset(_top_order(sim, k)[probe].tolist()))

@@ -27,17 +27,15 @@ logger = logging.getLogger(__name__)
 def rerank_context(context: RankingContext, params: RnnParams, top_k: int | None = None) -> RankedList:
     """Re-sort a context's candidates by mixed similarity, descending.
 
-    Ties break by doc id ascending (`order_by_score`). top_k (default: all candidates) must not
-    exceed the candidate count. Neighborhood sizes larger than the context
-    are cut to fit (`rnn_scores`).
+    Ties break by doc id ascending (`order_by_score`). top_k (default: all
+    candidates) must be at least 1; a larger one than the candidate count is
+    cut to it, as in `rerank_run`. Neighborhood sizes larger than the
+    context are cut to fit (`rnn_scores`).
     """
-    n = context.n_candidates
-    if n == 0:
+    if top_k is not None and top_k < 1:
+        raise DataError(f"top_k must be at least 1, got {top_k} for query {context.query_id!r}")
+    if context.n_candidates == 0:
         return RankedList(context.query_id, ())
-    if top_k is None:
-        top_k = n
-    if not 1 <= top_k <= n:
-        raise DataError(f"top_k={top_k} out of range [1, {n}] for query {context.query_id!r}")
     row = rnn_scores(context, params)
     at = order_by_score(row, context.id_ranks)[:top_k]
     # candidate ids are unique and the order is by score, so the list needs no check

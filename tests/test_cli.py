@@ -6,6 +6,7 @@ check starts fresh processes, whose logging the test's own does not mask.  Outpu
 compared byte-for-byte across repeated invocations and worker counts.
 """
 
+import argparse
 import hashlib
 import importlib.util
 import os
@@ -20,9 +21,12 @@ import pytest
 import recipnn.cli as cli
 from recipnn import __version__, config, neighbors, parallel
 from recipnn.cli import main
-from recipnn.config import COMMAND_KEYS, PRESETS, REQUIRED_KEYS, config_hash, effective_config, header_line
+from recipnn.config import (COMMAND_KEYS, PRESETS, REQUIRED_KEYS, config_hash, display_key, effective_config,
+                            header_line)
 from recipnn.embeddings import EmbeddingMatrix, load_embeddings, write_embeddings
-from recipnn.ir_eval import RankedList, RunFile, parse_run, write_qrels, write_run
+from recipnn.ir_eval import RankedList, RunFile, evaluate_metric, parse_qrels, parse_run, write_qrels, write_run
+from recipnn.neighbors import RnnParams
+from recipnn.rerank import rerank_run
 from recipnn.smoothing import read_soft_labels
 from recipnn.synthetic import planted_corpus, smoothing_corpus
 
@@ -136,6 +140,8 @@ def test_unwritable_output_exit_2(corpus_files, tmp_path, capsys, command):
     ("bench", ["--sizes", ","]),
     ("bench", ["--seed", "-1"]),
     ("selftest", ["--seed", "-1"]),
+    ("bench", ["--k", "5,6"]),
+    ("bench", ["--lambda", "0.3,0.6"]),
 ])
 def test_bad_parameter_values_are_config_errors(corpus_files, tmp_path, capsys, command, flags):
     # refused with exit 1 before any output is written
@@ -160,6 +166,14 @@ def test_bad_parameter_values_are_config_errors(corpus_files, tmp_path, capsys, 
     ("sweep", ["--threads", "-3"]),
     ("smooth", ["--b", "inf"]),
     ("smooth", ["--f-n", "stdbased", "--b", "1e308"]),
+    # only sweep takes several values of the grid keys, and it needs one of each
+    ("rerank", ["--k", "5,6"]),
+    ("rerank", ["--tau", "0,0.5"]),
+    ("smooth", ["--k-exp", "1,3"]),
+    ("smooth", ["--lambda", "0.3,0.6"]),
+    ("sweep", ["--k", ""]),
+    ("sweep", ["--tau", ","]),
+    ("sweep", ["--lambda", "0.3,1.5"]),
 ])
 def test_bad_parameters_refused_before_any_input_is_read(tmp_path, capsys, command, flags):
     # none of the input files exists, so reading any of them would exit 2
@@ -168,6 +182,25 @@ def test_bad_parameters_refused_before_any_input_is_read(tmp_path, capsys, comma
     assert main([*small_argv(command, absent, str(out)), *flags]) == 1
     assert capsys.readouterr().err.startswith("config error:")
     assert not out.exists()
+
+
+def _subcommands() -> argparse._SubParsersAction:
+    return next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_every_flag_has_help_text_beyond_its_key_name(command):
+    flags = {a.dest: a.help for a in _subcommands().choices[command]._actions if a.dest in COMMAND_KEYS[command]}
+    assert set(flags) == COMMAND_KEYS[command]
+    for key, help_text in flags.items():
+        assert help_text.removesuffix(" (required)") not in ("", key, display_key(key)), (key, help_text)
+
+
+def test_readme_command_table_is_the_parser_command_help():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = re.findall(r"^\| `(\w+)` +\| (.+?) +\|$", fh.read(), flags=re.MULTILINE)
+    assert dict(rows) == {a.dest: a.help for a in _subcommands()._choices_actions}
 
 
 def test_internal_error_exit_3(monkeypatch, capsys):
@@ -271,6 +304,30 @@ def test_config_hash_is_the_builtin_sha256_digest_of_the_header_parameters(prese
     cfg = effective_config(command, preset, flag_values=dict.fromkeys(REQUIRED_KEYS[command], "path"))
     parts = header_line(cfg, __version__).split()[3:]  # "recipnn <version> config=<hash>" come first
     assert config_hash(cfg) == hashlib.sha256(";".join(parts).encode("utf-8")).hexdigest()[:12]
+
+
+# digests taken before the grid keys became lists; a list of one value hashes as the value
+GOLDEN_HASHES = {
+    ("rerank", None): "a7020aec50e4",
+    ("rerank", "coder-cocondenser-smooth"): "caa24863024d",
+    ("smooth", None): "fd035f9eac52",
+    ("smooth", "coder-cocondenser-smooth"): "13f13a820570",
+    ("sweep", None): "9f891f85f351",
+    ("sweep", "coder-cocondenser-smooth"): "60a891992ac8",
+    ("bench", None): "dcf3661ffb3e",
+    ("bench", "coder-cocondenser-smooth"): "b730e3bdc02b",
+}
+
+
+@pytest.mark.parametrize("command,preset", sorted(GOLDEN_HASHES, key=str))
+def test_config_hash_is_pinned(command, preset):
+    flags = dict.fromkeys(REQUIRED_KEYS[command], "path")
+    if command == "sweep":
+        flags["sizes"] = [10, 20, 40]
+    cfg = effective_config(command, preset, flag_values=flags)
+    listed = {key: [cfg[key]] for key in ("k", "k_exp", "tau", "lam")}  # as flags and config files give them
+    for values in (flags, {**flags, **listed}):
+        assert config_hash(effective_config(command, preset, flag_values=values)) == GOLDEN_HASHES[command, preset]
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +647,24 @@ def test_sweep_csv(corpus_files, tmp_path, capsys):
     for ln in lines[2:]:
         value = float(ln.split(",")[1])
         assert 0.0 <= value <= 1.0
+
+
+def test_sweep_grid_rows_equal_rerank_run_at_each_setting(corpus_files, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--embeddings", corpus_files["emb"], "--run", corpus_files["run"],
+                 "--qrels", corpus_files["qrels"], "--output", str(out), "--sizes", "5,10",
+                 "--k", "4,6", "--tau", "0,0.5", "--lambda", "0.3,0.6"]) == 0
+    assert capsys.readouterr().out.strip() == f"swept 2 context sizes x 8 settings -> {out}"
+    lines = read_bytes(out).decode().splitlines()
+    assert lines[0].startswith(f"# recipnn {__version__} config=") and " k=4,6 " in lines[0]
+    assert lines[1] == "n,k,tau,lambda,mrr@10"
+    store = load_embeddings(corpus_files["emb"])
+    run, qrels = parse_run(corpus_files["run"], known_ids=store.keys()), parse_qrels(corpus_files["qrels"])
+    expected = [
+        f"{n},{k},{tau!r},{lam!r},"
+        + repr(evaluate_metric("mrr@10", rerank_run(run, store, RnnParams(k=k, tau=tau, lam=lam), n), qrels))
+        for k in (4, 6) for tau in (0.0, 0.5) for lam in (0.3, 0.6) for n in (5, 10)]
+    assert lines[2:] == expected
 
 
 def test_sweep_byte_identical_across_threads(corpus_files, tmp_path):

@@ -95,8 +95,6 @@ def test_nn_set_k_out_of_range(small_context):
     with pytest.raises(DataError):
         nn_set(0, small_context.sim_matrix, 0)
     with pytest.raises(DataError):
-        nn_set(0, small_context.sim_matrix, 5)
-    with pytest.raises(DataError):
         nn_set(9, small_context.sim_matrix, 2)
 
 
@@ -321,6 +319,20 @@ def test_sets_match_oracle(seed, n, k):
         assert nn_set(probe, sim, k).members == nn_oracle(sim, probe, k)
         assert reciprocal_set(probe, sim, k).members == reciprocal_oracle(sim, probe, k)
         assert extended_reciprocal_set(probe, sim, k, tau).members == extended_oracle(sim, probe, k, tau)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=1, max_value=12), extra=st.integers(min_value=1, max_value=12))
+def test_set_functions_cut_oversized_k_to_the_context(seed, n, extra):
+    # as rnn_scores does: a k beyond the context size m gives the sets of k = m
+    rng = np.random.default_rng(seed)
+    ctx = random_context(rng, n, 5)
+    sim, m = ctx.sim_matrix, ctx.size
+    tau = float(rng.uniform(0.0, 1.0))
+    for probe in range(m):
+        assert nn_set(probe, sim, m + extra).members == nn_oracle(sim, probe, m)
+        assert reciprocal_set(probe, sim, m + extra).members == reciprocal_oracle(sim, probe, m)
+        assert extended_reciprocal_set(probe, sim, m + extra, tau).members == extended_oracle(sim, probe, m, tau)
 
 
 @settings(max_examples=30, deadline=None)

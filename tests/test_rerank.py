@@ -91,9 +91,16 @@ def test_rerank_top_k_and_bounds(small_context):
     p = RnnParams(k=2, k_exp=1)
     assert len(rerank_context(small_context, p, top_k=2)) == 2
     with pytest.raises(DataError):
-        rerank_context(small_context, p, top_k=4)
-    with pytest.raises(DataError):
         rerank_context(small_context, p, top_k=0)
+
+
+def test_rerank_context_cuts_oversized_top_k_to_the_candidates(small_context):
+    # as rerank_run does: a top_k beyond the candidate count gives every candidate
+    p = RnnParams(k=2, k_exp=1)
+    whole = rerank_context(small_context, p)
+    assert len(whole) == small_context.n_candidates
+    for top_k in (small_context.n_candidates + 1, 50):
+        assert rerank_context(small_context, p, top_k=top_k) == whole
 
 
 def test_rerank_clamps_oversized_params(small_context):
