@@ -21,7 +21,7 @@ _EXPORTS = {
                   "rnn_scores_block"),
     "ir_eval": ("Qrels", "RankedList", "RunFile", "evaluate_metric", "map_at_k", "mrr_at_k", "ndcg_at_k",
                 "parse_qrels", "parse_run", "recall_at_k", "write_run"),
-    "rerank": ("bench_latency", "rerank_context", "rerank_run", "sweep_context_size"),
+    "rerank": ("bench_latency", "rerank_context", "rerank_run"),
     "smoothing": ("SmoothParams", "SmoothResult", "SoftLabelSet", "mean_gt_similarity", "normalize_scores",
                   "read_soft_labels", "smooth_dataset", "softmax", "transform_scores", "uniform_smooth",
                   "write_soft_labels"),

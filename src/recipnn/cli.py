@@ -58,11 +58,11 @@ from .config import (COMMAND_KEYS, GRID_KEYS, REQUIRED_KEYS, coerce_value, displ
                      rnn_params_from, smooth_params_from)
 from .embeddings import load_embeddings, write_embeddings
 from .errors import ConfigError, DataError, check_positive, check_seed
-from .ir_eval import (check_tag, map_at_k, mrr_at_k, ndcg_at_k, parse_qrels, parse_run, recall_at_k,
-                      write_run)
+from .ir_eval import (check_tag, evaluate_metric, map_at_k, mrr_at_k, ndcg_at_k, parse_qrels, parse_run,
+                      recall_at_k, write_run)
 from .neighbors import WEIGHT_FNS, RnnParams, extended_reciprocal_set, score_in_blocks
 from .oracle import extended_oracle, mixed_scores_oracle
-from .rerank import bench_latency, check_depths, check_sweep, rerank_context, rerank_run, sweep_context_size
+from .rerank import bench_latency, check_depths, check_sweep, rerank_context, rerank_run
 from .smoothing import check_smooth_options, smooth_dataset, write_soft_labels
 from .synthetic import random_context
 
@@ -259,13 +259,19 @@ def cmd_sweep(cfg: dict) -> None:
     embeddings = _read_embeddings(cfg["embeddings"])
     run = _read_run(cfg["run"], embeddings.keys())
     qrels = _read_qrels(cfg["qrels"])
-    lines = [f"# {header_line(cfg, __version__)}", ",".join(["n", *map(display_key, varied), cfg["metric"]])]
+    metric = cfg["metric"]
+    names = [display_key(key) for key in varied]
+    lines = [f"# {header_line(cfg, __version__)}", ",".join(["n", *names, metric])]
     start = time.perf_counter()
     for params in grid:
         setting = [repr(getattr(params, key)) for key in varied]
-        rows = sweep_context_size(run, embeddings, qrels, params, sizes, metric=cfg["metric"],
-                                  rel_threshold=cfg["rel_threshold"], workers=cfg["threads"])
-        lines += [",".join([str(n), *setting, repr(value)]) for n, value in rows]
+        cell = "".join(f" {name}={value}" for name, value in zip(names, setting))
+        for n in sizes:
+            reranked = rerank_run(run, embeddings, params, n, workers=cfg["threads"])
+            value = evaluate_metric(metric, reranked, qrels, rel_threshold=cfg["rel_threshold"])
+            lines.append(",".join([str(n), *setting, repr(value)]))
+            logger.info("n=%d%s: %s %r, %d queries passed through", n, cell, metric, value,
+                        sum(reranked[qid] is run[qid] for qid in run.query_ids))
     swept = f"{len(sizes)} context sizes" + (f" x {len(grid)} settings" if len(grid) > 1 else "")
     logger.info("scored %d queries at %s in %.3f s", len(run), swept, time.perf_counter() - start)
     _write(_write_text, "\n".join(lines) + "\n", cfg["output"])

@@ -12,6 +12,7 @@ processes their queries run in; it never changes output bytes, so it stays
 out of the hash. `k`, `k-exp`, `tau` and `lambda` take comma lists: `sweep`
 scores every combination (`rnn_grid`), and every other command refuses more
 than one value (`rnn_params_from`). A list of one value hashes as the value.
+A list with an empty item or a repeated value is refused where it is parsed.
 """
 
 from __future__ import annotations
@@ -171,7 +172,14 @@ def coerce_value(key: str, raw: str) -> Any:
                 raise ValueError(f"not a boolean: {raw!r}")
             return _BOOL_WORDS[raw.lower()]
         if tag in ("ints", "floats"):
-            return [(int if tag == "ints" else float)(p) for p in raw.split(",") if p.strip()]
+            items = raw.split(",")
+            if not all(item.strip() for item in items):
+                raise ValueError(f"empty item in {raw!r}")
+            values = [(int if tag == "ints" else float)(item) for item in items]
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{raw!r} repeats {value!r}")
+            return values
     except ValueError as exc:
         raise ConfigError(f"bad value for {display_key(key)}: {exc}") from None
     return raw
@@ -246,10 +254,7 @@ def header_line(cfg: dict[str, Any], version: str) -> str:
 
 def grid_values(cfg: dict[str, Any], key: str) -> list:
     """The values a grid key holds: a list from flags and files, one value from defaults and presets."""
-    values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
-    if not values:
-        raise ConfigError(f"{display_key(key)} needs a value")
-    return values
+    return cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
 
 
 def rnn_grid(cfg: dict[str, Any]) -> list[RnnParams]:

@@ -241,12 +241,7 @@ def _weight_matrix(s_hat: np.ndarray, ext: np.ndarray, weight_fn: str) -> np.nda
     if weight_fn == "binary":
         return ext.astype(np.float64)
     d = 1.0 - s_hat
-    if weight_fn == "neg_identity":
-        raw = -d
-    elif weight_fn == "exp_neg":
-        raw = np.exp(-d)
-    else:
-        raise ConfigError(f"unknown weight_fn {weight_fn!r}")
+    raw = -d if weight_fn == "neg_identity" else np.exp(-d)  # exp_neg; RnnParams admits no other name
     lo = np.minimum.reduce(np.where(ext, raw, np.inf), axis=-1, keepdims=True)
     span = np.maximum.reduce(np.where(ext, raw, -np.inf), axis=-1, keepdims=True) - lo
     scaled = np.divide(raw - lo, span, out=np.ones_like(raw), where=span > 0)  # a zero span maps to 1
@@ -393,8 +388,6 @@ def rnn_scores_block(contexts: Sequence[RankingContext], params: RnnParams,
     probes = [[_check_probe(p, m) for p in own] for own in probes]
     if not all(probes):
         raise DataError("rnn_scores needs at least one probe index")
-    if m == 1:
-        return np.zeros((len(contexts), 0), dtype=np.float64)
     # a block of one stays one matrix: the stages run faster on 2-D arrays
     sim = contexts[0].sim_matrix if len(contexts) == 1 else np.stack([c.sim_matrix for c in contexts])
     k, k_exp = min(params.k, m), min(params.k_exp, m)

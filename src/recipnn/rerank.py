@@ -3,7 +3,8 @@
 Given a run (per-query ranked candidates) and an embedding store, each
 query's top n_context candidates form a ranking context whose candidates are
 re-scored by mixed reciprocal-NN similarity and re-sorted. Also provides the
-context-size sweep and the per-query latency benchmark used by the CLI.
+check of a sweep's sizes and metric and the per-query latency benchmark used
+by the CLI.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .context import RankingContext, context_from_run, order_by_score, take_rows, to_input_positions
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError, check_positive, check_seed
-from .ir_eval import RankedList, RunFile, evaluate_metric, parse_metric_id
+from .ir_eval import RankedList, RunFile, parse_metric_id
 from .neighbors import RnnParams, rnn_scores, score_in_blocks
 from .synthetic import random_context
 
@@ -34,8 +35,6 @@ def rerank_context(context: RankingContext, params: RnnParams, top_k: int | None
     """
     if top_k is not None and top_k < 1:
         raise DataError(f"top_k must be at least 1, got {top_k} for query {context.query_id!r}")
-    if context.n_candidates == 0:
-        return RankedList(context.query_id, ())
     row = rnn_scores(context, params)
     at = order_by_score(row, context.id_ranks)[:top_k]
     # candidate ids are unique and the order is by score, so the list needs no check
@@ -96,26 +95,6 @@ def check_sweep(sizes: Sequence[int], metric: str) -> list[int]:
     check_depths(sizes[0])
     parse_metric_id(metric)
     return sizes
-
-
-def sweep_context_size(run, embeddings: EmbeddingMatrix, qrels, params: RnnParams,
-                       sizes: Sequence[int], metric: str = "mrr@10",
-                       rel_threshold: int = 1, workers: int = 1) -> list[tuple[int, float]]:
-    """Evaluate the reranked run at each context size; rows of (N, metric value).
-
-    Sizes must be ascending and positive. `metric` is a name@k id understood
-    by the evaluation module, e.g. mrr@10 or ndcg@20. Both are checked
-    before any query is reranked. Each size reranks in up to `workers`
-    processes, as `rerank_run`.
-    """
-    sizes = check_sweep(sizes, metric)
-    rows = []
-    for n in sizes:
-        reranked = rerank_run(run, embeddings, params, n, workers=workers)
-        rows.append((n, evaluate_metric(metric, reranked, qrels, rel_threshold=rel_threshold)))
-        logger.info("context size %d: %s %r, %d queries passed through", n, metric, rows[-1][1],
-                    sum(reranked[qid] is run[qid] for qid in run.query_ids))
-    return rows
 
 
 def bench_latency(context_sizes: Sequence[int], trials: int, params: RnnParams,

@@ -9,6 +9,7 @@ compared byte-for-byte across repeated invocations and worker counts.
 import argparse
 import hashlib
 import importlib.util
+import logging
 import os
 import re
 import subprocess
@@ -110,6 +111,13 @@ def test_missing_data_file_exit_2(corpus_files, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("data error:")
 
 
+def test_missing_run_file_exit_2(corpus_files, tmp_path, capsys):
+    code = main(["rerank", "--embeddings", corpus_files["emb"], "--run", str(tmp_path / "missing.run"),
+                 "--output", str(tmp_path / "o.run")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"data error: cannot read {tmp_path / 'missing.run'}")
+
+
 def test_lying_embedding_header_exit_2(tmp_path, capsys):
     emb = tmp_path / "lying.emb"
     emb.write_bytes(b"EMB1" + (1).to_bytes(4, "little") + (2**64 - 1).to_bytes(8, "little"))
@@ -142,6 +150,7 @@ def test_unwritable_output_exit_2(corpus_files, tmp_path, capsys, command):
     ("selftest", ["--seed", "-1"]),
     ("bench", ["--k", "5,6"]),
     ("bench", ["--lambda", "0.3,0.6"]),
+    ("bench", ["--sizes", "50,50"]),
 ])
 def test_bad_parameter_values_are_config_errors(corpus_files, tmp_path, capsys, command, flags):
     # refused with exit 1 before any output is written
@@ -174,6 +183,12 @@ def test_bad_parameter_values_are_config_errors(corpus_files, tmp_path, capsys, 
     ("sweep", ["--k", ""]),
     ("sweep", ["--tau", ","]),
     ("sweep", ["--lambda", "0.3,1.5"]),
+    # a list with an empty item or a repeated value, refused where it is parsed
+    ("sweep", ["--sizes", "20,,40"]),
+    ("rerank", ["--k", "6,"]),
+    ("rerank", ["--k", "6,6"]),
+    ("sweep", ["--sizes", "20,20"]),
+    ("sweep", ["--lambda", "0.3,0.30"]),
 ])
 def test_bad_parameters_refused_before_any_input_is_read(tmp_path, capsys, command, flags):
     # none of the input files exists, so reading any of them would exit 2
@@ -260,6 +275,8 @@ def test_config_file_beats_preset(corpus_files, tmp_path):
     ("k = 5\nk = 6\n", ":2: duplicate config key 'k'"),
     ("k = five\n", "bad value for k"),
     ("just words\n", ":1: expected key = value"),
+    ("k = 6,\n", ":1: bad value for k: empty item in '6,'"),
+    ("\nlambda = 0.3,0.30\n", ":2: bad value for lambda: '0.3,0.30' repeats 0.3"),
 ])
 def test_config_file_errors(corpus_files, tmp_path, capsys, text, fragment):
     cfg = tmp_path / "bad.cfg"
@@ -334,7 +351,7 @@ def test_config_hash_is_pinned(command, preset):
 # run doc ids held once: the store's str objects
 
 @pytest.mark.parametrize("command,scorer", [
-    ("rerank", "rerank_run"), ("smooth", "smooth_dataset"), ("sweep", "sweep_context_size")])
+    ("rerank", "rerank_run"), ("smooth", "smooth_dataset"), ("sweep", "rerank_run")])
 def test_run_doc_ids_are_the_store_str_objects(corpus_files, tmp_path, monkeypatch, command, scorer):
     seen = []
     real = getattr(cli, scorer)
@@ -345,7 +362,8 @@ def test_run_doc_ids_are_the_store_str_objects(corpus_files, tmp_path, monkeypat
 
     monkeypatch.setattr(cli, scorer, recording)
     assert main(small_argv(command, corpus_files, str(tmp_path / "out"))) == 0
-    (run, store), = seen
+    run, store = seen[0]  # sweep reranks the one run once per size
+    assert all(r is run and s is store for r, s in seen)
     keys = {eid: eid for eid in store.keys()}
     held = [did for qid in run.query_ids for did in run[qid].doc_ids if did in keys]
     assert held and all(did is keys[did] for did in held)
@@ -535,6 +553,23 @@ def test_smooth_byte_identical_across_runs_and_threads(corpus_files, tmp_path):
     assert all(blob == blobs[0] for blob in blobs)
 
 
+@pytest.mark.parametrize("mode,unread", [
+    ("uniform", ["--k", "3", "--k-exp", "7", "--tau", "0.9", "--lambda", "0.1", "--weight-fn", "binary",
+                 "--b", "2", "--n-max", "3", "--f-n", "stdbased"]),
+    ("eb", ["--epsilon", "0.3"]),
+    ("uniform-matched", ["--epsilon", "0.3"]),
+])
+def test_smooth_keys_a_mode_does_not_read_change_only_the_header(corpus_files, tmp_path, mode, unread):
+    # uniform mode reads no rNN or boost key, and only uniform mode reads epsilon
+    blobs = []
+    for name, flags in (("base", []), ("moved", unread)):
+        out = tmp_path / name
+        assert main([*small_argv("smooth", corpus_files, str(out)), "--mode", mode, *flags]) == 0
+        blobs.append(read_bytes(out).split(b"\n", 1))
+    assert blobs[0][0] != blobs[1][0]
+    assert blobs[0][1] == blobs[1][1]
+
+
 @pytest.mark.parametrize("command", ["rerank", "smooth"])
 def test_power_of_two_rescaling_changes_no_output_byte(tmp_path, command):
     # float32 holds these scales exactly, so every similarity scales exactly too;
@@ -665,6 +700,18 @@ def test_sweep_grid_rows_equal_rerank_run_at_each_setting(corpus_files, tmp_path
         + repr(evaluate_metric("mrr@10", rerank_run(run, store, RnnParams(k=k, tau=tau, lam=lam), n), qrels))
         for k in (4, 6) for tau in (0.0, 0.5) for lam in (0.3, 0.6) for n in (5, 10)]
     assert lines[2:] == expected
+
+
+def test_sweep_verbose_logs_one_line_per_cell(corpus_files, tmp_path, caplog):
+    # each cell's line names n and every key the grid varies, with the value the CSV row holds
+    out = tmp_path / "grid.csv"
+    with caplog.at_level(logging.INFO, logger="recipnn.cli"):
+        assert main([*small_argv("sweep", corpus_files, str(out)), "--sizes", "10",
+                     "--k", "4,6", "--lambda", "0.3,0.6", "--verbose"]) == 0
+    rows = [line.split(",") for line in read_bytes(out).decode().splitlines()[2:]]
+    expected = [f"n={n} k={k} lambda={lam}: mrr@10 {value}, 0 queries passed through" for n, k, lam, value in rows]
+    assert len(set(expected)) == 4
+    assert [rec.getMessage() for rec in caplog.records if ": mrr@10 " in rec.getMessage()] == expected
 
 
 def test_sweep_byte_identical_across_threads(corpus_files, tmp_path):

@@ -58,6 +58,13 @@ def test_build_context_rejects_duplicate_candidate_ids():
         build_context("q", np.array([1.0, 0.0]), ["a", "a"], np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
+def test_build_context_rejects_ids_and_vectors_that_do_not_match():
+    with pytest.raises(DataError, match="3 candidate ids for vector array of shape"):
+        build_context("q", np.ones(2), ["a", "b", "c"], np.ones((2, 2)))
+    with pytest.raises(DataError, match="candidate dim 3 != query dim 2"):
+        build_context("q", np.ones(2), ["a", "b"], np.ones((2, 3)))
+
+
 def test_index_of(small_context):
     assert small_context.index_of("q") == 0
     assert small_context.index_of("c2") == 2
@@ -112,6 +119,12 @@ def test_context_from_run_resorts_by_recomputed_scores():
     assert np.all(np.diff(ctx.sim_matrix[0][1:]) <= 1e-15)
     expect = sorted(docs, key=lambda d: (-float(store.lookup(d).astype(np.float64) @ qvec), d))
     assert list(ctx.candidate_ids) == expect
+
+
+def test_context_from_run_refuses_size_zero():
+    store = make_store_with_query(4, 3, seed=7)
+    with pytest.raises(DataError, match="context size must be >= 1, got 0"):
+        context_from_run("q", ["d000"], store, 0)
 
 
 def test_context_from_run_missing_id_listed():

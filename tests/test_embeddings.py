@@ -175,6 +175,15 @@ def test_tsv_error_carries_line_number(tmp_path):
         load_embeddings(p, fmt="tsv")
 
 
+def test_tsv_skips_blank_lines_and_names_a_line_without_a_tab(tmp_path):
+    p = tmp_path / "emb.tsv"
+    p.write_text("a\t1.0,2.0\n\nb\t3.0,4.0\n")
+    assert list(load_embeddings(p, fmt="tsv").keys()) == ["a", "b"]
+    p.write_text("a\t1.0,2.0\n\nb 3.0,4.0\n")
+    with pytest.raises(DataError, match=r"emb\.tsv:3: expected '<id>\\t<components>', got 1 fields"):
+        load_embeddings(p, fmt="tsv")
+
+
 def test_tsv_dim_mismatch_line(tmp_path):
     p = tmp_path / "emb.tsv"
     p.write_text("a\t1.0,2.0\nb\t1.0\n")

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from recipnn import neighbors, parallel
-from recipnn.context import context_from_run
-from recipnn.embeddings import EmbeddingMatrix
+from recipnn.cli import main
+from recipnn.context import build_context, context_from_run
+from recipnn.embeddings import EmbeddingMatrix, write_embeddings
 from recipnn.errors import ConfigError, DataError
-from recipnn.ir_eval import Qrels, RunFile, evaluate_metric
+from recipnn.ir_eval import Qrels, RunFile, evaluate_metric, parse_run, write_qrels, write_run
 from recipnn.neighbors import RnnParams, rnn_scores
 from recipnn.rerank import (
     RankedList,
     bench_latency,
+    check_sweep,
     rerank_context,
     rerank_run,
-    sweep_context_size,
 )
 from recipnn.synthetic import planted_corpus, random_context
 
@@ -107,6 +108,12 @@ def test_rerank_clamps_oversized_params(small_context):
     # k tuned for deep contexts must still run on a 4-element context
     out = rerank_context(small_context, RnnParams(k=21, k_exp=3, lam=1.0))
     assert out.doc_ids == list(small_context.candidate_ids)
+
+
+def test_rerank_context_of_no_candidates_is_an_empty_list():
+    ctx = build_context("q", np.ones(3), [], np.zeros((0, 3)))
+    for top_k in (None, 1):
+        assert rerank_context(ctx, RnnParams(k=2, k_exp=1), top_k) == RankedList("q", ())
 
 
 def test_rerank_scores_sorted_with_id_ties():
@@ -218,7 +225,7 @@ def _one_at_a_time(run, store, params, n_context, top_k=None):
 def test_rerank_run_blocks_match_one_query_at_a_time(monkeypatch, budget):
     # short run lists give contexts of four sizes in one shard, and a query
     # without its vector is passed through in the middle of them; inline and
-    # in two worker processes, and through the sweep
+    # in two worker processes
     monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
     if budget is not None:
         monkeypatch.setattr(neighbors, "block_budget", lambda m: budget)
@@ -233,11 +240,6 @@ def test_rerank_run_blocks_match_one_query_at_a_time(monkeypatch, budget):
             for qid in run.query_ids:
                 assert out[qid].doc_ids == expect[qid].doc_ids
                 assert out[qid].scores.tobytes() == expect[qid].scores.tobytes()
-        sizes = [4, N_CONTEXT]
-        swept = [(n, evaluate_metric("ndcg@5", RunFile(_one_at_a_time(run, store, params, n)), c.qrels))
-                 for n in sizes]
-        for workers in (1, 2):
-            assert sweep_context_size(run, store, c.qrels, params, sizes, "ndcg@5", workers=workers) == swept
 
 
 def test_rerank_run_blocks_with_tied_vectors():
@@ -274,34 +276,37 @@ def test_rerank_run_top_k_capped_per_query():
 
 # --- sweep ----------------------------------------------------------------------
 
-def test_sweep_single_size_consistency():
+def _swept(tmp_path, c, *flags):
+    """The run as `recipnn sweep` reads it back, and the (n, value) rows it writes, for a corpus on disk."""
+    paths = {name: str(tmp_path / name) for name in ("emb", "run", "qrels", "csv")}
+    write_embeddings(c.embeddings, paths["emb"])
+    write_run(c.run, paths["run"])
+    write_qrels(c.qrels, paths["qrels"])
+    assert main(["sweep", "--embeddings", paths["emb"], "--run", paths["run"], "--qrels", paths["qrels"],
+                 "--output", paths["csv"], *flags]) == 0
+    with open(paths["csv"], encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[2:]]
+    return parse_run(paths["run"]), [(int(n), float(value)) for n, value in rows]
+
+
+def test_sweep_single_size_consistency(tmp_path):
     c = corpus()
-    params = rparams()
-    rows = sweep_context_size(c.run, c.embeddings, c.qrels, params, [15], metric="mrr@10")
-    assert len(rows) == 1
-    from recipnn.ir_eval import evaluate_metric
-
-    direct = evaluate_metric("mrr@10", rerank_run(c.run, c.embeddings, params, 15), c.qrels)
-    assert rows[0] == (15, direct)
+    run, rows = _swept(tmp_path, c, "--sizes", "15", "--k", "6", "--k-exp", "2", "--tau", "0", "--lambda", "0.451")
+    direct = evaluate_metric("mrr@10", rerank_run(run, c.embeddings, rparams(), 15), c.qrels)
+    assert rows == [(15, direct)]
 
 
-def test_sweep_lambda_one_constant_beyond_depth():
-    c = corpus()
-    params = rparams(lam=1.0)
-    rows = sweep_context_size(c.run, c.embeddings, c.qrels, params, [20, 25, 30], metric="mrr@10")
+def test_sweep_lambda_one_constant_beyond_depth(tmp_path):
+    _, rows = _swept(tmp_path, corpus(), "--sizes", "20,25,30", "--lambda", "1")
     # run depth is 20; larger contexts cannot add candidates, geometry unchanged
-    vals = {v for _, v in rows}
-    assert len(vals) == 1
+    assert [n for n, _ in rows] == [20, 25, 30]
+    assert len({v for _, v in rows}) == 1
 
 
 def test_sweep_rejects_unsorted_sizes():
-    c = corpus()
-    with pytest.raises(ConfigError):
-        sweep_context_size(c.run, c.embeddings, c.qrels, rparams(), [20, 10])
-    with pytest.raises(ConfigError):
-        sweep_context_size(c.run, c.embeddings, c.qrels, rparams(), [])
-    with pytest.raises(ConfigError):
-        sweep_context_size(c.run, c.embeddings, c.qrels, rparams(), [0, 5])
+    for sizes in ([20, 10], [], [0, 5]):
+        with pytest.raises(ConfigError):
+            check_sweep(sizes, "mrr@10")
 
 
 # --- bench ------------------------------------------------------------------------
