@@ -60,7 +60,7 @@ from .embeddings import load_embeddings, write_embeddings
 from .errors import ConfigError, DataError, check_positive, check_seed
 from .ir_eval import (check_tag, evaluate_metric, map_at_k, mrr_at_k, ndcg_at_k, parse_qrels, parse_run,
                       recall_at_k, write_run)
-from .neighbors import WEIGHT_FNS, RnnParams, extended_reciprocal_set, score_in_blocks
+from .neighbors import WEIGHT_FNS, RnnParams, extended_reciprocal_set, rnn_scores_block, score_in_blocks
 from .oracle import extended_oracle, mixed_scores_oracle
 from .rerank import bench_latency, check_depths, check_sweep, rerank_context, rerank_run
 from .smoothing import check_smooth_options, smooth_dataset, write_soft_labels
@@ -328,7 +328,7 @@ def cmd_selftest(cfg: dict) -> None:
                           random_context(rng, n + 1, dim, query_id=f"selftest-{trial}-larger"))}
         for weight_fn in WEIGHT_FNS:
             params = RnnParams(k=k, k_exp=k_exp, tau=tau, lam=lam, weight_fn=weight_fn)
-            rows = score_in_blocks(list(jobs), jobs.__getitem__, lambda contexts, probes, rows: list(rows), params)
+            rows = score_in_blocks(list(jobs), jobs.__getitem__, lambda cs, ps: rnn_scores_block(cs, params, ps))
             for (c, probes), fast in zip(jobs.values(), rows):
                 slow = np.mean([mixed_scores_oracle(c, k, lam, tau, p, k_exp=k_exp, weight_fn=weight_fn)
                                 for p in probes], axis=0)

@@ -230,9 +230,12 @@ def effective_config(command: str, preset: str | None = None,
 
 def config_hash(cfg: dict[str, Any]) -> str:
     """12-hex digest of the sorted parameter pairs, paths/threads excluded."""
-    parts = [f"{display_key(k)}={_canonical(v)}"
-             for k, v in sorted(cfg.items()) if k not in HASH_EXCLUDED]
-    return sha256(";".join(parts).encode("utf-8")).hexdigest()[:12]
+    return sha256(";".join(_pairs(cfg)).encode("utf-8")).hexdigest()[:12]
+
+
+def _pairs(cfg: dict[str, Any]) -> list[str]:
+    """The parameters as sorted display_key=value strings, paths/threads excluded."""
+    return [f"{display_key(k)}={_canonical(v)}" for k, v in sorted(cfg.items()) if k not in HASH_EXCLUDED]
 
 
 def _canonical(value: Any) -> str:
@@ -247,9 +250,7 @@ def _canonical(value: Any) -> str:
 
 def header_line(cfg: dict[str, Any], version: str) -> str:
     """Provenance line for output files: version, hash, effective parameters."""
-    parts = [f"{display_key(k)}={_canonical(v)}"
-             for k, v in sorted(cfg.items()) if k not in HASH_EXCLUDED]
-    return f"recipnn {version} config={config_hash(cfg)} " + " ".join(parts)
+    return f"recipnn {version} config={config_hash(cfg)} " + " ".join(_pairs(cfg))
 
 
 def grid_values(cfg: dict[str, Any], key: str) -> list:

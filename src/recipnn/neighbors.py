@@ -17,9 +17,9 @@ context the bytes it gets alone; `rnn_scores` is the block of one, whose
 stages run on its one matrix. k and k_exp larger than a context are cut to
 its size inside the kernel. `score_in_blocks` is the route every query of
 `rerank_run` and `smooth_dataset` takes: it builds their contexts one at a
-time, scores them in blocks of `block_budget(m)`, hands each block's rows
-to the caller's finishing step in one call, and spreads the queries over
-worker processes. `oracle` recomputes all of it in scalar Python.
+time, groups them in blocks of `block_budget(m)`, hands each block to the
+caller's finish(contexts, probes), which scores it, and spreads the queries
+over worker processes. `oracle` recomputes all of it in scalar Python.
 
 All neighbour sets come from one selection, `_top_order(sim, n)`: the first
 n entries of every row's ordering (the row itself first, then similarity
@@ -332,11 +332,9 @@ def reciprocal_set(probe: int, sim_matrix, k: int) -> NeighborSet:
     """Members of nn_set(probe, k) whose own k-NN set contains the probe.
 
     Every k-NN set is scattered from `_top_order(sim, k)`, so ties resolve
-    as in nn_set.
+    as in nn_set: the tau=0 case of `extended_reciprocal_set`.
     """
-    sim, probe, k = _set_args(probe, sim_matrix, k)
-    mask = _reciprocal_mask(_top_order(sim, k), k)
-    return NeighborSet(probe, frozenset(np.nonzero(mask[probe])[0].tolist()))
+    return extended_reciprocal_set(probe, sim_matrix, k, 0.0)
 
 
 def extended_reciprocal_set(probe: int, sim_matrix, k: int, tau: float) -> NeighborSet:
@@ -406,19 +404,18 @@ def block_budget(m: int) -> int:
 
 
 def score_in_blocks(query_ids: Sequence[str], build: Callable, finish: Callable,
-                    params: RnnParams, strict: bool = False, workers: int = 1) -> list:
-    """One result or DataError per query: contexts scored and finished a block at a time.
+                    strict: bool = False, workers: int = 1) -> list:
+    """One result or DataError per query: contexts grouped and finished a block at a time.
 
     The one route from a query to its result. build(query_id) returns the
     query's (context, probes); a DataError it raises is that query's
     result, or with strict=True is raised. Contexts are built one at a
     time, in query order, and wait in one bucket per size; a bucket that
     holds `block_budget(size)` contexts, and every bucket at the end, is
-    scored by one `rnn_scores_block` call, then finished by one call
-    finish(contexts, probes, rows), which returns one result per context
-    from the block's (B, size - 1) score rows. finish must not refuse a
-    context that build accepted: a DataError from it propagates. The
-    queries run over contiguous shards in up to `workers` processes
+    finished by one call finish(contexts, probes), which scores the block
+    as its caller needs and returns one result per context. finish must not
+    refuse a context that build accepted: a DataError from it propagates.
+    The queries run over contiguous shards in up to `workers` processes
     (`parallel.map_queries`), so the first build error in query order is
     the one raised, at any worker count.
     """
@@ -426,11 +423,9 @@ def score_in_blocks(query_ids: Sequence[str], build: Callable, finish: Callable,
         results: list = [None] * len(ids)
         buckets: dict[int, list] = {}
 
-        def score(size: int) -> None:
+        def flush(size: int) -> None:
             jobs = buckets.pop(size)
-            contexts, probes = [c for _, c, _ in jobs], [p for _, _, p in jobs]
-            rows = rnn_scores_block(contexts, params, probes)
-            for (pos, _, _), result in zip(jobs, finish(contexts, probes, rows)):
+            for (pos, _, _), result in zip(jobs, finish([c for _, c, _ in jobs], [p for _, _, p in jobs])):
                 results[pos] = result
 
         for pos, query_id in enumerate(ids):
@@ -444,9 +439,9 @@ def score_in_blocks(query_ids: Sequence[str], build: Callable, finish: Callable,
             bucket = buckets.setdefault(context.size, [])
             bucket.append((pos, context, probes))
             if len(bucket) == block_budget(context.size):
-                score(context.size)
+                flush(context.size)
         for size in list(buckets):
-            score(size)
+            flush(size)
         return results
 
     return map_queries(shard, query_ids, workers)

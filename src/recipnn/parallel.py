@@ -3,7 +3,7 @@
 Every query is scored inside its own ranking context, so queries are
 independent and `map_queries` may run them in any process. The caller's
 function takes a contiguous list of query ids and returns one result per
-id, so it can score their contexts in blocks (`neighbors.score_in_blocks`).
+id, so `neighbors.score_in_blocks` can hand blocks to finish(contexts, probes).
 With one worker it gets every query at once, inline. With more, worker
 processes are forked after the caller has loaded its inputs: they inherit
 the embeddings, the run and the function itself, none of which is pickled,

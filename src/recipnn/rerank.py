@@ -19,7 +19,7 @@ from .context import RankingContext, context_from_run, order_by_score, take_rows
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError, check_positive, check_seed
 from .ir_eval import RankedList, RunFile, parse_metric_id
-from .neighbors import RnnParams, rnn_scores, score_in_blocks
+from .neighbors import RnnParams, rnn_scores, rnn_scores_block, score_in_blocks
 from .synthetic import random_context
 
 logger = logging.getLogger(__name__)
@@ -61,24 +61,26 @@ def rerank_run(run, embeddings: EmbeddingMatrix, params: RnnParams, n_context: i
     warned about and passed through unchanged: the run's own RankedList, in
     original order and at original depth, so such a query can keep more
     entries than a reranked one. strict=True raises the first such error in
-    query order instead. Contexts are scored and sorted in blocks of equal
-    size, in up to `workers` processes (`neighbors.score_in_blocks`); the
-    result does not depend on either. Blocks return positions into the
-    run's doc ids, so every list holds the run's own str objects.
+    query order instead. finish(contexts, probes) scores and sorts a block
+    of equal-size contexts in one pass, in up to `workers` processes
+    (`neighbors.score_in_blocks`); the result depends on neither. Blocks
+    return positions into the run's doc ids, so every list holds the run's
+    own str objects.
     """
     check_depths(n_context, top_k)
 
     def build(query_id: str) -> tuple[RankingContext, list[int]]:
         return context_from_run(query_id, run[query_id].doc_ids, embeddings, n_context), [0]
 
-    def finish(contexts: list[RankingContext], probes: list[list[int]], rows: np.ndarray) -> list:
+    def finish(contexts: list[RankingContext], probes: list[list[int]]) -> list:
+        rows = rnn_scores_block(contexts, params, probes)
         # one sort for the block; each context's id_ranks break its ties
         order = order_by_score(rows, np.array([c.id_ranks for c in contexts]))[:, :top_k]
         return to_input_positions(contexts, order, take_rows(rows, order))
 
     query_ids = run.query_ids
     lists = {}
-    for qid, out in zip(query_ids, score_in_blocks(query_ids, build, finish, params, strict, workers)):
+    for qid, out in zip(query_ids, score_in_blocks(query_ids, build, finish, strict, workers)):
         if isinstance(out, DataError):
             logger.warning("query %s left in original order: %s", qid, out)
             lists[qid] = run[qid]

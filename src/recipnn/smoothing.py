@@ -26,7 +26,7 @@ from .context import RankingContext, context_from_run, id_ranks, order_by_score,
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError, check_positive
 from .ir_eval import _Columns
-from .neighbors import RnnParams, rnn_scores, score_in_blocks
+from .neighbors import RnnParams, rnn_scores, rnn_scores_block, score_in_blocks
 from .textfile import data_lines
 
 logger = logging.getLogger(__name__)
@@ -285,18 +285,19 @@ def _gt_context(query_id: str, doc_ids: Sequence[str], qrels, embeddings: Embedd
     return context, _gt_probes(context, gt_all)
 
 
-def _label_sets(contexts: Sequence[RankingContext], probes: Sequence[Sequence[int]], r_gt: np.ndarray,
+def _label_sets(contexts: Sequence[RankingContext], probes: Sequence[Sequence[int]],
                 params: SmoothParams, mode: str, epsilon: float) -> tuple:
-    """A block of equal-size contexts' labels from their r_gt rows: candidate positions
-    by probability descending, then id, and those probabilities, as two (B, n) arrays.
+    """A block of equal-size contexts' labels: candidate positions by probability
+    descending, then id, and those probabilities, as two (B, n) arrays.
 
     r_gt[b] is the mean similarity of the candidates of contexts[b] to its
-    ground truth at probes[b]. Every step runs on the whole (B, n) block:
-    the order by r_gt, the boost and cut, the softmax, the uniform mass and
-    the final order by probability; only the uniform-matched mass is summed
-    row by row, over each row's off-ground-truth entries alone.
+    ground truth at probes[b]. Uniform labels read no score, so that mode
+    runs no kernel and orders by a zero row (id order). Every step runs on
+    the whole (B, n) block; only the uniform-matched mass is summed row by
+    row, over each row's off-ground-truth entries alone.
     """
     ranks = np.array([c.id_ranks for c in contexts])
+    r_gt = np.zeros(ranks.shape) if mode == "uniform" else rnn_scores_block(contexts, params.rnn, probes)
     flags = np.zeros(r_gt.shape, dtype=bool)
     for row, own in zip(flags, probes):
         row[[p - 1 for p in own]] = True  # probes index the context, whose element 0 is the query
@@ -338,8 +339,9 @@ def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams
     which raises the first such error in query order. mode is one of eb |
     uniform | uniform-matched; epsilon only applies to uniform mode, where a
     value outside [0, 1) is a ConfigError. The uniform modes skip a query
-    whose candidates are all ground truth, before it is scored. Contexts are
-    scored and labelled in blocks of equal size, in up to `workers`
+    whose candidates are all ground truth, before it is scored.
+    finish(contexts, probes) scores and labels a block of equal-size
+    contexts in one pass (uniform mode scores nothing), in up to `workers`
     processes (`neighbors.score_in_blocks`); results, warnings and skips
     keep query-id order whatever the block or worker count.
     Blocks return positions into each query's `_candidates`, so every set
@@ -353,12 +355,12 @@ def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams
             raise DataError("no non-ground-truth entry to spread mass over")
         return context, probes
 
-    def finish(contexts: list[RankingContext], probes: list[list[int]], r_gt: np.ndarray) -> list:
-        return to_input_positions(contexts, *_label_sets(contexts, probes, r_gt, params, mode, epsilon))
+    def finish(contexts: list[RankingContext], probes: list[list[int]]) -> list:
+        return to_input_positions(contexts, *_label_sets(contexts, probes, params, mode, epsilon))
 
     query_ids = run.query_ids
     label_sets, skipped = [], []
-    for qid, out in zip(query_ids, score_in_blocks(query_ids, build, finish, params.rnn, strict, workers)):
+    for qid, out in zip(query_ids, score_in_blocks(query_ids, build, finish, strict, workers)):
         if isinstance(out, DataError):
             logger.warning("skipping query %s: %s", qid, out)
             skipped.append((qid, str(out)))

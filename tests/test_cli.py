@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import recipnn.cli as cli
-from recipnn import __version__, config, neighbors, parallel
+from recipnn import __version__, config, parallel
 from recipnn.cli import main
 from recipnn.config import (COMMAND_KEYS, PRESETS, REQUIRED_KEYS, config_hash, display_key, effective_config,
                             header_line)
@@ -859,13 +859,13 @@ def test_selftest_fails_on_a_fault_in_the_route_the_commands_take(monkeypatch, c
         monkeypatch.setattr(cli, "extended_reciprocal_set",
                             lambda *args: SimpleNamespace(members=sorted(real(*args).members)[:-1]))
     else:
-        kernel = neighbors.rnn_scores_block
+        kernel = cli.rnn_scores_block
 
         def shifted(contexts, params, probes):
             rows = kernel(contexts, params, probes)
             return rows + 1e-6 if (len(contexts) > 1) == (fault == "blocks of several") else rows
 
-        monkeypatch.setattr(neighbors, "rnn_scores_block", shifted)
+        monkeypatch.setattr(cli, "rnn_scores_block", shifted)
     assert main(["selftest", "--trials", "3"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: RuntimeError: selftest:")

@@ -678,8 +678,9 @@ def test_block_refuses_mixed_sizes_and_empty_probe_lists():
         rnn_scores_block([a, tied_context(2)], p, [[0], []])
 
 
-def _sized_jobs(sizes):
-    """build/finish for score_in_blocks over contexts of the given sizes; None stands for a DataError."""
+def _sized_jobs(sizes, params):
+    """build/finish for score_in_blocks over contexts of the given sizes, each block scored
+    by finish under `params`; None stands for a DataError."""
     contexts = {f"q{i}": (None if n is None else tied_context(i, n=n - 1)) for i, n in enumerate(sizes)}
 
     def build(qid):
@@ -687,7 +688,8 @@ def _sized_jobs(sizes):
             raise DataError(f"no context for {qid}")
         return contexts[qid], [0, 1] if int(qid[1:]) % 3 == 0 else [0]
 
-    def finish(block, probes, rows):
+    def finish(block, probes):
+        rows = rnn_scores_block(block, params, probes)
         assert rows.shape == (len(block), block[0].n_candidates)
         return [(context, own, row.tobytes()) for context, own, row in zip(block, probes, rows)]
 
@@ -699,9 +701,9 @@ def test_score_in_blocks_keeps_query_order_across_sizes(monkeypatch, budget):
     if budget is not None:
         monkeypatch.setattr(neighbors, "block_budget", lambda m: budget)
     sizes = [5, 8, 5, None, 8, 5, 5, 12, 5, 8, 2, 5]
-    qids, contexts, build, finish = _sized_jobs(sizes)
     p = RnnParams(k=4, k_exp=3, tau=0.5)
-    out = score_in_blocks(qids, build, finish, p)
+    qids, contexts, build, finish = _sized_jobs(sizes, p)
+    out = score_in_blocks(qids, build, finish)
     for qid, got in zip(qids, out):
         ctx = contexts[qid]
         if ctx is None:
@@ -714,16 +716,16 @@ def test_score_in_blocks_keeps_query_order_across_sizes(monkeypatch, budget):
 @pytest.mark.parametrize("budget", [1, 3])
 def test_score_in_blocks_strict_raises_the_first_error_in_query_order(monkeypatch, budget):
     monkeypatch.setattr(neighbors, "block_budget", lambda m: budget)
-    qids, contexts, build, finish = _sized_jobs([5, 8, 5, None, 8, None])
+    qids, contexts, build, finish = _sized_jobs([5, 8, 5, None, 8, None], RnnParams(k=4))
     with pytest.raises(DataError, match="no context for q3"):
-        score_in_blocks(qids, build, finish, RnnParams(k=4), strict=True)
-    out = score_in_blocks(qids, build, finish, RnnParams(k=4))
+        score_in_blocks(qids, build, finish, strict=True)
+    out = score_in_blocks(qids, build, finish)
     assert [type(r).__name__ for r in out] == ["tuple", "tuple", "tuple", "DataError", "tuple", "DataError"]
 
-    def refuse_q1(block, probes, rows):  # finish may not refuse what build accepted
+    def refuse_q1(block, probes):  # finish may not refuse what build accepted
         if any(context is contexts["q1"] for context in block):
             raise DataError("q1 failed late")
-        return finish(block, probes, rows)
+        return finish(block, probes)
 
     with pytest.raises(DataError, match="q1 failed late"):  # not made q1's result
-        score_in_blocks(qids, build, refuse_q1, RnnParams(k=4))
+        score_in_blocks(qids, build, refuse_q1)

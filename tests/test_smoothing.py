@@ -355,14 +355,13 @@ def test_smooth_dataset_skips_alike_in_worker_processes(monkeypatch, caplog):
 
 
 def _labels_one_at_a_time(run, qrels, store, params, n_context, mode="eb", epsilon=0.1):
-    """smooth_dataset's label sets computed one query at a time through mean_gt_similarity."""
+    """smooth_dataset's label sets computed one query at a time, each scored as a block of one."""
     out = {}
     for qid in run.query_ids:
         try:
             ctx, probes = smoothing._gt_context(qid, run[qid].doc_ids, qrels, store, params, n_context, 1)
             gt = qrels.relevant_docs(qid)
-            at, probs = smoothing._label_sets([ctx], [probes], mean_gt_similarity(ctx, gt, params)[None],
-                                              params, mode, epsilon)
+            at, probs = smoothing._label_sets([ctx], [probes], params, mode, epsilon)
             out[qid] = SoftLabelSet._at(qid, ctx.candidate_ids, at[0], probs[0], frozenset(gt))
         except DataError:
             pass
@@ -400,6 +399,26 @@ def test_smooth_dataset_blocks_match_one_query_at_a_time(monkeypatch, budget):
                 assert [qid for qid, _ in res.skipped] == [qids[4]]
                 assert {ls.query_id: ls for ls in res.label_sets} == expect
                 assert any(len(ls.gt_ids) == 2 for ls in res.label_sets)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_uniform_mode_runs_no_neighbour_kernel(monkeypatch, workers):
+    # uniform labels read no score: with the kernel the smoother calls made to
+    # raise, uniform mode still gives the labels it gives with the kernel,
+    # inline and in worker processes, while eb reaches the raising kernel
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
+    c = corpus100()
+    expect = smooth_dataset(c.run, c.qrels, c.embeddings, sparams(), n_context=20, mode="uniform", epsilon=0.2)
+
+    def kernel(*args):
+        raise AssertionError("neighbour kernel called")
+
+    monkeypatch.setattr(smoothing, "rnn_scores_block", kernel)
+    got = smooth_dataset(c.run, c.qrels, c.embeddings, sparams(), n_context=20, mode="uniform", epsilon=0.2,
+                         workers=workers)
+    assert got == expect and len(got.label_sets) == len(c.run.query_ids)
+    with pytest.raises(AssertionError, match="neighbour kernel called"):
+        smooth_dataset(c.run, c.qrels, c.embeddings, sparams(), n_context=20, workers=workers)
 
 
 @pytest.mark.parametrize("mode", ["eb", "uniform", "uniform-matched"])
