@@ -9,7 +9,7 @@ provenance header carrying the tool version and a hash of the effective
 parameters; file paths and --threads never influence output bytes. Every
 flag reaches the command's code. --threads N runs the queries of rerank,
 smooth and sweep in N worker processes, forked after the inputs are loaded
-and capped at the CPUs this process may use (`neighbors.score_in_blocks`).
+and capped at the CPUs this process may use (`parallel.score_in_blocks`).
 
 BLAS runs on one thread in every process. Each process does its work on
 one thread, and BLAS worker threads left spinning after each similarity
@@ -60,8 +60,9 @@ from .embeddings import load_embeddings, write_embeddings
 from .errors import ConfigError, DataError, check_positive, check_seed
 from .ir_eval import (check_tag, evaluate_metric, map_at_k, mrr_at_k, ndcg_at_k, parse_qrels, parse_run,
                       recall_at_k, write_run)
-from .neighbors import WEIGHT_FNS, RnnParams, extended_reciprocal_set, rnn_scores_block, score_in_blocks
+from .neighbors import WEIGHT_FNS, RnnParams, extended_reciprocal_set, rnn_scores_block
 from .oracle import extended_oracle, mixed_scores_oracle
+from .parallel import score_in_blocks
 from .rerank import bench_latency, check_depths, check_sweep, rerank_context, rerank_run
 from .smoothing import check_smooth_options, smooth_dataset, write_soft_labels
 from .synthetic import random_context

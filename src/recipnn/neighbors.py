@@ -13,13 +13,11 @@ weighted Jaccard distance mixed with normalized geometric similarity, for a
 block of equal-size contexts in one pass, each with its own probe list.
 Every stage takes one matrix or a stack of them (..., m, m) and is
 elementwise, row-wise or a reduction along rows, so a block gives each
-context the bytes it gets alone; `rnn_scores` is the block of one, whose
-stages run on its one matrix. k and k_exp larger than a context are cut to
-its size inside the kernel. `score_in_blocks` is the route every query of
-`rerank_run` and `smooth_dataset` takes: it builds their contexts one at a
-time, groups them in blocks of `block_budget(m)`, hands each block to the
-caller's finish(contexts, probes), which scores it, and spreads the queries
-over worker processes. `oracle` recomputes all of it in scalar Python.
+context the bytes it gets alone; `rnn_scores` is the block of one. k and
+k_exp larger than a context are cut to its size inside the kernel. The
+commands group their contexts in blocks and spread them over worker
+processes in `parallel.score_in_blocks`. `oracle` recomputes all of it in
+scalar Python.
 
 All neighbour sets come from one selection, `_top_order(sim, n)`: the first
 n entries of every row's ordering (the row itself first, then similarity
@@ -36,22 +34,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .context import RankingContext
 from .errors import ConfigError, DataError, check_positive
-from .parallel import map_queries
 
 WEIGHT_FNS = ("neg_identity", "exp_neg", "binary")
 
 # floor of the per-vector affine weight map; keeps every set member's weight
 # strictly positive so membership survives the min/max algebra
 _EPS_WEIGHT = 1e-6
-# similarity entries in one block of contexts scored together: 8 contexts
-# at m=64, one from m=129 on
-_BLOCK_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -201,9 +195,8 @@ def _extended_mask(order: np.ndarray, k: int, tau: float) -> np.ndarray:
     # row g of the stack; words first, so every elementwise step runs along the rows
     r_bits, rt_bits = np.ascontiguousarray(packed.view(np.uint64).reshape(2, rows, words).transpose(0, 2, 1))
     cand = np.ascontiguousarray(order[..., :k].reshape(rows, k).T)  # cand[j, g]: the j-th neighbour of g
-    # the same neighbours as rows of the stack: past the first context, a
-    # context's rows start at a multiple of m
-    at = cand if rows == m else cand + np.arange(0, rows, m).repeat(m)
+    # the same neighbours as rows of the stack: a context's rows start at a multiple of m
+    at = cand + np.arange(0, rows, m).repeat(m)
     inter = np.zeros((k, rows), dtype=np.intp)  # inter[j, g] = |R(g, k) & R(at[j, g], tk)|
     for r_word, rt_word in zip(r_bits, rt_bits):
         got = rt_word.take(at)
@@ -261,7 +254,9 @@ def _expand_matrix(weights: np.ndarray, order: np.ndarray, k_exp: int) -> np.nda
     m = weights.shape[-1]
     rows = weights.reshape(-1, m)
     near = order[..., :k_exp]
-    if len(rows) > m:  # the rows of a later context in the stack start at a multiple of m
+    # a later context's rows start at a multiple of m. A block of one adds no offsets: with
+    # them, rerank_context at N=2 took 75.8 µs, not 72.7 (2-core VM), a cost acceptance 04 reads
+    if len(rows) > m:
         near = near + np.arange(0, len(rows), m).reshape(*order.shape[:-2], 1, 1)
     out = rows[near[..., 0]]
     for j in range(1, k_exp):
@@ -294,7 +289,8 @@ def _mixed_rows(s_hat: np.ndarray, weights: np.ndarray, probes: Sequence[Sequenc
     def mixed(at: list[int], p: list[int]) -> np.ndarray:
         if len(at) < len(probes):  # only the contexts with a probe in this slot
             s_p, w_p, w = s_hat[at, p], weights[at, p], weights[at]
-        elif p.count(p[0]) == len(p):  # one probe index in every context, as the query when reranking
+        elif p.count(p[0]) == len(p):  # one probe index in every context, as the query when reranking:
+            # slices, not gathers; with gathers rerank_context at N=2 took 81.3 µs, not 75.8 (2-core VM)
             s_p, w_p, w = s_hat[:, p[0]], weights[:, p[0]], weights
         else:
             s_p, w_p, w = s_hat[at, p], weights[at, p], weights
@@ -386,62 +382,11 @@ def rnn_scores_block(contexts: Sequence[RankingContext], params: RnnParams,
     probes = [[_check_probe(p, m) for p in own] for own in probes]
     if not all(probes):
         raise DataError("rnn_scores needs at least one probe index")
-    # a block of one stays one matrix: the stages run faster on 2-D arrays
-    sim = contexts[0].sim_matrix if len(contexts) == 1 else np.stack([c.sim_matrix for c in contexts])
+    # a block of one is a view of its matrix, spared np.stack's copy
+    sim = contexts[0].sim_matrix[None] if len(contexts) == 1 else np.stack([c.sim_matrix for c in contexts])
     k, k_exp = min(params.k, m), min(params.k_exp, m)
     order = _top_order(sim, max(k, k_exp))
     ext = _extended_mask(order, k, params.tau)
     s_hat = _row_maxmin(sim)
     weights = _expand_matrix(_weight_matrix(s_hat, ext, params.weight_fn), order, k_exp)
-    if len(contexts) == 1:  # the mixture takes the contexts along a leading axis
-        s_hat, weights = s_hat[None], weights[None]
     return _mixed_rows(s_hat, weights, probes, params.lam)[:, 1:]
-
-
-def block_budget(m: int) -> int:
-    """Contexts of size m scored in one kernel pass: about 2**15 similarity entries a block."""
-    return max(1, _BLOCK_ENTRIES // (m * m))
-
-
-def score_in_blocks(query_ids: Sequence[str], build: Callable, finish: Callable,
-                    strict: bool = False, workers: int = 1) -> list:
-    """One result or DataError per query: contexts grouped and finished a block at a time.
-
-    The one route from a query to its result. build(query_id) returns the
-    query's (context, probes); a DataError it raises is that query's
-    result, or with strict=True is raised. Contexts are built one at a
-    time, in query order, and wait in one bucket per size; a bucket that
-    holds `block_budget(size)` contexts, and every bucket at the end, is
-    finished by one call finish(contexts, probes), which scores the block
-    as its caller needs and returns one result per context. finish must not
-    refuse a context that build accepted: a DataError from it propagates.
-    The queries run over contiguous shards in up to `workers` processes
-    (`parallel.map_queries`), so the first build error in query order is
-    the one raised, at any worker count.
-    """
-    def shard(ids: list[str]) -> list:
-        results: list = [None] * len(ids)
-        buckets: dict[int, list] = {}
-
-        def flush(size: int) -> None:
-            jobs = buckets.pop(size)
-            for (pos, _, _), result in zip(jobs, finish([c for _, c, _ in jobs], [p for _, _, p in jobs])):
-                results[pos] = result
-
-        for pos, query_id in enumerate(ids):
-            try:
-                context, probes = build(query_id)
-            except DataError as exc:
-                if strict:
-                    raise
-                results[pos] = exc
-                continue
-            bucket = buckets.setdefault(context.size, [])
-            bucket.append((pos, context, probes))
-            if len(bucket) == block_budget(context.size):
-                flush(context.size)
-        for size in list(buckets):
-            flush(size)
-        return results
-
-    return map_queries(shard, query_ids, workers)

@@ -19,7 +19,8 @@ from .context import RankingContext, context_from_run, order_by_score, take_rows
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError, check_positive, check_seed
 from .ir_eval import RankedList, RunFile, parse_metric_id
-from .neighbors import RnnParams, rnn_scores, rnn_scores_block, score_in_blocks
+from .neighbors import RnnParams, rnn_scores, rnn_scores_block
+from .parallel import score_in_blocks
 from .synthetic import random_context
 
 logger = logging.getLogger(__name__)
@@ -63,7 +64,7 @@ def rerank_run(run, embeddings: EmbeddingMatrix, params: RnnParams, n_context: i
     entries than a reranked one. strict=True raises the first such error in
     query order instead. finish(contexts, probes) scores and sorts a block
     of equal-size contexts in one pass, in up to `workers` processes
-    (`neighbors.score_in_blocks`); the result depends on neither. Blocks
+    (`parallel.score_in_blocks`); the result depends on neither. Blocks
     return positions into the run's doc ids, so every list holds the run's
     own str objects.
     """

@@ -26,7 +26,8 @@ from .context import RankingContext, context_from_run, id_ranks, order_by_score,
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError, check_positive
 from .ir_eval import _Columns
-from .neighbors import RnnParams, rnn_scores, rnn_scores_block, score_in_blocks
+from .neighbors import RnnParams, rnn_scores, rnn_scores_block
+from .parallel import score_in_blocks
 from .textfile import data_lines
 
 logger = logging.getLogger(__name__)
@@ -342,7 +343,7 @@ def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams
     whose candidates are all ground truth, before it is scored.
     finish(contexts, probes) scores and labels a block of equal-size
     contexts in one pass (uniform mode scores nothing), in up to `workers`
-    processes (`neighbors.score_in_blocks`); results, warnings and skips
+    processes (`parallel.score_in_blocks`); results, warnings and skips
     keep query-id order whatever the block or worker count.
     Blocks return positions into each query's `_candidates`, so every set
     holds the run's and the qrels' own str objects.

@@ -872,6 +872,15 @@ def test_selftest_fails_on_a_fault_in_the_route_the_commands_take(monkeypatch, c
     assert named in err
 
 
+def test_selftest_fails_when_lambda_one_leaves_the_geometric_order(monkeypatch, capsys):
+    real = cli.rerank_context
+    monkeypatch.setattr(cli, "rerank_context", lambda c, p: SimpleNamespace(doc_ids=real(c, p).doc_ids[::-1]))
+    assert main(["selftest", "--trials", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: selftest: lambda=1 ordering differs from geometry")
+    assert "(selftest-0)" in err
+
+
 # ---------------------------------------------------------------------------
 # every accepted key reaches the code
 

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 import warnings
@@ -51,6 +52,18 @@ def test_non_finite_rejected():
     vecs[1, 0] = np.nan
     with pytest.raises(DataError):
         EmbeddingMatrix(["a", "b"], vecs)
+
+
+@pytest.mark.parametrize("ids,shape,match", [
+    (["a"], (3,), "2-D vector array"),
+    (["a", "b"], (1, 3), "2 ids for 1 vectors"),
+    (["a"], (1, 0), r"dimensionality 0 outside \[1, 16384\]"),
+    (["a"], (1, 16385), r"dimensionality 16385 outside \[1, 16384\]"),
+    (["\U0001F600" * 16384], (1, 2), "id at position 0 exceeds 65535 UTF-8 bytes"),  # 16384 chars, 65536 bytes
+])
+def test_matrix_refuses_a_bad_shape_or_an_overlong_id(ids, shape, match):
+    with pytest.raises(DataError, match=match):
+        EmbeddingMatrix(ids, np.zeros(shape, dtype=np.float32))
 
 
 def test_binary_round_trip_bit_exact(tmp_path):
@@ -139,6 +152,54 @@ def test_binary_bad_magic(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(DataError, match="magic"):
         load_embeddings(p, fmt="binary")
+
+
+def binary_store(dim, records):
+    """An EMB1 file's bytes, records (id, components) written as given, unchecked."""
+    out = b"EMB1" + struct.pack("<IQ", dim, len(records))
+    for eid, vec in records:
+        raw = eid.encode("utf-8")
+        out += struct.pack("<H", len(raw)) + raw + struct.pack(f"<{len(vec)}f", *vec)
+    return out
+
+
+def test_binary_header_of_dim_zero(tmp_path):
+    p = tmp_path / "flat.bin"
+    p.write_bytes(binary_store(0, []))
+    with pytest.raises(DataError, match=r"dimensionality 0 outside \[1, 16384\] at byte 4"):
+        load_embeddings(p)
+
+
+def test_binary_truncated_inside_a_later_id_length(tmp_path):
+    # 14 bytes follow the header, enough for two minimal records of dim 1, but the
+    # first takes 13 of them, so the second's two-byte id length is cut after one
+    p = tmp_path / "cut.bin"
+    p.write_bytes(b"EMB1" + struct.pack("<IQ", 1, 2) + struct.pack("<H", 7) + b"longid7" + struct.pack("<f", 1.0)
+                  + b"\x00")
+    with pytest.raises(DataError, match="truncated record 1 at byte 29"):
+        load_embeddings(p)
+
+
+@pytest.mark.parametrize("records,match", [
+    ([("a", [1.0, 2.0]), ("a", [3.0, 4.0])], "duplicate id 'a'"),
+    ([("a", [1.0, 2.0]), ("b", [float("nan"), 0.0])], r"non-finite component\(s\) in vector\(s\): \['b'\]"),
+])
+def test_binary_store_refusal_names_the_path(tmp_path, records, match):
+    p = tmp_path / "bad.bin"
+    p.write_bytes(binary_store(2, records))
+    with pytest.raises(DataError, match=f"^{re.escape(str(p))}: {match}"):
+        load_embeddings(p)
+
+
+def test_unknown_format_is_refused(tmp_path):
+    m = make_matrix()
+    p = tmp_path / "emb.bin"
+    write_embeddings(m, p)
+    with pytest.raises(DataError, match="unknown embedding format 'bogus'"):
+        load_embeddings(p, fmt="bogus")
+    with pytest.raises(DataError, match="unknown embedding format 'bogus'"):
+        write_embeddings(m, tmp_path / "out", fmt="bogus")
+    assert not (tmp_path / "out").exists()
 
 
 def test_binary_truncation(tmp_path):

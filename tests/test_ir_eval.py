@@ -143,6 +143,14 @@ def test_qrels_round_trip(tmp_path):
     assert parse_qrels(p).judgments == q.judgments
 
 
+def test_qrels_header_is_a_comment_line(tmp_path):
+    q = Qrels({"q1": {"d1": 1}})
+    p = tmp_path / "qrels.txt"
+    write_qrels(q, p, header="h")
+    assert p.read_text(encoding="utf-8") == "# h\nq1 0 d1 1\n"
+    assert parse_qrels(p).judgments == q.judgments
+
+
 # --- hand-value metric cases ----------------------------------------------------
 
 def test_mrr_hand_cases():

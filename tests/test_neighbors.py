@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from recipnn import neighbors
+from recipnn import parallel
 from recipnn.context import RankingContext, build_context
 from recipnn.errors import ConfigError, DataError
 from recipnn.neighbors import (
@@ -15,7 +15,6 @@ from recipnn.neighbors import (
     reciprocal_set,
     rnn_scores,
     rnn_scores_block,
-    score_in_blocks,
     _expand_matrix,
     _extended_mask,
     _jaccard,
@@ -35,6 +34,7 @@ from recipnn.oracle import (
     ranked_ids_oracle,
     reciprocal_oracle,
 )
+from recipnn.parallel import score_in_blocks
 from recipnn.rerank import rerank_context
 from recipnn.synthetic import random_context, unit_vectors
 
@@ -96,6 +96,11 @@ def test_nn_set_k_out_of_range(small_context):
         nn_set(0, small_context.sim_matrix, 0)
     with pytest.raises(DataError):
         nn_set(9, small_context.sim_matrix, 2)
+
+
+def test_set_functions_refuse_a_non_square_matrix():
+    with pytest.raises(DataError, match=r"must be square, got shape \(2, 3\)"):
+        nn_set(0, np.zeros((2, 3)), 1)
 
 
 def test_reciprocal_set_fixture_values(small_context):
@@ -656,9 +661,10 @@ def test_block_rows_are_the_bytes_of_one_context_at_a_time(seed, weight_fn):
             assert row.tobytes() == rnn_scores(ctx, p, probe=own).tobytes()
 
 
-@pytest.mark.parametrize("m", [40, 64, 65, 130])
+@pytest.mark.parametrize("m", [40, 64, 65, 130, 401])
 def test_block_rows_match_beyond_one_bitset_word(m):
-    # several contexts whose sets span one or more 64-bit words, tau extension on
+    # several contexts whose sets span one or more 64-bit words, tau extension on; at
+    # m=401 block_budget is 1, so the commands score every such context as a block of one
     rng = np.random.default_rng(m)
     block = [random_context(rng, m - 1, 8, distinct=m // 3 if b % 2 else None) for b in range(3)]
     probes = [[0], [0, m - 1], [5]]
@@ -699,7 +705,7 @@ def _sized_jobs(sizes, params):
 @pytest.mark.parametrize("budget", [None, 1, 3])
 def test_score_in_blocks_keeps_query_order_across_sizes(monkeypatch, budget):
     if budget is not None:
-        monkeypatch.setattr(neighbors, "block_budget", lambda m: budget)
+        monkeypatch.setattr(parallel, "block_budget", lambda m: budget)
     sizes = [5, 8, 5, None, 8, 5, 5, 12, 5, 8, 2, 5]
     p = RnnParams(k=4, k_exp=3, tau=0.5)
     qids, contexts, build, finish = _sized_jobs(sizes, p)
@@ -715,7 +721,7 @@ def test_score_in_blocks_keeps_query_order_across_sizes(monkeypatch, budget):
 
 @pytest.mark.parametrize("budget", [1, 3])
 def test_score_in_blocks_strict_raises_the_first_error_in_query_order(monkeypatch, budget):
-    monkeypatch.setattr(neighbors, "block_budget", lambda m: budget)
+    monkeypatch.setattr(parallel, "block_budget", lambda m: budget)
     qids, contexts, build, finish = _sized_jobs([5, 8, 5, None, 8, None], RnnParams(k=4))
     with pytest.raises(DataError, match="no context for q3"):
         score_in_blocks(qids, build, finish, strict=True)

@@ -51,6 +51,21 @@ def test_cli_import_leaves_openssl_unloaded():
     """) == "False"
 
 
+def test_the_kernel_and_the_query_route_import_apart():
+    # neighbors holds the kernel alone; parallel, the route from queries to
+    # blocks and worker processes, needs neither the kernel nor numpy
+    assert run_fresh("""
+        import sys
+        import recipnn.neighbors
+        print("recipnn.parallel" in sys.modules)
+    """) == "False"
+    assert run_fresh("""
+        import sys
+        import recipnn.parallel
+        print("numpy" in sys.modules, "recipnn.neighbors" in sys.modules)
+    """) == "False False"
+
+
 def test_public_names_resolve_on_first_use_to_their_home_objects():
     assert run_fresh("""
         import sys

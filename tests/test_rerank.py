@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from recipnn import neighbors, parallel
+from recipnn import parallel
 from recipnn.cli import main
 from recipnn.context import build_context, context_from_run
 from recipnn.embeddings import EmbeddingMatrix, write_embeddings
@@ -228,7 +228,7 @@ def test_rerank_run_blocks_match_one_query_at_a_time(monkeypatch, budget):
     # in two worker processes
     monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
     if budget is not None:
-        monkeypatch.setattr(neighbors, "block_budget", lambda m: budget)
+        monkeypatch.setattr(parallel, "block_budget", lambda m: budget)
     c = corpus(n_queries=14)
     run = RunFile({qid: c.run[qid].truncated(3 + 4 * (i % 4)) for i, qid in enumerate(c.run.query_ids)})
     store = _without_vectors(c.embeddings, {run.query_ids[5]})
@@ -258,7 +258,7 @@ def test_rerank_run_blocks_with_tied_vectors():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_rerank_run_strict_raises_the_first_error_in_query_order(monkeypatch, workers):
     monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
-    monkeypatch.setattr(neighbors, "block_budget", lambda m: 3)
+    monkeypatch.setattr(parallel, "block_budget", lambda m: 3)
     c = corpus(n_queries=12)
     qids = c.run.query_ids
     first = c.run[qids[4]].doc_ids[2]  # a candidate of the fifth query, then the tenth query itself
@@ -331,6 +331,22 @@ def test_bench_refuses_sizes_and_seeds_before_any_timing(monkeypatch, sizes, see
         bench_latency(sizes, 3, rparams(), seed=seed)
 
 
+@pytest.mark.parametrize("n_queries", [1, 2])
+def test_rerank_run_of_queries_without_candidates(n_queries):
+    # each context holds its query alone; two of them are scored as one block
+    embeddings = EmbeddingMatrix(["q0", "q1"], np.ones((2, 3), dtype=np.float32))
+    run = RunFile({f"q{i}": RankedList(f"q{i}", []) for i in range(n_queries)})
+    out = rerank_run(run, embeddings, rparams(), n_context=5)
+    assert [out[qid].entries for qid in out.query_ids] == [()] * n_queries
+
+
 def test_planted_corpus_refuses_a_negative_seed():
     with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
         planted_corpus(seed=-1)
+
+
+@pytest.mark.parametrize("kwargs,match", [({"n_rel": 1, "n_judged": 2}, "n_judged=2 exceeds n_rel=1"),
+                                          ({"depth": 0}, "depth, n_queries must be >= 1")])
+def test_planted_corpus_refuses_more_judged_than_relevant_and_no_depth(kwargs, match):
+    with pytest.raises(ConfigError, match=match):
+        planted_corpus(**kwargs)

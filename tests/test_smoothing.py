@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from recipnn import neighbors, parallel, smoothing
+from recipnn import parallel, smoothing
 from recipnn.context import context_from_run
 from recipnn.embeddings import EmbeddingMatrix
 from recipnn.errors import ConfigError, DataError
@@ -70,6 +70,8 @@ def test_soft_label_set_invariants():
         SoftLabelSet("q", (("a", 0.5), ("a", 0.5)), frozenset({"a"}))
     with pytest.raises(DataError, match="negative"):
         SoftLabelSet("q", (("a", 1.1), ("b", -0.1)), frozenset({"a"}))
+    with pytest.raises(DataError, match="query 'q': empty label set"):
+        SoftLabelSet("q", [], [])
 
 
 def test_soft_label_set_holds_columns():
@@ -217,6 +219,10 @@ def test_uniform_validation():
         uniform_smooth(5, 1.0)
     with pytest.raises(DataError):
         uniform_smooth(5, 0.1, gt_index=9)
+    with pytest.raises(DataError, match=r"flags of shape \(2,\) for n=3"):
+        uniform_smooth(3, 0.1, np.array([True, False]))
+    with pytest.raises(DataError, match="no ground-truth entry"):
+        uniform_smooth(3, 0.1, np.array([[True, False, False], [False, False, False]]))
 
 
 def test_uniform_several_ground_truth_positions():
@@ -378,7 +384,7 @@ def test_smooth_dataset_blocks_match_one_query_at_a_time(monkeypatch, budget):
     # normalization, inline and in two worker processes
     monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
     if budget is not None:
-        monkeypatch.setattr(neighbors, "block_budget", lambda m: budget)
+        monkeypatch.setattr(parallel, "block_budget", lambda m: budget)
     c = corpus100()
     qids = c.run.query_ids
     run = RunFile({qid: c.run[qid].truncated(4 + 5 * (i % 3)) for i, qid in enumerate(qids)})
@@ -437,7 +443,7 @@ def test_trusted_label_sets_pass_the_validating_constructor(mode):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_smooth_dataset_strict_raises_the_first_error_in_query_order(monkeypatch, workers):
     monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
-    monkeypatch.setattr(neighbors, "block_budget", lambda m: 3)
+    monkeypatch.setattr(parallel, "block_budget", lambda m: 3)
     c = corpus100()
     qids = c.run.query_ids
     qrels = Qrels({qid: dict(c.qrels.grades_for(qid)) for qid in qids if qid not in (qids[5], qids[9])})
