@@ -8,8 +8,18 @@ written included), 3 internal error. Output files begin with a '#'
 provenance header carrying the tool version and a hash of the effective
 parameters; file paths and --threads never influence output bytes. Every
 flag reaches the command's code. --threads N runs the queries of rerank,
-smooth and sweep in N worker processes, forked after the inputs are loaded
-and capped at the CPUs this process may use (`parallel.score_in_blocks`).
+smooth and sweep in N worker processes, capped at the CPUs this process may
+use (`parallel.score_in_blocks`).
+
+rerank and smooth read, score and write the run one batch of whole query
+groups at a time (`_streamed`), so they hold one batch of parsed and output
+lists, not the whole run: a batch closes at the group that takes it to
+`parallel.batch_lines(threads)` run lines, and the workers fork once per
+batch. A run whose groups are not in ascending query id order is read whole
+and scored as one batch. The output is written to a temporary file beside
+--output that replaces it after the last batch, so a command that fails,
+however late, leaves no output and an earlier output file untouched; it
+also logs no per-query warning, as those wait for the end of the run.
 
 BLAS runs on one thread in every process. Each process does its work on
 one thread, and BLAS worker threads left spinning after each similarity
@@ -47,8 +57,9 @@ if _mallopt is not None:
 import argparse
 import logging
 import time
+from contextlib import contextmanager, suppress
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -58,13 +69,13 @@ from .config import (COMMAND_KEYS, GRID_KEYS, REQUIRED_KEYS, coerce_value, displ
                      rnn_params_from, smooth_params_from)
 from .embeddings import load_embeddings, write_embeddings
 from .errors import ConfigError, DataError, check_positive, check_seed
-from .ir_eval import (check_tag, evaluate_metric, map_at_k, mrr_at_k, ndcg_at_k, parse_qrels, parse_run,
-                      recall_at_k, write_run)
+from .ir_eval import (MetricMean, RankedList, RunFile, check_tag, evaluate_metric, iter_run, map_at_k, mrr_at_k,
+                      ndcg_at_k, parse_qrels, parse_run, recall_at_k, write_run)
 from .neighbors import WEIGHT_FNS, RnnParams, extended_reciprocal_set, rnn_scores_block
 from .oracle import extended_oracle, mixed_scores_oracle
-from .parallel import score_in_blocks
+from .parallel import batch_lines, score_in_blocks
 from .rerank import bench_latency, check_depths, check_sweep, rerank_context, rerank_run
-from .smoothing import check_smooth_options, smooth_dataset, write_soft_labels
+from .smoothing import check_smooth_options, mean_mass, smooth_dataset, write_soft_labels
 from .synthetic import random_context
 
 try:
@@ -158,6 +169,122 @@ def _write(write: Callable, *args, **kwargs) -> None:
     logger.info("wrote %s in %.3f s", args[1], seconds)
 
 
+class _Unordered(Exception):
+    """A run whose query groups do not come in ascending id order, the order
+    the writers write: its lists cannot be written batch by batch."""
+
+
+class _RunStream:
+    """A run file read as batches of whole query groups, in file order, with
+    the seconds spent parsing and the queries and lines read summed for the log."""
+
+    def __init__(self, path, known_ids: Iterable[str], workers: int) -> None:
+        self.seconds, self.queries, self.lines = 0.0, 0, 0
+        self._lists = iter_run(path, known_ids)
+        self._batch_lines = batch_lines(workers)
+        self._last: str | None = None
+
+    def _next(self) -> RankedList | None:
+        ranked, took = _timed(next, self._lists, None)
+        self.seconds += took
+        if ranked is not None:
+            if self._last is not None and ranked.query_id <= self._last:
+                raise _Unordered
+            self._last = ranked.query_id
+            self.queries += 1
+            self.lines += len(ranked)
+        return ranked
+
+    def __iter__(self) -> Iterator[RunFile]:
+        """RunFiles of consecutive query groups of about `batch_lines` run
+        lines each, and at least one. Raises _Unordered at a query id not
+        above the one before it."""
+        batch: dict[str, RankedList] = {}
+        lines, yielded = 0, False
+        while (ranked := self._next()) is not None:
+            batch[ranked.query_id] = ranked
+            lines += len(ranked)
+            if lines >= self._batch_lines:
+                yield RunFile(batch)
+                batch, lines, yielded = {}, 0, True
+        if batch or not yielded:
+            yield RunFile(batch)
+
+
+class _Held(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+@contextmanager
+def _held_log():
+    """Hold the package's log records while the block runs, and log them, in
+    order, once it has ended without error; the list of them is yielded."""
+    package, held = logging.getLogger("recipnn"), _Held()
+    propagate, package.propagate = package.propagate, False
+    package.addHandler(held)
+    try:
+        yield held.records
+    finally:
+        package.removeHandler(held)
+        package.propagate = propagate
+    for record in held.records:
+        logging.getLogger(record.name).handle(record)
+
+
+def _streamed(cfg: dict, embeddings, attempt: Callable):
+    """attempt(batches, path) over the run of cfg["run"], writing to a
+    temporary file beside cfg["output"] that replaces it once attempt has
+    returned; what attempt returns, and after that the log line of the run.
+
+    The batches are RunFiles of consecutive whole query groups in ascending
+    query id order (`_RunStream`), so held lists do not grow with the run. A
+    run whose groups come in another order is read whole and is one batch,
+    as all runs were before: the attempt starts again. The package's log
+    records wait for the attempt's end, so a command that fails logs no
+    warning, and a run read twice logs its warnings once. A data error while
+    the run is still being read is raised after the rest of it has been
+    read, so a bad run line, reported as the first bad line in file order,
+    comes before any error of scoring or writing, as when a run was read
+    before any scoring. Whatever fails, the output file is not touched and
+    the temporary file is removed.
+    """
+    output = cfg["output"]
+    tmp = os.path.join(os.path.dirname(output), f".{os.path.basename(output)}.{os.getpid()}.tmp")
+    try:
+        open(tmp, "w").close()
+    except OSError as exc:
+        raise DataError(f"cannot write {output}: {exc.strerror}") from None
+    try:
+        with _held_log() as records:
+            stream = _RunStream(cfg["run"], embeddings.keys(), cfg["threads"])
+            try:
+                try:
+                    result = attempt(stream, tmp)
+                except (DataError, OSError):
+                    for _ in stream:
+                        pass
+                    raise
+                logger.info("parsed %d queries, %d run lines from %s in %.3f s",
+                            stream.queries, stream.lines, cfg["run"], stream.seconds)
+            except _Unordered:
+                records.clear()
+                result = attempt([_read_run(cfg["run"], embeddings.keys())], tmp)
+        try:
+            os.replace(tmp, output)
+        except OSError as exc:
+            raise DataError(f"cannot write {output}: {exc.strerror}") from None
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    return result
+
+
 def _peak_rss_mb() -> tuple[float, float]:
     """Peak RSS in MB of this process, and of the largest child process it
     has waited for (since the process started, before its exec included)."""
@@ -200,6 +327,12 @@ def _standard_metrics(run, qrels, cutoff: int, rel_threshold: int) -> list[tuple
     ]
 
 
+def _running_metrics(qrels, cutoff: int, rel_threshold: int) -> dict[str, MetricMean]:
+    """The rows of `_standard_metrics`, each an empty running mean to feed run by run."""
+    return {f"{name}@{cutoff}": MetricMean.of(f"{name}@{cutoff}", qrels, rel_threshold)
+            for name in ("mrr", "ndcg", "recall", "map")}
+
+
 def cmd_rerank(cfg: dict) -> None:
     check_tag(cfg["tag"])
     check_positive("cutoff", cfg["cutoff"])
@@ -207,20 +340,35 @@ def cmd_rerank(cfg: dict) -> None:
     check_depths(cfg["n_context"], cfg.get("top_k"))
     check_positive("threads", cfg["threads"])
     embeddings = _read_embeddings(cfg["embeddings"])
-    run = _read_run(cfg["run"], embeddings.keys())
-    before = None
-    if cfg.get("qrels"):  # before scoring: qrels that cannot be read or judge no run query stop the command here
-        qrels = _read_qrels(cfg["qrels"])
-        before = _standard_metrics(run, qrels, cfg["cutoff"], cfg["rel_threshold"])
-    reranked, seconds = _timed(rerank_run, run, embeddings, params, cfg["n_context"],
-                               top_k=cfg.get("top_k"), strict=cfg["strict"], workers=cfg["threads"])
-    passed = sum(reranked[qid] is run[qid] for qid in run.query_ids)  # rerank_run passes such a list through as is
-    logger.info("scored %d queries (%d passed through) in %.3f s", len(reranked) - passed, passed, seconds)
-    _write(write_run, reranked, cfg["output"], tag=cfg["tag"], header=header_line(cfg, __version__))
-    print(f"reranked {len(reranked) - passed} queries ({passed} passed through) -> {cfg['output']}")
-    if before is not None:
-        after = _standard_metrics(reranked, qrels, cfg["cutoff"], cfg["rel_threshold"])
-        rows = [(name, [b, a]) for (name, b), (_, a) in zip(before, after)]
+    qrels = _read_qrels(cfg["qrels"]) if cfg.get("qrels") else None
+    header = header_line(cfg, __version__)
+
+    def attempt(batches: Iterable[RunFile], path: str) -> tuple:
+        # one running mean per metric of the lists as read and as reranked
+        before, after = (_running_metrics(qrels, cfg["cutoff"], cfg["rel_threshold"]) if qrels else {}
+                         for _ in range(2))
+        queries = passed = 0
+        scoring = writing = 0.0
+        for n, run in enumerate(batches):
+            reranked, seconds = _timed(rerank_run, run, embeddings, params, cfg["n_context"],
+                                       top_k=cfg.get("top_k"), strict=cfg["strict"], workers=cfg["threads"])
+            scoring += seconds
+            queries += len(reranked)
+            passed += sum(reranked[qid] is run[qid] for qid in run.query_ids)  # rerank_run passes such a list as is
+            _, seconds = _timed(write_run, reranked, path, tag=cfg["tag"], header=None if n else header, append=n > 0)
+            writing += seconds
+            for name in before:
+                before[name].add(run)
+                after[name].add(reranked)
+        # where run and qrels share no query, .mean raises before the output is replaced
+        rows = [(name, [before[name].mean, after[name].mean]) for name in before] if qrels else None
+        return queries, passed, rows, scoring, writing
+
+    queries, passed, rows, scoring, writing = _streamed(cfg, embeddings, attempt)
+    logger.info("scored %d queries (%d passed through) in %.3f s", queries - passed, passed, scoring)
+    logger.info("wrote %s in %.3f s", cfg["output"], writing)
+    print(f"reranked {queries - passed} queries ({passed} passed through) -> {cfg['output']}")
+    if rows is not None:
         print(_metric_table(rows, ["before", "after"]))
 
 
@@ -229,17 +377,29 @@ def cmd_smooth(cfg: dict) -> None:
     check_smooth_options(cfg["n_context"], cfg["mode"], cfg["epsilon"])
     check_positive("threads", cfg["threads"])
     embeddings = _read_embeddings(cfg["embeddings"])
-    run = _read_run(cfg["run"], embeddings.keys())
     qrels = _read_qrels(cfg["qrels"])
-    result, seconds = _timed(smooth_dataset, run, qrels, embeddings, params,
-                             n_context=cfg["n_context"], mode=cfg["mode"],
-                             epsilon=cfg["epsilon"], rel_threshold=cfg["rel_threshold"],
-                             strict=cfg["strict"], workers=cfg["threads"])
-    logger.info("scored %d queries (%d skipped) in %.3f s", len(result.label_sets), len(result.skipped), seconds)
-    _write(write_soft_labels, result.label_sets, cfg["output"], header=header_line(cfg, __version__))
-    print(f"smoothed {len(result.label_sets)} queries "
-          f"({len(result.skipped)} skipped) -> {cfg['output']}")
-    print(f"mean ground-truth mass: {result.mean_gt_mass:.6f}")
+    header = header_line(cfg, __version__)
+
+    def attempt(batches: Iterable[RunFile], path: str) -> tuple:
+        masses, skipped = [], 0
+        scoring = writing = 0.0
+        for n, run in enumerate(batches):
+            result, seconds = _timed(smooth_dataset, run, qrels, embeddings, params,
+                                     n_context=cfg["n_context"], mode=cfg["mode"], epsilon=cfg["epsilon"],
+                                     rel_threshold=cfg["rel_threshold"], strict=cfg["strict"], workers=cfg["threads"])
+            scoring += seconds
+            masses += [ls.gt_mass for ls in result.label_sets]
+            skipped += len(result.skipped)
+            _, seconds = _timed(write_soft_labels, result.label_sets, path, header=None if n else header,
+                                append=n > 0)
+            writing += seconds
+        return len(masses), skipped, mean_mass(masses), scoring, writing
+
+    smoothed, skipped, mass, scoring, writing = _streamed(cfg, embeddings, attempt)
+    logger.info("scored %d queries (%d skipped) in %.3f s", smoothed, skipped, scoring)
+    logger.info("wrote %s in %.3f s", cfg["output"], writing)
+    print(f"smoothed {smoothed} queries ({skipped} skipped) -> {cfg['output']}")
+    print(f"mean ground-truth mass: {mass:.6f}")
 
 
 def cmd_eval(cfg: dict) -> None:

@@ -115,6 +115,15 @@ class RankingContext:
             raise DataError(f"id {element_id!r} not in context for query {self.query_id!r}") from None
 
 
+def check_element_ids(query_id: str, doc_ids: Sequence[str]) -> None:
+    """DataError unless the candidate ids are unique and the query is not among them."""
+    unique_ids = set(doc_ids)
+    if query_id in unique_ids:
+        raise DataError(f"query id {query_id!r} also appears among candidate ids")
+    if len(unique_ids) != len(doc_ids):
+        raise DataError(f"duplicate element ids in context for query {query_id!r}")
+
+
 def build_context(
     query_id: str,
     query_vec: Sequence[float] | np.ndarray,
@@ -140,11 +149,7 @@ def build_context(
         raise DataError(f"{len(doc_ids)} candidate ids for vector array of shape {doc_vecs.shape}")
     if doc_vecs.shape[0] > 0 and doc_vecs.shape[1] != query_vec.shape[0]:
         raise DataError(f"candidate dim {doc_vecs.shape[1]} != query dim {query_vec.shape[0]}")
-    unique_ids = set(doc_ids)
-    if query_id in unique_ids:
-        raise DataError(f"query id {query_id!r} also appears among candidate ids")
-    if len(unique_ids) != len(doc_ids):
-        raise DataError(f"duplicate element ids in context for query {query_id!r}")
+    check_element_ids(query_id, doc_ids)
 
     ranks = id_ranks(doc_ids)
     # a non-finite or overflowing product is refused by RankingContext, not warned about
@@ -182,13 +187,20 @@ def context_from_run(
     products and the context re-sorted per the canonical ordering, so a run
     ranked inconsistently with its embeddings comes out consistent.
     """
-    if query_id not in embeddings:
-        raise DataError(f"query id {query_id!r} missing from embedding store")
     if n is not None and n < 1:
         raise DataError(f"context size must be >= 1, got {n}")
     take = list(doc_ids if n is None else doc_ids[:n])
-    rows = embeddings.positions(take)
-    if None in rows:
-        missing = sorted({d for d, row in zip(take, rows) if row is None})
-        raise DataError(f"embedding store missing candidate id(s): {', '.join(missing)}")
+    rows = store_rows(query_id, take, embeddings)
     return build_context(query_id, embeddings.lookup(query_id), take, embeddings.vectors[rows])
+
+
+def store_rows(query_id: str, doc_ids: Sequence[str], embeddings: EmbeddingMatrix) -> list[int]:
+    """The store rows of a query's candidates; DataError when the store has
+    no vector for the query or for a candidate."""
+    if query_id not in embeddings:
+        raise DataError(f"query id {query_id!r} missing from embedding store")
+    rows = embeddings.positions(doc_ids)
+    if None in rows:
+        missing = sorted({d for d, row in zip(doc_ids, rows) if row is None})
+        raise DataError(f"embedding store missing candidate id(s): {', '.join(missing)}")
+    return rows

@@ -15,7 +15,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress, pairwise
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -286,6 +286,46 @@ def _first_bad_line(path) -> DataError:
     raise AssertionError(f"{path}: a column check failed but no line breaks a rule")
 
 
+def _ranked(query_id: str, parts: Sequence[tuple[Sequence[str], np.ndarray]], path) -> RankedList:
+    """One query's list from (doc ids, scores) parts in file order: sorted by
+    score, ties in file order. A doc id found twice raises the first bad line."""
+    dids, scores = parts[0] if len(parts) == 1 else \
+        (list(chain.from_iterable(d for d, _ in parts)), np.concatenate([s for _, s in parts]))
+    if len(set(dids)) != len(dids):
+        raise _first_bad_line(path)
+    order = np.argsort(-scores, kind="stable")  # stable: ties keep file order
+    return RankedList._at(query_id, dids, order, scores[order])
+
+
+def iter_run(path, known_ids: Iterable[str] = ()) -> Iterator[RankedList]:
+    """Each query's RankedList, in file order, yielded when its group of
+    consecutive lines ends; a query whose lines are split over several groups
+    is yielded once per group. Lines are read and checked as `parse_run`
+    reads them, and the first bad line in file order raises DataError when
+    the group holding it, or any group, fails a check."""
+    # one str per distinct doc id, shared by every query naming it
+    shared: dict[str, str] = {did: did for did in known_ids}
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    with fh:
+        parts: list[tuple[list[str], np.ndarray]] = []
+        query_id = None
+        try:
+            for chunk in _line_chunks(fh):
+                for qid, dids, scores in _run_blocks(chunk, shared):
+                    if parts and qid != query_id:
+                        yield _ranked(query_id, parts, path)
+                        parts = []
+                    query_id = qid
+                    parts.append((dids, scores))
+        except _BadLine:
+            raise _first_bad_line(path) from None
+        if parts:
+            yield _ranked(query_id, parts, path)
+
+
 def parse_run(path, known_ids: Iterable[str] = ()) -> RunFile:
     """Read `<qid> Q0 <docid> <rank> <score> <tag>` lines.
 
@@ -298,30 +338,15 @@ def parse_run(path, known_ids: Iterable[str] = ()) -> RunFile:
     doc ids share one str object across the file, whatever their query.
     A doc id equal to one of `known_ids` (say, the ids of an embedding
     store already loaded) is that str object, so the run holds no copy of it.
+    The lists are those of `iter_run`; a query whose lines come in several
+    groups gets one list of all of them.
     """
-    blocks: dict[str, list[tuple[list[str], np.ndarray]]] = {}
-    # one str per distinct doc id, shared by every query naming it
-    shared: dict[str, str] = {did: did for did in known_ids}
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
-        try:
-            for chunk in _line_chunks(fh):
-                for qid, dids, scores in _run_blocks(chunk, shared):
-                    blocks.setdefault(qid, []).append((dids, scores))
-        except _BadLine:
-            raise _first_bad_line(path) from None
-    lists = {}
-    for qid, parts in blocks.items():
-        dids, scores = parts[0] if len(parts) == 1 else \
-            (list(chain.from_iterable(d for d, _ in parts)), np.concatenate([s for _, s in parts]))
-        if len(set(dids)) != len(dids):
-            raise _first_bad_line(path)
-        order = np.argsort(-scores, kind="stable")  # stable: ties keep file order
-        lists[qid] = RankedList._at(qid, dids, order, scores[order])
-    return RunFile(lists)
+    groups: dict[str, list[RankedList]] = {}
+    for ranked in iter_run(path, known_ids):
+        groups.setdefault(ranked.query_id, []).append(ranked)
+    # re-sorting the sorted groups, in file order, keeps ties in file order
+    return RunFile({qid: held[0] if len(held) == 1 else _ranked(qid, [(r._ids, r._values) for r in held], path)
+                    for qid, held in groups.items()})
 
 
 def _one_field_each(values: Sequence[str]) -> bool:
@@ -350,12 +375,16 @@ def _check_ids(columns: Mapping[str, Collection[str]]) -> None:
             raise DataError(f"query {qid!r}: doc id {bad!r} would not read back: {rule}")
 
 
-def write_run(run: RunFile, path, tag: str = "recipnn", header: str | None = None) -> None:
-    """Write rank-consistent, score-sorted TREC run lines, queries in id order."""
+def write_run(run: RunFile, path, tag: str = "recipnn", header: str | None = None, append: bool = False) -> None:
+    """Write rank-consistent, score-sorted TREC run lines, queries in id order.
+
+    With append=True the lines go after those already in the file: runs of
+    ascending query ids written one after another, the header with the
+    first, give the bytes of their union written at once."""
     check_tag(tag)
     _check_ids({qid: ranked._ids for qid, ranked in run.lists.items()})
     ranks = [str(rank) for rank in range(1, 1 + max((len(run[qid]) for qid in run.query_ids), default=0))]
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "a" if append else "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"# {header}\n")
         for qid in run.query_ids:
@@ -379,67 +408,99 @@ def write_qrels(qrels: Qrels, path, header: str | None = None) -> None:
 # ---------------------------------------------------------------------------
 # metrics
 
-def _mean_over_queries(run: RunFile, qrels: Qrels, k: int, per_query) -> float:
-    """Mean of per_query(qid, top-k doc ids) over the queries run and qrels share."""
-    k = int(k)
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
-    queries = [qid for qid in run.query_ids if qid in qrels]
-    if not queries:
-        raise DataError("run and qrels share no query ids")
-    total = 0.0
-    for qid in queries:
-        total += per_query(qid, run[qid]._ids[:k])
-    return total / len(queries)
+# per-query values: f(qrels, query id, top-k doc ids, k, rel_threshold)
+
+def _reciprocal_rank(qrels: Qrels, qid: str, top: Sequence[str], k: int, rel_threshold: int) -> float:
+    grades = qrels.grades_for(qid)
+    return next((1.0 / rank for rank, did in enumerate(top, start=1)
+                 if grades.get(did, 0) >= rel_threshold), 0.0)
+
+
+def _ndcg(qrels: Qrels, qid: str, top: Sequence[str], k: int, rel_threshold: int) -> float:
+    grades = qrels.grades_for(qid)
+    dcg = sum(grades.get(did, 0) / math.log2(rank + 1) for rank, did in enumerate(top, start=1))
+    ideal = sorted(grades.values(), reverse=True)[:k]
+    idcg = sum(g / math.log2(i + 2) for i, g in enumerate(ideal))
+    return dcg / idcg if idcg > 0 else 0.0
+
+
+def _recall(qrels: Qrels, qid: str, top: Sequence[str], k: int, rel_threshold: int) -> float:
+    relevant = qrels.relevant_docs(qid, rel_threshold)
+    return sum(1 for did in top if did in relevant) / len(relevant) if relevant else 0.0
+
+
+def _average_precision(qrels: Qrels, qid: str, top: Sequence[str], k: int, rel_threshold: int) -> float:
+    relevant = qrels.relevant_docs(qid, rel_threshold)
+    hits, precision_sum = 0, 0.0
+    for rank, did in enumerate(top, start=1):
+        if did in relevant:
+            hits += 1
+            precision_sum += hits / rank
+    return precision_sum / len(relevant) if relevant else 0.0
+
+
+_METRICS = {
+    "mrr": _reciprocal_rank,
+    "ndcg": _ndcg,
+    "recall": _recall,
+    "map": _average_precision,
+}
+
+
+class MetricMean:
+    """The mean of one metric over the queries that runs and qrels share,
+    fed one run at a time.
+
+    Each query's value is added to one running total, in query-id order
+    within a run and in the order the runs are fed. So the batches of a run
+    fed in ascending query order give the bytes of one call on the whole run.
+    """
+
+    def __init__(self, per_query: Callable, qrels: Qrels, k: int, rel_threshold: int = 1) -> None:
+        self.k = int(k)
+        if self.k < 1:
+            raise DataError(f"k must be >= 1, got {self.k}")
+        self._per_query, self._qrels, self._rel_threshold = per_query, qrels, rel_threshold
+        self._total, self._count = 0.0, 0
+
+    @classmethod
+    def of(cls, metric_id: str, qrels: Qrels, rel_threshold: int = 1) -> "MetricMean":
+        """The mean of a `name@k` metric id, e.g. mrr@10, ndcg@20, recall@100, map@10."""
+        name, k = parse_metric_id(metric_id)
+        return cls(_METRICS[name], qrels, k, rel_threshold)
+
+    def add(self, run: RunFile) -> "MetricMean":
+        for qid in run.query_ids:
+            if qid in self._qrels:
+                self._total += self._per_query(self._qrels, qid, run[qid]._ids[:self.k], self.k, self._rel_threshold)
+                self._count += 1
+        return self
+
+    @property
+    def mean(self) -> float:
+        if not self._count:
+            raise DataError("run and qrels share no query ids")
+        return self._total / self._count
 
 
 def mrr_at_k(run: RunFile, qrels: Qrels, k: int = 10, rel_threshold: int = 1) -> float:
     """Mean over queries of 1/rank of the first relevant doc in the top k."""
-    def reciprocal_rank(qid, top):
-        grades = qrels.grades_for(qid)
-        return next((1.0 / rank for rank, did in enumerate(top, start=1)
-                     if grades.get(did, 0) >= rel_threshold), 0.0)
-    return _mean_over_queries(run, qrels, k, reciprocal_rank)
+    return MetricMean(_reciprocal_rank, qrels, k, rel_threshold).add(run).mean
 
 
 def ndcg_at_k(run: RunFile, qrels: Qrels, k: int = 10) -> float:
     """Linear-gain nDCG: DCG@k = sum grade_i/log2(i+1), ideal from all judged grades."""
-    def ndcg(qid, top):
-        grades = qrels.grades_for(qid)
-        dcg = sum(grades.get(did, 0) / math.log2(rank + 1) for rank, did in enumerate(top, start=1))
-        ideal = sorted(grades.values(), reverse=True)[:int(k)]  # k is checked before the first call
-        idcg = sum(g / math.log2(i + 2) for i, g in enumerate(ideal))
-        return dcg / idcg if idcg > 0 else 0.0
-    return _mean_over_queries(run, qrels, k, ndcg)
+    return MetricMean(_ndcg, qrels, k).add(run).mean
 
 
 def recall_at_k(run: RunFile, qrels: Qrels, k: int = 10, rel_threshold: int = 1) -> float:
     """Mean over queries of |relevant in top k| / |relevant|."""
-    def recall(qid, top):
-        relevant = qrels.relevant_docs(qid, rel_threshold)
-        return sum(1 for did in top if did in relevant) / len(relevant) if relevant else 0.0
-    return _mean_over_queries(run, qrels, k, recall)
+    return MetricMean(_recall, qrels, k, rel_threshold).add(run).mean
 
 
 def map_at_k(run: RunFile, qrels: Qrels, k: int = 10, rel_threshold: int = 1) -> float:
     """Mean average precision: sum of precision@i at relevant hits, over |relevant|."""
-    def average_precision(qid, top):
-        relevant = qrels.relevant_docs(qid, rel_threshold)
-        hits, precision_sum = 0, 0.0
-        for rank, did in enumerate(top, start=1):
-            if did in relevant:
-                hits += 1
-                precision_sum += hits / rank
-        return precision_sum / len(relevant) if relevant else 0.0
-    return _mean_over_queries(run, qrels, k, average_precision)
-
-
-_METRICS = {
-    "mrr": mrr_at_k,
-    "ndcg": ndcg_at_k,
-    "recall": recall_at_k,
-    "map": map_at_k,
-}
+    return MetricMean(_average_precision, qrels, k, rel_threshold).add(run).mean
 
 
 def parse_metric_id(metric_id: str) -> tuple[str, int]:
@@ -458,7 +519,4 @@ def parse_metric_id(metric_id: str) -> tuple[str, int]:
 
 def evaluate_metric(metric_id: str, run: RunFile, qrels: Qrels, rel_threshold: int = 1) -> float:
     """Dispatch a `name@k` metric id, e.g. mrr@10, ndcg@20, recall@100, map@10."""
-    name, k = parse_metric_id(metric_id)
-    if name == "ndcg":
-        return ndcg_at_k(run, qrels, k)
-    return _METRICS[name](run, qrels, k, rel_threshold)
+    return MetricMean.of(metric_id, qrels, rel_threshold).add(run).mean

@@ -6,11 +6,13 @@ query order, groups them by size in blocks of about 2**15 similarity
 entries (`block_budget`), and hands each block to the caller's
 finish(contexts, probes), which scores it (most often with
 `neighbors.rnn_scores_block`). Queries are independent, so `map_queries`
-runs them in up to --threads processes, forked after the caller has loaded
-its inputs: they inherit the embeddings, the run and the caller's
-functions, none of which is pickled, and each call gets one contiguous
-shard. Only results come back, and the parent puts them in query order, so
-output bytes depend on neither the block nor the worker count. No worker
+runs them in up to --threads processes, forked on each call, after the
+caller has loaded its inputs: they inherit the embeddings, the run (for
+`rerank` and `smooth`, the batch of it being scored: `batch_lines`) and
+the caller's functions, none of which is pickled, and each call gets one
+contiguous shard. Only results come back, and the parent puts them in
+query order, so output bytes depend on neither the block nor the worker
+count. No worker
 logs: the callers log from the results, in the parent and in query order.
 """
 
@@ -29,6 +31,10 @@ _BLOCK_ENTRIES = 2 ** 15
 # cost and CPUs that other processes share
 _SHARDS_PER_WORKER = 4
 
+# run lines that `rerank` and `smooth` read, score and write as one batch in
+# one process: about 80 queries at depth 100
+_BATCH_LINES = 2 ** 13
+
 # (fn, query ids) of the pool a worker was forked for; set only inside
 # worker processes, by _start_worker
 _job: tuple | None = None
@@ -45,6 +51,15 @@ def available_cpus() -> int:
 def worker_count(threads: int, n_queries: int, cpus: int) -> int:
     """Worker processes for `threads` requested: no more than the CPUs or the queries, at least one."""
     return max(1, min(threads, cpus, n_queries))
+
+
+def batch_lines(workers: int) -> int:
+    """Run lines per batch of queries at `workers` requested. Worker
+    processes fork once per batch, so each then gets `_SHARDS_PER_WORKER`
+    shards of about `_BATCH_LINES` lines: 2**16 lines at two, 163 queries at
+    depth 400."""
+    n = min(workers, available_cpus())
+    return _BATCH_LINES if n <= 1 else _BATCH_LINES * n * _SHARDS_PER_WORKER
 
 
 def block_budget(m: int) -> int:

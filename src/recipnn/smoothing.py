@@ -18,11 +18,12 @@ import sys
 import warnings
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .context import RankingContext, context_from_run, id_ranks, order_by_score, take_rows, to_input_positions
+from .context import (RankingContext, check_element_ids, context_from_run, id_ranks, order_by_score, store_rows,
+                      take_rows, to_input_positions)
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError, check_positive
 from .ir_eval import _Columns
@@ -137,9 +138,13 @@ class SmoothResult:
 
     @property
     def mean_gt_mass(self) -> float:
-        if not self.label_sets:
-            return 0.0
-        return float(np.mean([ls.gt_mass for ls in self.label_sets]))
+        return mean_mass([ls.gt_mass for ls in self.label_sets])
+
+
+def mean_mass(masses: Sequence[float]) -> float:
+    """The mean of per-query ground-truth masses, 0.0 for none: one np.mean,
+    so masses collected batch by batch give the digits of one result."""
+    return float(np.mean(masses)) if len(masses) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +280,39 @@ def _candidates(query_id: str, doc_ids: Sequence[str], qrels, params: SmoothPara
     return docs, gt_all
 
 
+class _IdContext(NamedTuple):
+    """A query's candidates in input order, without their geometry: all that
+    uniform labels read of a `RankingContext`."""
+
+    query_id: str
+    element_ids: tuple[str, ...]
+    id_ranks: np.ndarray
+    doc_positions: np.ndarray
+    size = RankingContext.size
+    n_candidates = RankingContext.n_candidates
+    index_of = RankingContext.index_of
+
+
 def _gt_context(query_id: str, doc_ids: Sequence[str], qrels, embeddings: EmbeddingMatrix,
-                params: SmoothParams, n_context: int | None,
-                rel_threshold: int) -> tuple[RankingContext, list[int]]:
-    """A query's context, over its `_candidates`, and its ground-truth probes."""
+                params: SmoothParams, n_context: int | None, rel_threshold: int,
+                geometry: bool = True) -> tuple[RankingContext | _IdContext, list[int]]:
+    """A query's context, over its `_candidates`, and its ground-truth probes.
+
+    With geometry=False the context is an `_IdContext`: no vector is read
+    and no similarity is computed, yet every query `context_from_run`
+    refuses is refused alike. Its one refusal left out, a non-finite
+    similarity, cannot arise from a store: its components are finite
+    float32, below 3.4e38 in magnitude, so an inner product in float64 is at
+    most dim * (3.4e38)**2, about 1.9e81 at the binary format's 16384
+    dimensions, far below the float64 maximum.
+    """
     docs, gt_all = _candidates(query_id, doc_ids, qrels, params, n_context, rel_threshold)
-    context = context_from_run(query_id, docs, embeddings, None)
+    if geometry:
+        context = context_from_run(query_id, docs, embeddings, None)
+    else:
+        store_rows(query_id, docs, embeddings)
+        check_element_ids(query_id, docs)
+        context = _IdContext(query_id, (query_id, *docs), id_ranks(docs), np.arange(len(docs)))
     if context.n_candidates < 2:
         raise DataError(f"query {query_id!r}: need at least 2 candidates, got {context.n_candidates}")
     return context, _gt_probes(context, gt_all)
@@ -342,7 +374,8 @@ def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams
     value outside [0, 1) is a ConfigError. The uniform modes skip a query
     whose candidates are all ground truth, before it is scored.
     finish(contexts, probes) scores and labels a block of equal-size
-    contexts in one pass (uniform mode scores nothing), in up to `workers`
+    contexts in one pass (uniform mode scores nothing, and its contexts
+    hold no similarity matrix: `_gt_context`), in up to `workers`
     processes (`parallel.score_in_blocks`); results, warnings and skips
     keep query-id order whatever the block or worker count.
     Blocks return positions into each query's `_candidates`, so every set
@@ -350,8 +383,9 @@ def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams
     """
     check_smooth_options(n_context, mode, epsilon)
 
-    def build(qid: str) -> tuple[RankingContext, list[int]]:
-        context, probes = _gt_context(qid, run[qid].doc_ids, qrels, embeddings, params, n_context, rel_threshold)
+    def build(qid: str) -> tuple[RankingContext | _IdContext, list[int]]:
+        context, probes = _gt_context(qid, run[qid].doc_ids, qrels, embeddings, params, n_context, rel_threshold,
+                                      geometry=mode != "uniform")
         if mode != "eb" and len(probes) == context.n_candidates:  # uniform_smooth's refusal, before scoring
             raise DataError("no non-ground-truth entry to spread mass over")
         return context, probes
@@ -375,11 +409,14 @@ def smooth_dataset(run, qrels, embeddings: EmbeddingMatrix, params: SmoothParams
 # ---------------------------------------------------------------------------
 # soft-label file I/O (JSON Lines)
 
-def write_soft_labels(label_sets: Iterable[SoftLabelSet], path, header: str | None = None) -> None:
-    """One JSON object per line: {"qid", "gt", "labels"}; labels sorted by
-    probability descending then doc id, entries below 1e-12 omitted."""
+def write_soft_labels(label_sets: Iterable[SoftLabelSet], path, header: str | None = None,
+                      append: bool = False) -> None:
+    """One JSON object per line, queries in id order: {"qid", "gt", "labels"};
+    labels sorted by probability descending then doc id, entries below 1e-12
+    omitted. With append=True the lines go after those already in the file,
+    as `ir_eval.write_run` appends."""
     ordered = sorted(label_sets, key=lambda ls: ls.query_id)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "a" if append else "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"# {header}\n")
         for ls in ordered:

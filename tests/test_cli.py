@@ -20,11 +20,12 @@ import numpy as np
 import pytest
 
 import recipnn.cli as cli
-from recipnn import __version__, config, parallel
+from recipnn import __version__, config, ir_eval, parallel
 from recipnn.cli import main
 from recipnn.config import (COMMAND_KEYS, PRESETS, REQUIRED_KEYS, config_hash, display_key, effective_config,
                             header_line)
 from recipnn.embeddings import EmbeddingMatrix, load_embeddings, write_embeddings
+from recipnn.errors import DataError
 from recipnn.ir_eval import RankedList, RunFile, evaluate_metric, parse_qrels, parse_run, write_qrels, write_run
 from recipnn.neighbors import RnnParams
 from recipnn.rerank import rerank_run
@@ -373,7 +374,7 @@ def test_run_doc_ids_are_the_store_str_objects(corpus_files, tmp_path, monkeypat
 @pytest.mark.parametrize("command", ["rerank", "smooth"])
 def test_output_bytes_do_not_depend_on_the_id_pool(corpus_files, tmp_path, monkeypatch, command, threads):
     monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
-    pools, real = [], cli.parse_run
+    pools, real = [], cli.iter_run  # the reader of the commands that stream a run
 
     def without_pool(path, known_ids=()):
         pools.append(len(known_ids))
@@ -384,7 +385,7 @@ def test_output_bytes_do_not_depend_on_the_id_pool(corpus_files, tmp_path, monke
         out = tmp_path / name
         assert main([*small_argv(command, corpus_files, str(out)), "--threads", threads]) == 0
         blobs.append(read_bytes(out))
-        monkeypatch.setattr(cli, "parse_run", without_pool)
+        monkeypatch.setattr(cli, "iter_run", without_pool)
     assert pools == [len(load_embeddings(corpus_files["emb"]))]
     assert blobs[1] == blobs[0]
 
@@ -520,6 +521,120 @@ def test_strict_data_error_from_workers_matches_inline(corpus_files, tmp_path, m
                      "--strict", "--threads", threads]) == 2
         stderrs.append(capsys.readouterr().err)
     assert "'0-none'" in stderrs[0] and stderrs[1] == stderrs[0]
+
+
+# ---------------------------------------------------------------------------
+# rerank and smooth read, score and write a run one batch of query groups at a time
+
+
+def _run_shapes(run_path, tmp_path) -> dict:
+    """The lines of a grouped run, plus a query the store has no vector for,
+    written grouped in ascending query id order, grouped in descending order,
+    and interleaved one line of each query at a time."""
+    lines = [line for line in open(run_path, encoding="utf-8").read().splitlines() if not line.startswith("#")]
+    lines += [line.replace(line.split()[0], "q-none", 1) for line in lines[:3]]
+    groups: dict = {}
+    for line in lines:
+        groups.setdefault(line.split()[0], []).append(line)
+    qids = sorted(groups)
+    shapes = {"grouped": [line for qid in qids for line in groups[qid]],
+              "descending": [line for qid in reversed(qids) for line in groups[qid]],
+              "interleaved": [groups[qid][i] for i in range(max(map(len, groups.values())))
+                              for qid in qids if i < len(groups[qid])]}
+    paths = {}
+    for name, shape in shapes.items():
+        paths[name] = tmp_path / f"{name}.run"
+        paths[name].write_text("\n".join(shape) + "\n", encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("command", ["rerank", "smooth"])
+def test_every_run_shape_gives_the_bytes_of_the_grouped_run(corpus_files, tmp_path, monkeypatch, capsys, caplog,
+                                                            command):
+    # a grouped run in descending query order and an interleaved one are each
+    # read whole as one batch; a grouped run cut into batches of one query
+    # (two queries a worker at --threads 2) is written batch by batch. Every
+    # one gives the output file, stdout (rerank's metric table, smooth's mean
+    # ground-truth mass) and the one warning of the grouped run in one batch.
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
+    paths = _run_shapes(corpus_files["run"], tmp_path)
+    out = tmp_path / "out"
+    outcomes, default = {}, parallel._BATCH_LINES
+    for batch in (default, 1):
+        monkeypatch.setattr(parallel, "_BATCH_LINES", batch)
+        for shape, path in paths.items():
+            for threads in ("1", "2"):
+                caplog.clear()
+                assert main([*small_argv(command, {**corpus_files, "run": str(path)}, str(out)),
+                             "--threads", threads]) == 0
+                outcomes[batch, shape, threads] = (read_bytes(out), capsys.readouterr(),
+                                                   [rec.getMessage() for rec in caplog.records])
+    expect = outcomes[default, "grouped", "1"]
+    assert all(outcome == expect for outcome in outcomes.values())
+    assert len(expect[2]) == 1 and "q-none" in expect[2][0]
+    assert ("mean ground-truth mass: " if command == "smooth" else "mrr@10 ") in expect[1].out
+    assert sorted(os.listdir(tmp_path)) == sorted([*(p.name for p in paths.values()), "out"])
+
+
+def _late_fault(run_path, tmp_path, fault: str):
+    """The run with a fault in its last query group."""
+    lines = open(run_path, encoding="utf-8").read().splitlines()
+    qid, _, did, *_ = lines[-1].split()
+    lines.append(f"{qid} Q0 {did} 99 0.5 base" if fault == "duplicate" else f"{qid} Q0 extra 99 high base")
+    path = tmp_path / f"{fault}.run"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command,fault", [("rerank", "malformed"), ("rerank", "duplicate"), ("rerank", "unwritable"),
+                                          ("smooth", "malformed"), ("smooth", "duplicate")])
+def test_a_late_failure_leaves_no_output(corpus_files, tmp_path, monkeypatch, capsys, caplog, command, fault):
+    # batches of one query, so every query before the last is scored and
+    # written before its fault is met; exit 2 with the message a run read
+    # whole gives, no warning, and the output as it was before
+    monkeypatch.setattr(parallel, "_BATCH_LINES", 1)
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    if fault == "unwritable":
+        # a parsed run holds no such id, as every field is split on whitespace: the reader hands one in
+        real, path = cli.iter_run, corpus_files["run"]
+
+        def unwritable_last(path, known_ids=()):
+            *head, last = real(path, known_ids)
+            yield from head
+            yield RankedList.from_scored(last.query_id, [("d 1", last.scores[0] + 1.0),
+                                                         *zip(last.doc_ids, last.scores.tolist())])
+
+        monkeypatch.setattr(cli, "iter_run", unwritable_last)
+        message = "doc id 'd 1' would not read back"
+    else:
+        path = _late_fault(corpus_files["run"], inputs, fault)
+        with pytest.raises(DataError) as parsed:
+            parse_run(path)
+        message = str(parsed.value)
+        assert message == str(ir_eval._first_bad_line(path))
+    work = tmp_path / "work"
+    work.mkdir()
+    out = work / "out"
+    argv = [*small_argv(command, {**corpus_files, "run": str(path)}, str(out))]
+    assert main(argv) == 2
+    err = capsys.readouterr()
+    assert err.out == "" and err.err.startswith("data error: ") and message in err.err
+    assert not out.exists() and os.listdir(work) == []
+    out.write_bytes(b"earlier output\n")
+    caplog.clear()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == err.err
+    assert out.read_bytes() == b"earlier output\n" and os.listdir(work) == ["out"]
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("command", ["rerank", "smooth"])
+def test_output_in_a_missing_directory_is_named(corpus_files, tmp_path, capsys, command):
+    out = tmp_path / "absent" / "out"
+    assert main(small_argv(command, corpus_files, str(out))) == 2
+    assert capsys.readouterr().err == f"data error: cannot write {out}: No such file or directory\n"
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,15 @@ def test_worker_count_is_capped_by_cpus_and_queries():
     assert worker_count(2, 0, 8) == 1
 
 
+def test_worker_processes_get_batches_that_fork_them_once_for_a_deep_run(monkeypatch):
+    # workers fork once per batch: 100 queries at depth 400 make one batch at two workers
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    assert parallel.batch_lines(1) == parallel._BATCH_LINES
+    assert parallel.batch_lines(2) == parallel.batch_lines(8) >= 100 * 400
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
+    assert parallel.batch_lines(2) == parallel._BATCH_LINES
+
+
 def test_non_positive_worker_count_is_refused():
     for workers in (0, -3):
         with pytest.raises(ConfigError, match="workers"):

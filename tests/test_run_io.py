@@ -24,7 +24,7 @@ from recipnn.cli import main
 from recipnn.config import parse_config_file
 from recipnn.embeddings import EmbeddingMatrix, load_embeddings, write_embeddings
 from recipnn.errors import ConfigError, DataError
-from recipnn.ir_eval import Qrels, RankedList, RunFile, parse_qrels, parse_run, write_qrels, write_run
+from recipnn.ir_eval import Qrels, RankedList, RunFile, iter_run, parse_qrels, parse_run, write_qrels, write_run
 from recipnn.smoothing import SoftLabelSet, read_soft_labels
 from recipnn.synthetic import planted_corpus
 
@@ -240,6 +240,19 @@ def test_parse_run_takes_doc_id_objects_from_known_ids(tmp_path):
     assert run == parse_run(path)
     (d1, d2), (d1_again,) = (run[qid].doc_ids for qid in ("q1", "q2"))
     assert d1 is known[0] and d1_again is known[0] and d2 == "d2"
+
+
+def test_iter_run_yields_each_group_of_lines_as_it_ends(tmp_path):
+    # a query whose lines come in two groups is yielded twice; parse_run
+    # joins the groups, ties in file order, and refuses a doc id they share
+    path = tmp_path / "split.run"
+    path.write_text("b Q0 x 1 1.0 t\nb Q0 y 2 2.0 t\na Q0 x 1 0.5 t\nb Q0 z 3 1.0 t\n", encoding="utf-8")
+    assert [(r.query_id, r.doc_ids) for r in iter_run(path)] == [("b", ["y", "x"]), ("a", ["x"]), ("b", ["z"])]
+    assert parse_run(path)["b"].entries == (("y", 2.0, 1), ("x", 1.0, 2), ("z", 1.0, 3))
+    path.write_text("b Q0 x 1 1.0 t\na Q0 x 1 0.5 t\nb Q0 x 3 1.0 t\n", encoding="utf-8")
+    assert len(list(iter_run(path))) == 3
+    with pytest.raises(DataError, match=r"split.run:3: duplicate doc 'x' for query 'b'"):
+        parse_run(path)
 
 
 def test_ranked_list_takes_any_iterable_of_entries():

@@ -427,6 +427,46 @@ def test_uniform_mode_runs_no_neighbour_kernel(monkeypatch, workers):
         smooth_dataset(c.run, c.qrels, c.embeddings, sparams(), n_context=20, workers=workers)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_uniform_mode_builds_no_context_and_skips_alike(monkeypatch, caplog, workers):
+    # one query for each refusal of a context: no query vector, a candidate
+    # without a vector, the query among its own candidates, one candidate, no
+    # positive judgment, and every candidate ground truth. Uniform mode,
+    # with context building made to raise, skips what uniform-matched, which
+    # builds every context, skips, with the same reasons and labels elsewhere.
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
+    c = corpus100()
+    qids = c.run.query_ids
+    lists = dict(c.run.lists)
+    keep = [i for i in c.embeddings.keys() if i != qids[0]]
+    store = EmbeddingMatrix(keep, np.vstack([c.embeddings.lookup(i) for i in keep]))
+    scored = list(zip(c.run[qids[1]].doc_ids, c.run[qids[1]].scores.tolist()))
+    lists[qids[1]] = RankedList.from_scored(qids[1], [*scored, ("nowhere", -9.0)])
+    lists[qids[2]] = RankedList.from_scored(qids[2], [(qids[2], 9.0), *scored])
+    one, two = (next(q for q in qids[3:] if len(c.qrels.relevant_docs(q)) == n) for n in (1, 2))
+    lists[one] = RankedList.from_scored(one, [(d, 1.0) for d in c.qrels.relevant_docs(one)])
+    lists[two] = RankedList.from_scored(two, [(d, 1.0) for d in sorted(c.qrels.relevant_docs(two))])
+    unjudged = next(q for q in reversed(qids) if q not in (one, two))
+    qrels = Qrels({qid: dict(c.qrels.grades_for(qid)) for qid in qids if qid != unjudged})
+    run = RunFile(lists)
+    expect = smooth_dataset(run, qrels, store, sparams(), mode="uniform-matched", epsilon=0.2, workers=workers)
+
+    def no_context(*args):
+        raise AssertionError("context built")
+
+    monkeypatch.setattr(smoothing, "context_from_run", no_context)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        got = smooth_dataset(run, qrels, store, sparams(), mode="uniform", epsilon=0.2, workers=workers)
+    assert got.skipped == expect.skipped
+    assert sorted(qid for qid, _ in got.skipped) == sorted([*qids[:3], one, two, unjudged])
+    assert len({reason for _, reason in got.skipped}) == 6
+    assert [rec.getMessage() for rec in caplog.records] == [f"skipping query {q}: {r}" for q, r in got.skipped]
+    labels = {ls.query_id: ls.doc_ids for ls in got.label_sets}
+    assert labels == {ls.query_id: ls.doc_ids for ls in expect.label_sets}
+    assert got.label_sets == smooth_dataset(run, qrels, store, sparams(), mode="uniform", epsilon=0.2).label_sets
+
+
 @pytest.mark.parametrize("mode", ["eb", "uniform", "uniform-matched"])
 def test_trusted_label_sets_pass_the_validating_constructor(mode):
     c = corpus100()
