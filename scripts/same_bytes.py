@@ -10,9 +10,11 @@ package under src/), or a git revision, which is checked out with
 
 The inputs are generated once, with this tree's `recipnn.synthetic`, at the
 arguments of `perfbench/workload.py`'s WORKLOADS (--queries replaces their
-query count), and each run is also written with its lines shuffled. Each
-tree then runs `python -m recipnn` with its own src/ on PYTHONPATH, on the
-generated run and on the shuffled one, at --threads 1 and 2: rerank with
+query count), and each run is also written with its lines shuffled, and
+with its first query's lines moved to the end: two shards joined, in
+ascending query order up to the last group. Each tree then runs `python -m
+recipnn` with its own src/ on PYTHONPATH, on the generated run and on each
+copy, at --threads 1 and 2: rerank with
 the workload's flags and sweep over half and all of its context size on a
 rerank workload; smooth with the workload's flags in modes eb, uniform and
 uniform-matched on a smooth workload; and selftest once. One line is
@@ -42,10 +44,12 @@ from recipnn.embeddings import write_embeddings  # noqa: E402
 from recipnn.ir_eval import write_qrels, write_run  # noqa: E402
 
 SHUFFLED = "shuffled.run"
+JOINED = "joined.run"
 
 
 def generate(inputs: Path, queries: int | None, seed: int) -> None:
-    """Each workload's inputs in inputs/NAME, and its run with shuffled lines."""
+    """Each workload's inputs in inputs/NAME, its run with shuffled lines, and
+    its run with the first query's lines last."""
     for w in WORKLOADS.values():
         d = inputs / w.name
         d.mkdir(parents=True)
@@ -54,6 +58,8 @@ def generate(inputs: Path, queries: int | None, seed: int) -> None:
         write_run(corpus.run, d / RUN)
         write_qrels(corpus.qrels, d / QRELS)
         lines = (d / RUN).read_text(encoding="utf-8").splitlines(keepends=True)
+        first = lines[0].split()[0]
+        (d / JOINED).write_text("".join(sorted(lines, key=lambda line: line.split()[0] == first)), encoding="utf-8")
         random.Random(seed).shuffle(lines)
         (d / SHUFFLED).write_text("".join(lines), encoding="utf-8")
 
@@ -63,7 +69,7 @@ def invocations(inputs: Path) -> dict[str, list[str]]:
     calls = {"selftest": ["selftest"]}
     for w in WORKLOADS.values():
         d = inputs / w.name
-        for run in (RUN, SHUFFLED):
+        for run in (RUN, SHUFFLED, JOINED):
             data = ["--embeddings", str(d / EMBEDDINGS), "--run", str(d / run), "--qrels", str(d / QRELS)]
             for threads in ("1", "2"):
                 flags = list(w.flags)

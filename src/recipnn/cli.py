@@ -15,11 +15,12 @@ rerank and smooth read, score and write the run one batch of whole query
 groups at a time (`_streamed`), so they hold one batch of parsed and output
 lists, not the whole run: a batch closes at the group that takes it to
 `parallel.batch_lines(threads)` run lines, and the workers fork once per
-batch. A run whose groups are not in ascending query id order is read whole
-and scored as one batch. The output is written to a temporary file beside
---output that replaces it after the last batch, so a command that fails,
-however late, leaves no output and an earlier output file untouched; it
-also logs no per-query warning, as those wait for the end of the run.
+batch. A first pass over the run's query column, before any scoring,
+decides this: a run whose groups are not in ascending query id order is
+read whole and scored as one batch. The output is written to a temporary
+file beside --output that replaces it after the last batch, so a command
+that fails, however late, leaves no output and an earlier output file
+untouched.
 
 BLAS runs on one thread in every process. Each process does its work on
 one thread, and BLAS worker threads left spinning after each similarity
@@ -57,7 +58,8 @@ if _mallopt is not None:
 import argparse
 import logging
 import time
-from contextlib import contextmanager, suppress
+from array import array
+from contextlib import suppress
 from functools import partial
 from typing import Callable, Iterable, Iterator
 
@@ -69,8 +71,10 @@ from .config import (COMMAND_KEYS, GRID_KEYS, REQUIRED_KEYS, coerce_value, displ
                      rnn_params_from, smooth_params_from)
 from .embeddings import load_embeddings, write_embeddings
 from .errors import ConfigError, DataError, check_positive, check_seed
-from .ir_eval import (MetricMean, RankedList, RunFile, check_tag, evaluate_metric, iter_run, map_at_k, mrr_at_k,
-                      ndcg_at_k, parse_qrels, parse_run, recall_at_k, write_run)
+from .ir_eval import (MetricMean, Qrels, RankedList, RunFile, check_tag, evaluate_metric, iter_query_groups,
+                      iter_run, parse_qrels, parse_run, write_run)
+# no command calls these since the metrics became running means; perfbench/layers.py binds them here
+from .ir_eval import map_at_k, mrr_at_k, ndcg_at_k, recall_at_k  # noqa: F401
 from .neighbors import WEIGHT_FNS, RnnParams, extended_reciprocal_set, rnn_scores_block
 from .oracle import extended_oracle, mixed_scores_oracle
 from .parallel import batch_lines, score_in_blocks
@@ -169,89 +173,90 @@ def _write(write: Callable, *args, **kwargs) -> None:
     logger.info("wrote %s in %.3f s", args[1], seconds)
 
 
-class _Unordered(Exception):
-    """A run whose query groups do not come in ascending id order, the order
-    the writers write: its lists cannot be written batch by batch."""
-
-
 class _RunStream:
     """A run file read as batches of whole query groups, in file order, with
-    the seconds spent parsing and the queries and lines read summed for the log."""
+    the seconds spent reading and the queries and lines read summed for the
+    log.
 
-    def __init__(self, path, known_ids: Iterable[str], workers: int) -> None:
-        self.seconds, self.queries, self.lines = 0.0, 0, 0
-        self._lists = iter_run(path, known_ids)
+    A first pass over the query column (`ir_eval.iter_query_groups`), before
+    any list is parsed, decides how: a run whose query groups come in
+    ascending id order, the order the writers write, is read batch by batch;
+    any other run is read whole by `parse_run` and is one batch. With
+    judgments, a run none of whose queries they judge is refused, after the
+    parser has read all of it, so that a bad run line is reported first.
+    """
+
+    def __init__(self, path, known_ids: Iterable[str], workers: int, qrels: Qrels | None = None) -> None:
+        (self.ascending, judged), self.seconds = _timed(_query_order, path, qrels)
+        self.queries = self.lines = 0
+        logger.info("read the query column of %s in %.3f s: groups %s", path, self.seconds,
+                    "in ascending id order, read in batches" if self.ascending
+                    else "not in ascending id order, read whole")
         self._batch_lines = batch_lines(workers)
-        self._last: str | None = None
+        self._lists = iter_run(path, known_ids) if self.ascending else _whole_run(path, known_ids)
+        if not judged:
+            self.drain()
+            raise DataError("run and qrels share no query ids")
 
     def _next(self) -> RankedList | None:
         ranked, took = _timed(next, self._lists, None)
         self.seconds += took
         if ranked is not None:
-            if self._last is not None and ranked.query_id <= self._last:
-                raise _Unordered
-            self._last = ranked.query_id
             self.queries += 1
             self.lines += len(ranked)
         return ranked
 
     def __iter__(self) -> Iterator[RunFile]:
         """RunFiles of consecutive query groups of about `batch_lines` run
-        lines each, and at least one. Raises _Unordered at a query id not
-        above the one before it."""
+        lines each, or one of the whole run; at least one."""
         batch: dict[str, RankedList] = {}
         lines, yielded = 0, False
         while (ranked := self._next()) is not None:
             batch[ranked.query_id] = ranked
             lines += len(ranked)
-            if lines >= self._batch_lines:
+            if self.ascending and lines >= self._batch_lines:
                 yield RunFile(batch)
                 batch, lines, yielded = {}, 0, True
         if batch or not yielded:
             yield RunFile(batch)
 
-
-class _Held(logging.Handler):
-    def __init__(self) -> None:
-        super().__init__()
-        self.records: list[logging.LogRecord] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        self.records.append(record)
+    def drain(self) -> None:
+        """Read the rest of the run, raising its first bad line if it has one."""
+        while self._next() is not None:
+            pass
 
 
-@contextmanager
-def _held_log():
-    """Hold the package's log records while the block runs, and log them, in
-    order, once it has ended without error; the list of them is yielded."""
-    package, held = logging.getLogger("recipnn"), _Held()
-    propagate, package.propagate = package.propagate, False
-    package.addHandler(held)
-    try:
-        yield held.records
-    finally:
-        package.removeHandler(held)
-        package.propagate = propagate
-    for record in held.records:
-        logging.getLogger(record.name).handle(record)
+def _whole_run(path, known_ids: Iterable[str]) -> Iterator[RankedList]:
+    yield from parse_run(path, known_ids).lists.values()
 
 
-def _streamed(cfg: dict, embeddings, attempt: Callable):
-    """attempt(batches, path) over the run of cfg["run"], writing to a
-    temporary file beside cfg["output"] that replaces it once attempt has
-    returned; what attempt returns, and after that the log line of the run.
+def _query_order(path, qrels: Qrels | None) -> tuple[bool, bool]:
+    """Whether the query groups of a run come in ascending id order, and
+    whether qrels (None: any) judge one of its queries, from the query
+    column alone; the pass stops once both are known."""
+    ascending, judged, last = True, qrels is None, None
+    for qid in iter_query_groups(path):
+        ascending = ascending and (last is None or qid > last)
+        judged = judged or qid in qrels
+        if judged and not ascending:
+            break
+        last = qid
+    return ascending, judged
 
-    The batches are RunFiles of consecutive whole query groups in ascending
-    query id order (`_RunStream`), so held lists do not grow with the run. A
-    run whose groups come in another order is read whole and is one batch,
-    as all runs were before: the attempt starts again. The package's log
-    records wait for the attempt's end, so a command that fails logs no
-    warning, and a run read twice logs its warnings once. A data error while
-    the run is still being read is raised after the rest of it has been
-    read, so a bad run line, reported as the first bad line in file order,
-    comes before any error of scoring or writing, as when a run was read
-    before any scoring. Whatever fails, the output file is not touched and
-    the temporary file is removed.
+
+def _streamed(cfg: dict, embeddings, attempt: Callable, qrels: Qrels | None = None):
+    """attempt(batches, path) over the run of cfg["run"] (`_RunStream`),
+    writing to a temporary file beside cfg["output"] that replaces it once
+    attempt has returned; what attempt returns, and after that the log line
+    of the run.
+
+    The batches are RunFiles of consecutive whole query groups, so held lists
+    do not grow with a run in ascending query order. A data error while the
+    run is still being read is raised after the rest of it has been read, so
+    a bad run line, reported as the first bad line in file order, comes
+    before any error of scoring or writing, as when a run was read before
+    any scoring. Whatever fails, the output file is not touched and the
+    temporary file is removed.
     """
     output = cfg["output"]
     tmp = os.path.join(os.path.dirname(output), f".{os.path.basename(output)}.{os.getpid()}.tmp")
@@ -260,20 +265,14 @@ def _streamed(cfg: dict, embeddings, attempt: Callable):
     except OSError as exc:
         raise DataError(f"cannot write {output}: {exc.strerror}") from None
     try:
-        with _held_log() as records:
-            stream = _RunStream(cfg["run"], embeddings.keys(), cfg["threads"])
-            try:
-                try:
-                    result = attempt(stream, tmp)
-                except (DataError, OSError):
-                    for _ in stream:
-                        pass
-                    raise
-                logger.info("parsed %d queries, %d run lines from %s in %.3f s",
-                            stream.queries, stream.lines, cfg["run"], stream.seconds)
-            except _Unordered:
-                records.clear()
-                result = attempt([_read_run(cfg["run"], embeddings.keys())], tmp)
+        stream = _RunStream(cfg["run"], embeddings.keys(), cfg["threads"], qrels)
+        try:
+            result = attempt(stream, tmp)
+        except (DataError, OSError):
+            stream.drain()
+            raise
+        logger.info("parsed %d queries, %d run lines from %s in %.3f s",
+                    stream.queries, stream.lines, cfg["run"], stream.seconds)
         try:
             os.replace(tmp, output)
         except OSError as exc:
@@ -318,17 +317,8 @@ def _metric_table(rows: list[tuple[str, list[float]]], columns: list[str]) -> st
     return "\n".join(lines)
 
 
-def _standard_metrics(run, qrels, cutoff: int, rel_threshold: int) -> list[tuple[str, float]]:
-    return [
-        (f"mrr@{cutoff}", mrr_at_k(run, qrels, cutoff, rel_threshold)),
-        (f"ndcg@{cutoff}", ndcg_at_k(run, qrels, cutoff)),
-        (f"recall@{cutoff}", recall_at_k(run, qrels, cutoff, rel_threshold)),
-        (f"map@{cutoff}", map_at_k(run, qrels, cutoff, rel_threshold)),
-    ]
-
-
 def _running_metrics(qrels, cutoff: int, rel_threshold: int) -> dict[str, MetricMean]:
-    """The rows of `_standard_metrics`, each an empty running mean to feed run by run."""
+    """MRR, nDCG, recall and MAP at the cutoff, each an empty running mean to feed run by run."""
     return {f"{name}@{cutoff}": MetricMean.of(f"{name}@{cutoff}", qrels, rel_threshold)
             for name in ("mrr", "ndcg", "recall", "map")}
 
@@ -360,11 +350,10 @@ def cmd_rerank(cfg: dict) -> None:
             for name in before:
                 before[name].add(run)
                 after[name].add(reranked)
-        # where run and qrels share no query, .mean raises before the output is replaced
         rows = [(name, [before[name].mean, after[name].mean]) for name in before] if qrels else None
         return queries, passed, rows, scoring, writing
 
-    queries, passed, rows, scoring, writing = _streamed(cfg, embeddings, attempt)
+    queries, passed, rows, scoring, writing = _streamed(cfg, embeddings, attempt, qrels)
     logger.info("scored %d queries (%d passed through) in %.3f s", queries - passed, passed, scoring)
     logger.info("wrote %s in %.3f s", cfg["output"], writing)
     print(f"reranked {queries - passed} queries ({passed} passed through) -> {cfg['output']}")
@@ -381,14 +370,14 @@ def cmd_smooth(cfg: dict) -> None:
     header = header_line(cfg, __version__)
 
     def attempt(batches: Iterable[RunFile], path: str) -> tuple:
-        masses, skipped = [], 0
+        masses, skipped = array("d"), 0  # 8 bytes a query; np.mean gives the digits of a list
         scoring = writing = 0.0
         for n, run in enumerate(batches):
             result, seconds = _timed(smooth_dataset, run, qrels, embeddings, params,
                                      n_context=cfg["n_context"], mode=cfg["mode"], epsilon=cfg["epsilon"],
                                      rel_threshold=cfg["rel_threshold"], strict=cfg["strict"], workers=cfg["threads"])
             scoring += seconds
-            masses += [ls.gt_mass for ls in result.label_sets]
+            masses.extend(ls.gt_mass for ls in result.label_sets)
             skipped += len(result.skipped)
             _, seconds = _timed(write_soft_labels, result.label_sets, path, header=None if n else header,
                                 append=n > 0)
@@ -406,8 +395,8 @@ def cmd_eval(cfg: dict) -> None:
     check_positive("cutoff", cfg["cutoff"])
     run = _read_run(cfg["run"])
     qrels = _read_qrels(cfg["qrels"])
-    rows = [(name, [value]) for name, value
-            in _standard_metrics(run, qrels, cfg["cutoff"], cfg["rel_threshold"])]
+    rows = [(name, [mean.add(run).mean]) for name, mean
+            in _running_metrics(qrels, cfg["cutoff"], cfg["rel_threshold"]).items()]
     print(_metric_table(rows, ["value"]))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress, pairwise
@@ -297,12 +298,10 @@ def _ranked(query_id: str, parts: Sequence[tuple[Sequence[str], np.ndarray]], pa
     return RankedList._at(query_id, dids, order, scores[order])
 
 
-def iter_run(path, known_ids: Iterable[str] = ()) -> Iterator[RankedList]:
-    """Each query's RankedList, in file order, yielded when its group of
-    consecutive lines ends; a query whose lines are split over several groups
-    is yielded once per group. Lines are read and checked as `parse_run`
-    reads them, and the first bad line in file order raises DataError when
-    the group holding it, or any group, fails a check."""
+def _run_parts(path, known_ids: Iterable[str]) -> Iterator[tuple[str, list[str], np.ndarray]]:
+    """The (query id, doc ids, scores) blocks of `_run_blocks`, chunk after
+    chunk in file order. A line that breaks a rule raises DataError for the
+    first bad line in file order."""
     # one str per distinct doc id, shared by every query naming it
     shared: dict[str, str] = {did: did for did in known_ids}
     try:
@@ -310,20 +309,60 @@ def iter_run(path, known_ids: Iterable[str] = ()) -> Iterator[RankedList]:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     with fh:
-        parts: list[tuple[list[str], np.ndarray]] = []
-        query_id = None
         try:
             for chunk in _line_chunks(fh):
-                for qid, dids, scores in _run_blocks(chunk, shared):
-                    if parts and qid != query_id:
-                        yield _ranked(query_id, parts, path)
-                        parts = []
-                    query_id = qid
-                    parts.append((dids, scores))
+                yield from _run_blocks(chunk, shared)
         except _BadLine:
             raise _first_bad_line(path) from None
-        if parts:
+
+
+def iter_run(path, known_ids: Iterable[str] = ()) -> Iterator[RankedList]:
+    """Each query's RankedList, in file order, yielded when its group of
+    consecutive lines ends; a query whose lines are split over several groups
+    is yielded once per group. Lines are read and checked as `parse_run`
+    reads them, and the first bad line in file order raises DataError when
+    the group holding it, or any group, fails a check."""
+    parts: list[tuple[list[str], np.ndarray]] = []
+    query_id = None
+    for qid, dids, scores in _run_parts(path, known_ids):
+        if parts and qid != query_id:
             yield _ranked(query_id, parts, path)
+            parts = []
+        query_id = qid
+        parts.append((dids, scores))
+    if parts:
+        yield _ranked(query_id, parts, path)
+
+
+# after a line feed: a query group, the first field of one line and each
+# line after it whose first field is the same; fields and whitespace as
+# str.split() sees them (re's \s is str.isspace()), a line end a line feed
+_QUERY_GROUP = re.compile(r"\n[^\S\n]*(\S+)[^\n]*(?:\n[^\S\n]*\1(?!\S)[^\n]*)*")
+
+
+def iter_query_groups(path) -> Iterator[str]:
+    """The query id of each group of consecutive data lines of a run file, in
+    file order: the groups `iter_run` yields, read from the first field of
+    each line by the parser's own rules (str.split() whitespace, blank and
+    '#' lines skipped, universal newlines) without checking any other field.
+    A quick first pass, about a tenth of `parse_run`'s time: one regex scan
+    per chunk finds each group's first field, not each line's."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    last = None
+    with fh:
+        for chunk in _line_chunks(fh):
+            if b"\r" in chunk:
+                chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            # a byte that is not UTF-8 fails the parser, whatever this pass reads
+            qids = _QUERY_GROUP.findall("\n" + chunk.decode("utf-8", "replace"))
+            if b"#" in chunk:  # comment lines, and a group on each side of one
+                qids = [qid for qid in qids if not qid.startswith("#")]
+            if qids:
+                yield from compress(qids, map(operator.ne, qids, [last, *qids]))
+                last = qids[-1]
 
 
 def parse_run(path, known_ids: Iterable[str] = ()) -> RunFile:
@@ -338,15 +377,13 @@ def parse_run(path, known_ids: Iterable[str] = ()) -> RunFile:
     doc ids share one str object across the file, whatever their query.
     A doc id equal to one of `known_ids` (say, the ids of an embedding
     store already loaded) is that str object, so the run holds no copy of it.
-    The lists are those of `iter_run`; a query whose lines come in several
-    groups gets one list of all of them.
+    The lists are those of `iter_run`, read by the same reader, but a
+    query whose lines come in several groups gets one list of all of them.
     """
-    groups: dict[str, list[RankedList]] = {}
-    for ranked in iter_run(path, known_ids):
-        groups.setdefault(ranked.query_id, []).append(ranked)
-    # re-sorting the sorted groups, in file order, keeps ties in file order
-    return RunFile({qid: held[0] if len(held) == 1 else _ranked(qid, [(r._ids, r._values) for r in held], path)
-                    for qid, held in groups.items()})
+    blocks: dict[str, list[tuple[list[str], np.ndarray]]] = {}
+    for qid, dids, scores in _run_parts(path, known_ids):
+        blocks.setdefault(qid, []).append((dids, scores))
+    return RunFile({qid: _ranked(qid, parts, path) for qid, parts in blocks.items()})
 
 
 def _one_field_each(values: Sequence[str]) -> bool:

@@ -588,10 +588,10 @@ def _late_fault(run_path, tmp_path, fault: str):
 
 @pytest.mark.parametrize("command,fault", [("rerank", "malformed"), ("rerank", "duplicate"), ("rerank", "unwritable"),
                                           ("smooth", "malformed"), ("smooth", "duplicate")])
-def test_a_late_failure_leaves_no_output(corpus_files, tmp_path, monkeypatch, capsys, caplog, command, fault):
+def test_a_late_failure_leaves_no_output(corpus_files, tmp_path, monkeypatch, capsys, command, fault):
     # batches of one query, so every query before the last is scored and
     # written before its fault is met; exit 2 with the message a run read
-    # whole gives, no warning, and the output as it was before
+    # whole gives, and the output as it was before
     monkeypatch.setattr(parallel, "_BATCH_LINES", 1)
     inputs = tmp_path / "inputs"
     inputs.mkdir()
@@ -622,11 +622,50 @@ def test_a_late_failure_leaves_no_output(corpus_files, tmp_path, monkeypatch, ca
     assert err.out == "" and err.err.startswith("data error: ") and message in err.err
     assert not out.exists() and os.listdir(work) == []
     out.write_bytes(b"earlier output\n")
-    caplog.clear()
     assert main(argv) == 2
     assert capsys.readouterr().err == err.err
     assert out.read_bytes() == b"earlier output\n" and os.listdir(work) == ["out"]
-    assert caplog.records == []
+
+
+def test_a_run_that_breaks_order_late_is_read_whole_and_scored_once(corpus_files, tmp_path, monkeypatch, capsys,
+                                                                   caplog):
+    # two shards joined: groups ascend until the last query's, which comes
+    # first in id order. The first pass finds it before any scoring, so the
+    # run is read whole and scored in one call, and its bytes are the grouped run's
+    monkeypatch.setattr(parallel, "_BATCH_LINES", 1)
+    lines = [line for line in open(corpus_files["run"], encoding="utf-8").read().splitlines()
+             if not line.startswith("#")]
+    first = lines[0].split()[0]
+    joined = tmp_path / "joined.run"
+    joined.write_text("\n".join([line for line in lines if line.split()[0] != first] +
+                                 [line for line in lines if line.split()[0] == first]) + "\n", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(cli, "rerank_run", lambda run, *a, **k: calls.append(len(run)) or rerank_run(run, *a, **k))
+    outputs = []
+    for path in (corpus_files["run"], joined):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="recipnn"):
+            assert main(small_argv("rerank", {**corpus_files, "run": str(path)}, str(tmp_path / "out"))) == 0
+        outputs.append((read_bytes(tmp_path / "out"), capsys.readouterr().out))
+        assert any(f"read the query column of {path}" in rec.getMessage() for rec in caplog.records)
+    assert outputs[1] == outputs[0]
+    assert calls == [1] * 6 + [6]
+    assert "not in ascending id order, read whole" in caplog.text
+
+
+def test_rerank_refuses_qrels_sharing_no_query_before_scoring(corpus_files, tmp_path, monkeypatch, capsys):
+    # the first pass finds no judged query, so nothing is scored or written;
+    # a bad run line is still reported first, as the parser reads the whole run
+    qrels = tmp_path / "other.qrels"
+    qrels.write_text("elsewhere 0 d1 1\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "rerank_run", None)  # a call would raise TypeError, exit 3
+    out = tmp_path / "out"
+    assert main(small_argv("rerank", {**corpus_files, "qrels": str(qrels)}, str(out))) == 2
+    assert capsys.readouterr().err == "data error: run and qrels share no query ids\n"
+    bad = _late_fault(corpus_files["run"], tmp_path, "malformed")
+    assert main(small_argv("rerank", {**corpus_files, "qrels": str(qrels), "run": str(bad)}, str(out))) == 2
+    assert capsys.readouterr().err == f"data error: {ir_eval._first_bad_line(bad)}\n"
+    assert sorted(os.listdir(tmp_path)) == ["malformed.run", "other.qrels"]
 
 
 @pytest.mark.parametrize("command", ["rerank", "smooth"])

@@ -24,7 +24,8 @@ from recipnn.cli import main
 from recipnn.config import parse_config_file
 from recipnn.embeddings import EmbeddingMatrix, load_embeddings, write_embeddings
 from recipnn.errors import ConfigError, DataError
-from recipnn.ir_eval import Qrels, RankedList, RunFile, iter_run, parse_qrels, parse_run, write_qrels, write_run
+from recipnn.ir_eval import (Qrels, RankedList, RunFile, iter_query_groups, iter_run, parse_qrels, parse_run,
+                             write_qrels, write_run)
 from recipnn.smoothing import SoftLabelSet, read_soft_labels
 from recipnn.synthetic import planted_corpus
 
@@ -253,6 +254,24 @@ def test_iter_run_yields_each_group_of_lines_as_it_ends(tmp_path):
     assert len(list(iter_run(path))) == 3
     with pytest.raises(DataError, match=r"split.run:3: duplicate doc 'x' for query 'b'"):
         parse_run(path)
+
+
+@pytest.mark.parametrize("read_bytes", [1 << 16, 7])
+def test_iter_query_groups_reads_the_groups_iter_run_yields(tmp_path, monkeypatch, read_bytes):
+    # the first pass reads the query column by the parser's rules: comment and
+    # blank lines inside a group, leading and Unicode whitespace (U+0085,
+    # U+3000, the separators str.split() splits on), an id that is a prefix of
+    # the next, CR and CRLF line ends, and a last line with no line end; at 7
+    # bytes a read, groups and a CRLF are cut between chunks
+    monkeypatch.setattr(ir_eval, "_READ_BYTES", read_bytes)
+    path = tmp_path / "odd.run"
+    path.write_bytes("# header\n  q1 Q0 a 1 1 t\nq1\tQ0 b 2 1 t\n\n# q0 between\nq1 Q0 c 3 1 t\n"
+                     "q1x Q0 a 1 1 t\nq1\x85Q0 d 1 1 t\n\u3000q1\x1fQ0 e 1 1 t\n#q2 Q0 a 1 1 t\n"
+                     "q2 Q0 a 1 1 t\r\nq2 Q0 b 2 1 t\rq0 Q0 a 1 1 t\r\n\x0bq0 Q0 b 1 1 t".encode("utf-8"))
+    groups = list(iter_query_groups(path))
+    assert groups == [r.query_id for r in iter_run(path)] == ["q1", "q1x", "q1", "q2", "q0"]
+    with pytest.raises(DataError, match="cannot read"):
+        list(iter_query_groups(tmp_path / "missing.run"))
 
 
 def test_ranked_list_takes_any_iterable_of_entries():
