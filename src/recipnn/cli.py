@@ -58,7 +58,6 @@ if _mallopt is not None:
 import argparse
 import logging
 import time
-from array import array
 from contextlib import suppress
 from functools import partial
 from typing import Callable, Iterable, Iterator
@@ -73,7 +72,7 @@ from .embeddings import load_embeddings, write_embeddings
 from .errors import ConfigError, DataError, check_positive, check_seed
 from .ir_eval import (MetricMean, Qrels, RankedList, RunFile, check_tag, evaluate_metric, iter_query_groups,
                       iter_run, parse_qrels, parse_run, write_run)
-# no command calls these since the metrics became running means; perfbench/layers.py binds them here
+# no command calls these; perfbench/layers.py binds them here
 from .ir_eval import map_at_k, mrr_at_k, ndcg_at_k, recall_at_k  # noqa: F401
 from .neighbors import WEIGHT_FNS, RnnParams, extended_reciprocal_set, rnn_scores_block
 from .oracle import extended_oracle, mixed_scores_oracle
@@ -370,18 +369,19 @@ def cmd_smooth(cfg: dict) -> None:
     header = header_line(cfg, __version__)
 
     def attempt(batches: Iterable[RunFile], path: str) -> tuple:
-        masses, skipped = array("d"), 0  # 8 bytes a query; np.mean gives the digits of a list
+        masses, skipped = [], 0  # a float64 array a batch: 8 bytes a query, and the digits of one list
         scoring = writing = 0.0
         for n, run in enumerate(batches):
             result, seconds = _timed(smooth_dataset, run, qrels, embeddings, params,
                                      n_context=cfg["n_context"], mode=cfg["mode"], epsilon=cfg["epsilon"],
                                      rel_threshold=cfg["rel_threshold"], strict=cfg["strict"], workers=cfg["threads"])
             scoring += seconds
-            masses.extend(ls.gt_mass for ls in result.label_sets)
+            masses.append(np.array([ls.gt_mass for ls in result.label_sets], dtype=np.float64))
             skipped += len(result.skipped)
             _, seconds = _timed(write_soft_labels, result.label_sets, path, header=None if n else header,
                                 append=n > 0)
             writing += seconds
+        masses = np.concatenate(masses)
         return len(masses), skipped, mean_mass(masses), scoring, writing
 
     smoothed, skipped, mass, scoring, writing = _streamed(cfg, embeddings, attempt)
