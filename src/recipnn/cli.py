@@ -12,15 +12,7 @@ smooth and sweep in N worker processes, capped at the CPUs this process may
 use (`parallel.score_in_blocks`).
 
 rerank and smooth read, score and write the run one batch of whole query
-groups at a time (`_streamed`), so they hold one batch of parsed and output
-lists, not the whole run: a batch closes at the group that takes it to
-`parallel.batch_lines(threads)` run lines, and the workers fork once per
-batch. A first pass over the run's query column, before any scoring,
-decides this: a run whose groups are not in ascending query id order is
-read whole and scored as one batch. The output is written to a temporary
-file beside --output that replaces it after the last batch, so a command
-that fails, however late, leaves no output and an earlier output file
-untouched.
+groups at a time, through a temporary output file; `_stream` says how.
 
 BLAS runs on one thread in every process. Each process does its work on
 one thread, and BLAS worker threads left spinning after each similarity
@@ -45,6 +37,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import stat
 import sys
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -70,7 +63,7 @@ from .config import (COMMAND_KEYS, GRID_KEYS, REQUIRED_KEYS, coerce_value, displ
                      rnn_params_from, smooth_params_from)
 from .embeddings import load_embeddings, write_embeddings
 from .errors import ConfigError, DataError, check_positive, check_seed
-from .ir_eval import (MetricMean, Qrels, RankedList, RunFile, check_tag, evaluate_metric, iter_query_groups,
+from .ir_eval import (MetricMean, Qrels, RunFile, check_tag, evaluate_metric, iter_query_groups,
                       iter_run, parse_qrels, parse_run, write_run)
 # no command calls these; perfbench/layers.py binds them here
 from .ir_eval import map_at_k, mrr_at_k, ndcg_at_k, recall_at_k  # noqa: F401
@@ -172,63 +165,6 @@ def _write(write: Callable, *args, **kwargs) -> None:
     logger.info("wrote %s in %.3f s", args[1], seconds)
 
 
-class _RunStream:
-    """A run file read as batches of whole query groups, in file order, with
-    the seconds spent reading and the queries and lines read summed for the
-    log.
-
-    A first pass over the query column (`ir_eval.iter_query_groups`), before
-    any list is parsed, decides how: a run whose query groups come in
-    ascending id order, the order the writers write, is read batch by batch;
-    any other run is read whole by `parse_run` and is one batch. With
-    judgments, a run none of whose queries they judge is refused, after the
-    parser has read all of it, so that a bad run line is reported first.
-    """
-
-    def __init__(self, path, known_ids: Iterable[str], workers: int, qrels: Qrels | None = None) -> None:
-        (self.ascending, judged), self.seconds = _timed(_query_order, path, qrels)
-        self.queries = self.lines = 0
-        logger.info("read the query column of %s in %.3f s: groups %s", path, self.seconds,
-                    "in ascending id order, read in batches" if self.ascending
-                    else "not in ascending id order, read whole")
-        self._batch_lines = batch_lines(workers)
-        self._lists = iter_run(path, known_ids) if self.ascending else _whole_run(path, known_ids)
-        if not judged:
-            self.drain()
-            raise DataError("run and qrels share no query ids")
-
-    def _next(self) -> RankedList | None:
-        ranked, took = _timed(next, self._lists, None)
-        self.seconds += took
-        if ranked is not None:
-            self.queries += 1
-            self.lines += len(ranked)
-        return ranked
-
-    def __iter__(self) -> Iterator[RunFile]:
-        """RunFiles of consecutive query groups of about `batch_lines` run
-        lines each, or one of the whole run; at least one."""
-        batch: dict[str, RankedList] = {}
-        lines, yielded = 0, False
-        while (ranked := self._next()) is not None:
-            batch[ranked.query_id] = ranked
-            lines += len(ranked)
-            if self.ascending and lines >= self._batch_lines:
-                yield RunFile(batch)
-                batch, lines, yielded = {}, 0, True
-        if batch or not yielded:
-            yield RunFile(batch)
-
-    def drain(self) -> None:
-        """Read the rest of the run, raising its first bad line if it has one."""
-        while self._next() is not None:
-            pass
-
-
-def _whole_run(path, known_ids: Iterable[str]) -> Iterator[RankedList]:
-    yield from parse_run(path, known_ids).lists.values()
-
-
 def _query_order(path, qrels: Qrels | None) -> tuple[bool, bool]:
     """Whether the query groups of a run come in ascending id order, and
     whether qrels (None: any) judge one of its queries, from the query
@@ -243,44 +179,91 @@ def _query_order(path, qrels: Qrels | None) -> tuple[bool, bool]:
     return ascending, judged
 
 
-def _streamed(cfg: dict, embeddings, attempt: Callable, qrels: Qrels | None = None):
-    """attempt(batches, path) over the run of cfg["run"] (`_RunStream`),
-    writing to a temporary file beside cfg["output"] that replaces it once
-    attempt has returned; what attempt returns, and after that the log line
-    of the run.
+def _stream(cfg: dict, known_ids: Iterable[str], score: Callable[[RunFile], object], write: Callable,
+            qrels: Qrels | None = None) -> tuple[float, float]:
+    """Score the run of cfg["run"] and write it to cfg["output"] one batch of
+    whole query groups at a time: write(score(batch), path, header=...,
+    append=...), the provenance header with the first batch. Logs the
+    reading at INFO; returns the seconds spent scoring and writing.
 
-    The batches are RunFiles of consecutive whole query groups, so held lists
-    do not grow with a run in ascending query order. A data error while the
-    run is still being read is raised after the rest of it has been read, so
-    a bad run line, reported as the first bad line in file order, comes
-    before any error of scoring or writing, as when a run was read before
-    any scoring. Whatever fails, the output file is not touched and the
-    temporary file is removed.
+    A first pass over the run's query column (`_query_order`), before any
+    list is parsed, decides how the run is read. A run whose query groups
+    come in ascending id order, the order the writers write, is read by
+    `iter_run` in batches: a batch closes at the group that takes it to
+    `parallel.batch_lines(threads)` run lines, so the lists held do not grow
+    with the run, and worker processes fork once per batch. Any other run is
+    read whole by `parse_run` and scored as one batch. With qrels, a run
+    none of whose queries they judge is refused before anything is scored.
+
+    A data error met while the run is still being read is raised after the
+    rest of it has been read, so a bad run line, reported as the first bad
+    line in file order, comes before that refusal and before any error of
+    scoring or writing, as when a run was read whole before any scoring.
+
+    The batches go to a temporary file in the output's directory, which
+    replaces the output after the last batch: a command that fails, however
+    late, leaves no output and an earlier output untouched. A symlink given
+    as --output is followed, so the temporary file goes beside its target
+    and replaces that; an existing output's permission bits are kept, its
+    owner and hard links are not; an existing output that is not a regular
+    file is refused before the run is read. Messages name --output as given.
     """
-    output = cfg["output"]
-    tmp = os.path.join(os.path.dirname(output), f".{os.path.basename(output)}.{os.getpid()}.tmp")
+    output, path = cfg["output"], cfg["run"]
+    target = os.path.realpath(output)
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
     try:
+        mode = os.stat(target).st_mode if os.path.exists(target) else None
+        if mode is not None and not stat.S_ISREG(mode):
+            raise DataError(f"cannot write {output}: not a regular file")
         open(tmp, "w").close()
     except OSError as exc:
         raise DataError(f"cannot write {output}: {exc.strerror}") from None
     try:
-        stream = _RunStream(cfg["run"], embeddings.keys(), cfg["threads"], qrels)
+        (ascending, judged), reading = _timed(_query_order, path, qrels)
+        logger.info("read the query column of %s in %.3f s: groups %s", path, reading,
+                    "in ascending id order, read in batches" if ascending
+                    else "not in ascending id order, read whole")
+
+        def batches() -> Iterator[RunFile]:
+            batch, held, size = {}, 0, batch_lines(cfg["threads"])
+            for ranked in iter_run(path, known_ids):
+                if held >= size:
+                    yield RunFile(batch)
+                    batch, held = {}, 0
+                batch[ranked.query_id] = ranked
+                held += len(ranked)
+            yield RunFile(batch)
+
+        start, queries, lines, scoring, writing = time.perf_counter(), 0, 0, 0.0, 0.0
+        reader = batches() if ascending else iter([parse_run(path, known_ids)])
         try:
-            result = attempt(stream, tmp)
+            if not judged:
+                raise DataError("run and qrels share no query ids")
+            for n, run in enumerate(reader):
+                queries += len(run)
+                lines += sum(map(len, run.lists.values()))
+                scored, seconds = _timed(score, run)
+                scoring += seconds
+                _, seconds = _timed(write, scored, tmp, header=None if n else header_line(cfg, __version__),
+                                    append=n > 0)
+                writing += seconds
         except (DataError, OSError):
-            stream.drain()
+            for _ in reader:  # raises the run's first bad line, if it has one
+                pass
             raise
-        logger.info("parsed %d queries, %d run lines from %s in %.3f s",
-                    stream.queries, stream.lines, cfg["run"], stream.seconds)
+        reading += time.perf_counter() - start - scoring - writing
+        logger.info("parsed %d queries, %d run lines from %s in %.3f s", queries, lines, path, reading)
         try:
-            os.replace(tmp, output)
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            os.replace(tmp, target)
         except OSError as exc:
             raise DataError(f"cannot write {output}: {exc.strerror}") from None
     except BaseException:
         with suppress(FileNotFoundError):
             os.remove(tmp)
         raise
-    return result
+    return scoring, writing
 
 
 def _peak_rss_mb() -> tuple[float, float]:
@@ -330,34 +313,28 @@ def cmd_rerank(cfg: dict) -> None:
     check_positive("threads", cfg["threads"])
     embeddings = _read_embeddings(cfg["embeddings"])
     qrels = _read_qrels(cfg["qrels"]) if cfg.get("qrels") else None
-    header = header_line(cfg, __version__)
+    # one running mean per metric of the lists as read and as reranked
+    before, after = (_running_metrics(qrels, cfg["cutoff"], cfg["rel_threshold"]) if qrels else {}
+                     for _ in range(2))
+    queries = passed = 0
 
-    def attempt(batches: Iterable[RunFile], path: str) -> tuple:
-        # one running mean per metric of the lists as read and as reranked
-        before, after = (_running_metrics(qrels, cfg["cutoff"], cfg["rel_threshold"]) if qrels else {}
-                         for _ in range(2))
-        queries = passed = 0
-        scoring = writing = 0.0
-        for n, run in enumerate(batches):
-            reranked, seconds = _timed(rerank_run, run, embeddings, params, cfg["n_context"],
-                                       top_k=cfg.get("top_k"), strict=cfg["strict"], workers=cfg["threads"])
-            scoring += seconds
-            queries += len(reranked)
-            passed += sum(reranked[qid] is run[qid] for qid in run.query_ids)  # rerank_run passes such a list as is
-            _, seconds = _timed(write_run, reranked, path, tag=cfg["tag"], header=None if n else header, append=n > 0)
-            writing += seconds
-            for name in before:
-                before[name].add(run)
-                after[name].add(reranked)
-        rows = [(name, [before[name].mean, after[name].mean]) for name in before] if qrels else None
-        return queries, passed, rows, scoring, writing
+    def score(run: RunFile) -> RunFile:
+        nonlocal queries, passed
+        reranked = rerank_run(run, embeddings, params, cfg["n_context"], top_k=cfg.get("top_k"),
+                              strict=cfg["strict"], workers=cfg["threads"])
+        queries += len(reranked)
+        passed += sum(reranked[qid] is run[qid] for qid in run.query_ids)  # rerank_run passes such a list as is
+        for name in before:
+            before[name].add(run)
+            after[name].add(reranked)
+        return reranked
 
-    queries, passed, rows, scoring, writing = _streamed(cfg, embeddings, attempt, qrels)
+    scoring, writing = _stream(cfg, embeddings.keys(), score, partial(write_run, tag=cfg["tag"]), qrels)
     logger.info("scored %d queries (%d passed through) in %.3f s", queries - passed, passed, scoring)
     logger.info("wrote %s in %.3f s", cfg["output"], writing)
     print(f"reranked {queries - passed} queries ({passed} passed through) -> {cfg['output']}")
-    if rows is not None:
-        print(_metric_table(rows, ["before", "after"]))
+    if qrels is not None:
+        print(_metric_table([(name, [before[name].mean, after[name].mean]) for name in before], ["before", "after"]))
 
 
 def cmd_smooth(cfg: dict) -> None:
@@ -366,29 +343,23 @@ def cmd_smooth(cfg: dict) -> None:
     check_positive("threads", cfg["threads"])
     embeddings = _read_embeddings(cfg["embeddings"])
     qrels = _read_qrels(cfg["qrels"])
-    header = header_line(cfg, __version__)
+    masses, skipped = [], 0  # a float64 array a batch: 8 bytes a query, and the digits of one list
 
-    def attempt(batches: Iterable[RunFile], path: str) -> tuple:
-        masses, skipped = [], 0  # a float64 array a batch: 8 bytes a query, and the digits of one list
-        scoring = writing = 0.0
-        for n, run in enumerate(batches):
-            result, seconds = _timed(smooth_dataset, run, qrels, embeddings, params,
-                                     n_context=cfg["n_context"], mode=cfg["mode"], epsilon=cfg["epsilon"],
-                                     rel_threshold=cfg["rel_threshold"], strict=cfg["strict"], workers=cfg["threads"])
-            scoring += seconds
-            masses.append(np.array([ls.gt_mass for ls in result.label_sets], dtype=np.float64))
-            skipped += len(result.skipped)
-            _, seconds = _timed(write_soft_labels, result.label_sets, path, header=None if n else header,
-                                append=n > 0)
-            writing += seconds
-        masses = np.concatenate(masses)
-        return len(masses), skipped, mean_mass(masses), scoring, writing
+    def score(run: RunFile) -> list:
+        nonlocal skipped
+        result = smooth_dataset(run, qrels, embeddings, params, n_context=cfg["n_context"], mode=cfg["mode"],
+                                epsilon=cfg["epsilon"], rel_threshold=cfg["rel_threshold"], strict=cfg["strict"],
+                                workers=cfg["threads"])
+        masses.append(np.array([ls.gt_mass for ls in result.label_sets], dtype=np.float64))
+        skipped += len(result.skipped)
+        return result.label_sets
 
-    smoothed, skipped, mass, scoring, writing = _streamed(cfg, embeddings, attempt)
-    logger.info("scored %d queries (%d skipped) in %.3f s", smoothed, skipped, scoring)
+    scoring, writing = _stream(cfg, embeddings.keys(), score, write_soft_labels)
+    masses = np.concatenate(masses)
+    logger.info("scored %d queries (%d skipped) in %.3f s", len(masses), skipped, scoring)
     logger.info("wrote %s in %.3f s", cfg["output"], writing)
-    print(f"smoothed {smoothed} queries ({skipped} skipped) -> {cfg['output']}")
-    print(f"mean ground-truth mass: {mass:.6f}")
+    print(f"smoothed {len(masses)} queries ({skipped} skipped) -> {cfg['output']}")
+    print(f"mean ground-truth mass: {mean_mass(masses):.6f}")
 
 
 def cmd_eval(cfg: dict) -> None:

@@ -12,6 +12,7 @@ import importlib.util
 import logging
 import os
 import re
+import stat
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -651,6 +652,73 @@ def test_a_run_that_breaks_order_late_is_read_whole_and_scored_once(corpus_files
     assert outputs[1] == outputs[0]
     assert calls == [1] * 6 + [6]
     assert "not in ascending id order, read whole" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["rerank", "smooth"])
+def test_verbose_lines_come_in_the_order_the_readme_states(corpus_files, tmp_path, monkeypatch, capsys, caplog,
+                                                          command):
+    # store, judgments, first pass, the warnings of each batch, run, scoring,
+    # writing, peak RSS: for a run cut into seven batches of one query (its
+    # query without a vector warns) and for the same run read whole
+    monkeypatch.setattr(parallel, "_BATCH_LINES", 1)
+    paths = _run_shapes(corpus_files["run"], tmp_path)
+    out = tmp_path / "out"
+    names = {corpus_files["emb"]: "STORE", corpus_files["qrels"]: "QRELS", str(out): "OUT",
+             **{str(path): "RUN" for path in paths.values()}}
+    logs = {}
+    for shape in ("grouped", "descending"):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="recipnn"):
+            assert main(small_argv(command, {**corpus_files, "run": str(paths[shape])}, str(out))) == 0
+        capsys.readouterr()
+        logs[shape] = []
+        for rec in caplog.records:
+            message = rec.getMessage()
+            for path, name in names.items():
+                message = message.replace(path, name)
+            logs[shape].append(f"{rec.levelname} " + re.sub(r"\d+(?:\.\d+)?", "#", message))
+    warning = logs["grouped"][3]
+    assert warning.startswith("WARNING ") and "q-none" in warning
+    scored = "scored # queries (# passed through)" if command == "rerank" else "scored # queries (# skipped)"
+    for shape, order in (("grouped", "in ascending id order, read in batches"),
+                         ("descending", "not in ascending id order, read whole")):
+        assert logs[shape] == ["INFO loaded # vectors of dim # from STORE in # s",
+                               "INFO parsed judgments for # queries from QRELS in # s",
+                               f"INFO read the query column of RUN in # s: groups {order}",
+                               warning,
+                               "INFO parsed # queries, # run lines from RUN in # s",
+                               f"INFO {scored} in # s",
+                               "INFO wrote OUT in # s",
+                               "INFO peak RSS # MB"]
+
+
+@pytest.mark.parametrize("command", ["rerank", "smooth"])
+@pytest.mark.parametrize("kind", ["symlink", "private", "fifo"])
+def test_output_is_written_through_a_symlink_keeps_its_mode_and_must_be_a_regular_file(corpus_files, tmp_path,
+                                                                                        capsys, command, kind):
+    plain = tmp_path / "plain"
+    assert main(small_argv(command, corpus_files, str(plain))) == 0
+    capsys.readouterr()
+    out, real = tmp_path / "out", tmp_path / "real"
+    real.mkdir()
+    argv = small_argv(command, corpus_files, str(out))
+    if kind == "symlink":  # the target is replaced, the link kept
+        (real / "target").write_bytes(b"earlier output\n")
+        out.symlink_to(real / "target")
+        assert main(argv) == 0
+        assert out.is_symlink() and (real / "target").read_bytes() == plain.read_bytes()
+        assert os.listdir(real) == ["target"]
+    elif kind == "private":  # the permission bits are kept
+        out.write_bytes(b"earlier output\n")
+        out.chmod(0o600)
+        assert main(argv) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600 and out.read_bytes() == plain.read_bytes()
+    else:  # refused before the run is read, so a missing run is not what is reported
+        os.mkfifo(out)
+        assert main(small_argv(command, {**corpus_files, "run": str(tmp_path / "absent.run")}, str(out))) == 2
+        assert capsys.readouterr().err == f"data error: cannot write {out}: not a regular file\n"
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["out", "plain", "real"]
 
 
 def test_rerank_refuses_qrels_sharing_no_query_before_scoring(corpus_files, tmp_path, monkeypatch, capsys):
