@@ -17,10 +17,13 @@ recipnn` with its own src/ on PYTHONPATH, on the generated run and on each
 copy, at --threads 1 and 2: rerank with
 the workload's flags and sweep over half and all of its context size on a
 rerank workload; smooth with the workload's flags in modes eb, uniform and
-uniform-matched on a smooth workload; and selftest once. One line is
-printed for each output file, stdout, stderr (commands run without
---verbose) or exit code that differs, stdout with each tree's output path
-replaced. The exit code is 1 if anything differs and 0 otherwise.
+uniform-matched on a smooth workload; and selftest once. Each rerank,
+sweep and smooth invocation runs once more with --verbose, and its INFO
+lines are compared with every number before ` s` or ` MB` masked. One
+line is printed for each output file, stdout, stderr (commands run
+without --verbose), exit code or log that differs, stdout and the log
+with each tree's output path replaced. The exit code is 1 if anything
+differs and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -45,6 +49,7 @@ from recipnn.ir_eval import write_qrels, write_run  # noqa: E402
 
 SHUFFLED = "shuffled.run"
 JOINED = "joined.run"
+MEASURED = re.compile(rb"\d+(?:\.\d+)? (s|MB)\b")  # seconds and megabytes, which differ from run to run
 
 
 def generate(inputs: Path, queries: int | None, seed: int) -> None:
@@ -100,6 +105,11 @@ def run_tree(tree: Path, calls: dict[str, list[str]], outputs: Path) -> dict[str
                        "stdout": done.stdout.replace(str(output).encode(), b"OUTPUT"),
                        "stderr": done.stderr,
                        "output file": output.read_bytes() if output.exists() else b"(none)"}
+        if argv[0] != "selftest":
+            log = subprocess.run([sys.executable, "-m", "recipnn", *argv, "--verbose"], env=env,
+                                 capture_output=True).stderr.replace(str(output).encode(), b"OUTPUT")
+            seen[label]["log"] = MEASURED.sub(rb"# \1", b"".join(
+                line for line in log.splitlines(keepends=True) if line.startswith(b"INFO ")))
     return seen
 
 
